@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +28,7 @@ from .closure import (
 )
 from .errors import ConfigError, DomainError, NumericalError
 from .expectation import expectation_table, write_expectation_csv
-from .dictionaries import Family
+from .dictionaries import Family, Kind
 from .solver import (
     dmd_baseline,
     fit_k,
@@ -45,6 +44,7 @@ from .systems import (
     build_snapshot_dataset,
     read_ensemble,
     simulate_ensemble,
+    write_csv,
     write_ensemble,
 )
 from .trainer import (
@@ -58,6 +58,11 @@ from .trainer import (
 FIVE_STEP_LOG_CADENCE = 50
 
 _FAMILY_NAMES = tuple(f.value for f in Family)
+# Candidate kinds matching pursuit draws from, per dictionary family.
+_PURSUIT_KINDS = {
+    Family.SILL: (Kind.LOGISTIC,),
+    Family.AUGSILL: (Kind.LOGISTIC, Kind.RBF),
+}
 _SYSTEM_NAMES = tuple(s.value for s in SystemId)
 
 
@@ -111,13 +116,6 @@ def _emit_config(args):
         cp.write(fh)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _r(x):
     return repr(float(x))
 
@@ -137,9 +135,13 @@ def _cmd_simulate(args):
 
 
 def _cmd_fit(args):
+    family = Family(args.family)
+    if args.method == "pursuit" and family not in _PURSUIT_KINDS:
+        raise UsageError(
+            f"--method pursuit needs --family sill or augsill, not {family.value}"
+        )
     trajs = read_ensemble(args.data)
     dataset = build_snapshot_dataset(trajs, Mode(args.mode))
-    family = Family(args.family)
     _emit_config(args)
     log_path = os.path.join(args.out, "training_log.csv")
     model_path = os.path.join(args.out, "model.ini")
@@ -148,8 +150,8 @@ def _cmd_fit(args):
         d = initial_dictionary(dataset, family, args.n_members, args.seed)
         model = fit_k(dataset, d, args.ridge)
         loss = frobenius_residual(model, dataset) / dataset.n_rows
-        _write_csv(log_path, ["epoch", "loss", "five_step_error"],
-                   [["0", _r(loss), _r(n_step_error(model, trajs, 5))]])
+        write_csv(log_path, ["epoch", "loss", "five_step_error"],
+                  [["0", _r(loss), _r(n_step_error(model, trajs, 5))]])
     elif args.method == "sgd":
         cfg = TrainConfig(
             epochs=args.epochs,
@@ -172,16 +174,16 @@ def _cmd_fit(args):
                 rows.append([str(epoch), _r(loss), ""])
 
         model, _ = sgd_fit(dataset, family, args.n_members, cfg, epoch_callback=log)
-        _write_csv(log_path, ["epoch", "loss", "five_step_error"], rows)
+        write_csv(log_path, ["epoch", "loss", "five_step_error"], rows)
     elif args.method == "pursuit":
         pool = PursuitPool.for_data(
-            dataset.inputs, args.pool_points, args.pool_steepness
+            dataset.inputs, args.pool_points, args.pool_steepness, _PURSUIT_KINDS[family]
         )
         model, trace = matching_pursuit_fit(
             dataset, pool, args.n_members, args.ridge if args.ridge else 0.0
         )
-        _write_csv(log_path, ["step", "objective"],
-                   [[str(i), _r(v)] for i, v in enumerate(trace)])
+        write_csv(log_path, ["step", "objective"],
+                  [[str(i), _r(v)] for i, v in enumerate(trace)])
     else:
         raise ConfigError(f"unknown fit method {args.method!r}")
 
@@ -196,7 +198,7 @@ def _cmd_evaluate(args):
     err = n_step_error(model, trajs, args.n_steps)
     _emit_config(args)
     report = os.path.join(args.out, "report.csv")
-    _write_csv(
+    write_csv(
         report,
         ["system", "dictionary", "N", "n_steps", "error", "seed"],
         [[
@@ -236,10 +238,10 @@ def _cmd_closure(args):
                      for r in rows]
         fit = explosion_growth(rows)
         rate_rows.append([str(degree), _r(fit.slope), _r(fit.r_squared)])
-    _write_csv(os.path.join(args.out, "explosion.csv"),
-               ["degree", "y", "residual_at_y", "residual_sup"], exp_rows)
-    _write_csv(os.path.join(args.out, "explosion_rates.csv"),
-               ["degree", "exponent", "r_squared"], rate_rows)
+    write_csv(os.path.join(args.out, "explosion.csv"),
+              ["degree", "y", "residual_at_y", "residual_sup"], exp_rows)
+    write_csv(os.path.join(args.out, "explosion_rates.csv"),
+              ["degree", "exponent", "r_squared"], rate_rows)
 
     bc_rows = []
     for m in (1, 2, 3):
@@ -251,7 +253,7 @@ def _cmd_closure(args):
             _r(c.mean_limit_product), _r(c.bound_limit),
             str(c.all_within).lower(),
         ])
-    _write_csv(
+    write_csv(
         os.path.join(args.out, "bound_check.csv"),
         ["m", "mean_logistic", "bound_logistic", "mean_rbf", "bound_rbf",
          "mean_limit", "bound_limit", "within"],
@@ -324,7 +326,7 @@ def _cmd_compare(args):
     else:
         rows = [_compare_cell(c) for c in cells]
     path = os.path.join(args.out, "summary.csv")
-    _write_csv(path, ["system", "dictionary", "N", "n_steps", "error", "seed"], rows)
+    write_csv(path, ["system", "dictionary", "N", "n_steps", "error", "seed"], rows)
     print(f"compare: wrote {len(rows)} rows to {path}")
     return 0
 
@@ -479,14 +481,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
             raise UsageError("a subcommand is required (see --help)")
+        return args.func(args) or 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args) or 0
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

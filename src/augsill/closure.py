@@ -24,7 +24,9 @@ from .dictionaries import (
     Family,
     Kind,
     ScalarBasisParams,
+    conjunctive_values,
     h_function,
+    member_sensitivities_packed,
     product_limit_logistic,
     scale_steepness,
     stable_logistic,
@@ -37,6 +39,7 @@ from .errors import (
     RateFitError,
     UnsupportedFamilyError,
 )
+from .systems import write_csv
 
 # Below this floor a measured error is treated as underflow, not signal.
 RATE_FLOOR = 1e-30
@@ -55,14 +58,6 @@ class PairKind(str, Enum):
 
 
 # -- pairwise product errors ----------------------------------------------------
-
-
-def _batch_values(f: ConjunctiveFunction, pts):
-    """Member values at an (r, m) point batch."""
-    t = f.steepnesses[None, :] * (pts - f.centers[None, :])
-    lam = stable_logistic(t)
-    per = lam * (1.0 - lam) if f.kind == Kind.RBF else lam
-    return per.prod(axis=1)
 
 
 def _check_pair_kinds(pair, theta_l, theta_other):
@@ -87,15 +82,15 @@ def _pair_errors_batch(pair, theta_l, theta_other, pts, alpha_scale):
     """
     tl = scale_steepness(theta_l, alpha_scale)
     to = scale_steepness(theta_other, alpha_scale)
-    prod = _batch_values(tl, pts) * _batch_values(to, pts)
+    prod = conjunctive_values(tl, pts) * conjunctive_values(to, pts)
     if pair == PairKind.LOG_LOG:
         # Scaling both members by the same factor commutes with the limit
         # parameters, so the target is the scaled limit member.
         star = scale_steepness(product_limit_logistic(theta_l, theta_other), alpha_scale)
-        target = _batch_values(star, pts)
+        target = conjunctive_values(star, pts)
     elif pair == PairKind.LOG_RBF:
         if np.any(theta_other.centers >= theta_l.centers):
-            target = _batch_values(to, pts)
+            target = conjunctive_values(to, pts)
         else:
             target = 0.0
     else:
@@ -314,20 +309,23 @@ def theorem_suite(theorems=THEOREM_NAMES, n_configs=50, alpha_scales=DEFAULT_ALP
 
 
 def write_closure_csv(reports, path):
-    lines = ["theorem,m,alpha_scale,sup_error,mean_error,bound"]
-    for r in reports:
-        for s, sup, mean, bound in zip(r.alpha_scales, r.sup_errors, r.mean_errors, r.bounds):
-            lines.append(f"{r.theorem},{r.m},{s!r},{sup!r},{mean!r},{bound!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(
+        path,
+        ["theorem", "m", "alpha_scale", "sup_error", "mean_error", "bound"],
+        [
+            [r.theorem, r.m, *row]
+            for r in reports
+            for row in zip(r.alpha_scales, r.sup_errors, r.mean_errors, r.bounds)
+        ],
+    )
 
 
 def write_rate_csv(reports, path):
-    lines = ["theorem,config_id,slope,r_squared"]
-    for r in reports:
-        lines.append(f"{r.theorem},{r.config_id},{r.slope!r},{r.r_squared!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(
+        path,
+        ["theorem", "config_id", "slope", "r_squared"],
+        [[r.theorem, r.config_id, r.slope, r.r_squared] for r in reports],
+    )
 
 
 # -- Lie-derivative closure errors ----------------------------------------------
@@ -377,7 +375,7 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
         raise DimensionMismatchError(f"weights must have shape ({d.m}, {n}), got {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ParameterDomainError("weights must be finite")
-    c, a, _ = d._packed()
+    c, a, rbf = d._packed()
     gaps = np.abs(pts[:, None, :] - c[None, :, :])
     if n and gaps.min() < CLOSURE_GAP_MIN:
         raise HypothesisViolationError(
@@ -385,17 +383,11 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
         )
 
     n_log = d.n_logistic
-    lam = stable_logistic(a[None, :, :] * (pts[:, None, :] - c[None, :, :]))
-    lam_log, lam_rbf = lam[:, :n_log, :], lam[:, n_log:, :]
-    vals_log = lam_log.prod(axis=2)
-    vals_rbf = (lam_rbf * (1.0 - lam_rbf)).prod(axis=2)
-    vals = np.concatenate([vals_log, vals_rbf], axis=1)
+    vals, sens = member_sensitivities_packed(d.family, c, a, rbf, pts)  # (r, n), (r, n, m)
+    vals_rbf = vals[:, n_log:]
     field = vals @ w.T  # (r, m)
 
     # Exact Lie derivative: gradient of each member contracted with the field.
-    s_log = (1.0 - lam_log) * vals_log[:, :, None]
-    s_rbf = (1.0 - 2.0 * lam_rbf) * vals_rbf[:, :, None]
-    sens = np.concatenate([s_log, s_rbf], axis=1)  # (r, n, m)
     exact = np.einsum("nm,rnm,rm->rn", a, sens, field)
 
     # Products route: same contraction with the member value pulled outside.
@@ -425,6 +417,8 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
 
     # Logistic members: stage (b) keeps the (1 - lambda) weights, stage (c)
     # drops them.
+    lam = stable_logistic(a[None, :, :] * (pts[:, None, :] - c[None, :, :]))
+    lam_log, lam_rbf = lam[:, :n_log, :], lam[:, n_log:, :]
     coef_b_log = np.einsum("li,rli,iq->rlq", a_log, 1.0 - lam_log, w)
     coef_c_log = np.einsum("li,iq->lq", a_log, w)
     stage_b_log = np.einsum("rlq,rlq->rl", coef_b_log, limit_targets)

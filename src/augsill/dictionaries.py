@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import (
     DimensionMismatchError,
@@ -51,13 +52,7 @@ TRAINABLE_FAMILIES = (Family.SILL, Family.AUGSILL, Family.SUMMED_RBF)
 
 def stable_logistic(t):
     """1/(1+exp(-t)) evaluated without overflow for any finite t."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    return expit(np.asarray(t, dtype=float))
 
 
 def stable_rbf(t):
@@ -127,9 +122,7 @@ def eval_conjunctive(f, y):
     y = np.asarray(y, dtype=float)
     if y.shape != (f.m,):
         raise DimensionMismatchError(f"expected y of shape ({f.m},), got {y.shape}")
-    t = f.steepnesses * (y - f.centers)
-    vals = stable_rbf(t) if f.kind == Kind.RBF else stable_logistic(t)
-    return float(np.prod(vals))
+    return float(conjunctive_values(f, y[None, :])[0])
 
 
 def product_limit_logistic(theta_l, theta_j):
@@ -290,6 +283,23 @@ class Dictionary:
         """The trivial [1, y] dictionary (no nonlinear members)."""
         return Dictionary(Family.SILL, m, ())
 
+    @staticmethod
+    def from_packed(family, centers, steepness, n_logistic):
+        """Dictionary over (N, m) center and steepness arrays. Conjunctive
+        families take rows below n_logistic as logistic members, the rest as
+        RBF members; summedrbf ignores n_logistic."""
+        params = [
+            tuple(ScalarBasisParams(c, s) for c, s in zip(crow, srow))
+            for crow, srow in zip(centers, steepness)
+        ]
+        if family == Family.SUMMED_RBF:
+            return Dictionary(family, centers.shape[1], params)
+        members = [
+            ConjunctiveFunction(Kind.LOGISTIC if j < n_logistic else Kind.RBF, ps)
+            for j, ps in enumerate(params)
+        ]
+        return Dictionary(family, centers.shape[1], members)
+
     # -- sizes ----------------------------------------------------------------
 
     @property
@@ -322,17 +332,11 @@ class Dictionary:
         if self._cache is None:
             if self.family in POLYNOMIAL_FAMILIES:
                 raise UnsupportedFamilyError("polynomial families have no centers")
-            if self.family == Family.SUMMED_RBF:
-                c = np.array([[p.center for p in ps] for ps in self.members])
-                a = np.array([[p.steepness for p in ps] for ps in self.members])
-                rbf = np.ones(len(self.members), dtype=bool)
-            else:
-                c = np.array([f.centers for f in self.members])
-                a = np.array([f.steepnesses for f in self.members])
-                rbf = np.array([f.kind == Kind.RBF for f in self.members])
-            if c.size == 0:
-                c = c.reshape(0, self.m)
-                a = a.reshape(0, self.m)
+            summed = self.family == Family.SUMMED_RBF
+            params = [f if summed else f.params for f in self.members]
+            c = np.array([[p.center for p in ps] for ps in params]).reshape(-1, self.m)
+            a = np.array([[p.steepness for p in ps] for ps in params]).reshape(-1, self.m)
+            rbf = np.array([summed or f.kind == Kind.RBF for f in self.members], dtype=bool)
             self._cache = (c, a, rbf)
         return self._cache
 
@@ -342,14 +346,8 @@ class Dictionary:
             raise ParameterDomainError(f"factor must be finite and > 0: {factor}")
         if self.family in POLYNOMIAL_FAMILIES:
             return Dictionary(self.family, self.m, self.members)
-        if self.family == Family.SUMMED_RBF:
-            members = tuple(
-                tuple(ScalarBasisParams(p.center, p.steepness * factor) for p in ps)
-                for ps in self.members
-            )
-        else:
-            members = tuple(scale_steepness(f, factor) for f in self.members)
-        return Dictionary(self.family, self.m, members)
+        c, a, _ = self._packed()
+        return Dictionary.from_packed(self.family, c, a * factor, self.n_logistic)
 
 
 def scale_steepness(f, factor):
@@ -369,6 +367,8 @@ def _check_batch(d, Y):
         raise DimensionMismatchError(
             f"expected points of shape (r, {d.m}), got {Y.shape}"
         )
+    if not np.all(np.isfinite(Y)):
+        raise ParameterDomainError("points must be finite")
     return Y
 
 
@@ -420,6 +420,15 @@ def member_values_packed(family, c, a, rbf, Y):
     return fac.prod(axis=2)
 
 
+def conjunctive_values(f, Y):
+    """Values of one conjunctive member at an (r, m) point batch: (r,)."""
+    rbf = np.array([f.kind == Kind.RBF])
+    # Any conjunctive family selects the product form; rbf picks the factor.
+    return member_values_packed(
+        Family.AUGSILL, f.centers[None], f.steepnesses[None], rbf, Y
+    )[:, 0]
+
+
 def member_sensitivities_packed(family, c, a, rbf, Y):
     """Member values plus the per-coordinate sensitivity factor S, where
 
@@ -460,14 +469,20 @@ def _member_sensitivities(d, Y):
     return member_sensitivities_packed(d.family, c, a, rbf, Y)
 
 
+def assemble_lift(Y, vals):
+    """Lifted rows [1, y, member values] from (r, m) points and (r, N) values."""
+    r, m = Y.shape
+    psi = np.empty((r, 1 + m + vals.shape[1]))
+    psi[:, 0] = 1.0
+    psi[:, 1 : 1 + m] = Y
+    psi[:, 1 + m :] = vals
+    return psi
+
+
 def lift_many(d, Y):
     """Lift a batch of points: (r, m) -> (r, 1+m+N)."""
     Y = _check_batch(d, Y)
-    psi = np.empty((Y.shape[0], d.lifted_dim))
-    psi[:, 0] = 1.0
-    psi[:, 1 : 1 + d.m] = Y
-    psi[:, 1 + d.m :] = _member_values(d, Y)
-    return psi
+    return assemble_lift(Y, _member_values(d, Y))
 
 
 def lift(d, y):

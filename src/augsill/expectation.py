@@ -19,6 +19,7 @@ from scipy.integrate import quad
 
 from .dictionaries import Kind, stable_logistic, stable_rbf
 from .errors import IntegrationAccuracyError, ParameterDomainError
+from .systems import write_csv
 
 _SCALAR_FORMS = {
     Kind.LOGISTIC: stable_logistic,
@@ -149,10 +150,8 @@ def expectation_table(a_values, quadrature_points=200, mc_samples=100_000, seed=
 
 
 def write_expectation_csv(rows, path):
-    lines = ["a,kind,mean,variance,mc_mean,mc_stderr"]
-    for r in rows:
-        lines.append(
-            f"{r.a!r},{r.kind.value},{r.mean!r},{r.variance!r},{r.mc_mean!r},{r.mc_stderr!r}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(
+        path,
+        ["a", "kind", "mean", "variance", "mc_mean", "mc_stderr"],
+        [[r.a, r.kind.value, r.mean, r.variance, r.mc_mean, r.mc_stderr] for r in rows],
+    )

@@ -33,7 +33,7 @@ from .errors import (
     IllConditionedWarning,
     NumericalError,
 )
-from .systems import Mode, SnapshotDataset
+from .systems import Mode, SnapshotDataset, ini_field
 
 DEFAULT_RIDGE_FACTOR = 1e-8  # default ridge = this times sigma_max^2
 
@@ -83,6 +83,18 @@ def _lifted_pair(dataset, d):
     return psi_in, psi_out
 
 
+def ridge_lstsq(a, b, ridge):
+    """Minimizer w of ||a w - b||^2 + ridge ||w||^2 and the rank of the
+    stacked system, by SVD-backed lstsq over a with sqrt(ridge) I rows
+    appended (none at ridge 0, giving the minimum-norm solution)."""
+    if ridge > 0:
+        n = a.shape[1]
+        a = np.vstack([a, np.sqrt(ridge) * np.eye(n)])
+        b = np.vstack([b, np.zeros((n, b.shape[1]))])
+    w, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    return w, rank
+
+
 def fit_k(dataset, d, ridge=None):
     """Least-squares fit of K over a fixed dictionary.
 
@@ -101,12 +113,7 @@ def fit_k(dataset, d, ridge=None):
         ridge = DEFAULT_RIDGE_FACTOR * sigma_max**2
     if ridge < 0:
         raise DomainError(f"ridge must be >= 0, got {ridge}")
-    if ridge > 0:
-        a = np.vstack([psi_in, np.sqrt(ridge) * np.eye(n)])
-        b = np.vstack([psi_out, np.zeros((n, n))])
-    else:
-        a, b = psi_in, psi_out
-    kt, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    kt, rank = ridge_lstsq(psi_in, psi_out, ridge)
     if ridge == 0 and rank < n:
         warnings.warn(
             f"lifted data matrix is rank deficient ({rank} < {n}); "
@@ -227,9 +234,13 @@ def load_model(path):
     cp.read(path)
     with open(path) as fh:
         d = dictionary_from_text(fh.read())
-    sec = cp["model"]
-    k_path = os.path.join(os.path.dirname(os.path.abspath(path)), sec["k_file"])
+    k_file = ini_field(cp, "model", "k_file", str, path)
+    mode = ini_field(cp, "model", "mode", Mode, path)
+    dt = ini_field(cp, "model", "dt", float, path)
+    k_path = os.path.join(os.path.dirname(os.path.abspath(path)), k_file)
     with open(k_path, newline="") as fh:
-        k = np.array([[float(v) for v in row] for row in csv.reader(fh)])
-    return KoopmanModel(dictionary=d, K=k, mode=Mode(sec["mode"]),
-                        dt=float(sec["dt"]))
+        try:
+            k = np.array([[float(v) for v in row] for row in csv.reader(fh)])
+        except ValueError:
+            raise DataError(f"{k_path}: K entries must be numbers") from None
+    return KoopmanModel(dictionary=d, K=k, mode=mode, dt=dt)

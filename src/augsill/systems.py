@@ -252,6 +252,26 @@ def build_snapshot_dataset(trajectories, mode):
 # -- CSV and metadata ------------------------------------------------------------
 
 
+def write_csv(path, header, rows):
+    """Write a header row and then rows in the csv module's default dialect
+    (comma separated, CRLF line ends); fields are written as str()."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def ini_field(cp, section, key, parse, path):
+    """parse() of one field of a parsed INI file; a missing section or field,
+    or a value parse() rejects, raises DataError naming the file and field."""
+    try:
+        return parse(cp[section][key])
+    except (KeyError, ValueError) as exc:
+        raise DataError(
+            f"{path}: missing or malformed [{section}] {key}: {exc}"
+        ) from None
+
+
 def trajectory_to_csv(tr, path, include_derivatives=False):
     """Write one trajectory as t,x1,x2[,dx1,dx2]; derivative columns (central
     differences) are left empty on the first and last rows."""
@@ -260,27 +280,34 @@ def trajectory_to_csv(tr, path, include_derivatives=False):
     header = ["t", "x1", "x2"]
     if include_derivatives:
         header += ["dx1", "dx2"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for t in range(n):
-            row = [repr(t * tr.dt), repr(float(x[t, 0])), repr(float(x[t, 1]))]
-            if include_derivatives:
-                if 0 < t < n - 1:
-                    d = (x[t + 1] - x[t - 1]) / (2.0 * tr.dt)
-                    row += [repr(float(d[0])), repr(float(d[1]))]
-                else:
-                    row += ["", ""]
-            w.writerow(row)
+
+    def row(t):
+        out = [repr(t * tr.dt), repr(float(x[t, 0])), repr(float(x[t, 1]))]
+        if include_derivatives:
+            if 0 < t < n - 1:
+                d = (x[t + 1] - x[t - 1]) / (2.0 * tr.dt)
+                out += [repr(float(d[0])), repr(float(d[1]))]
+            else:
+                out += ["", ""]
+        return out
+
+    write_csv(path, header, (row(t) for t in range(n)))
 
 
 def trajectory_from_csv(path, system, dt, seed_provenance=-1):
     states = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        next(r)  # header
+        next(r, None)  # header
         for row in r:
-            states.append([float(row[1]), float(row[2])])
+            try:
+                states.append([float(row[1]), float(row[2])])
+            except (IndexError, ValueError):
+                raise DataError(
+                    f"{path}: line {r.line_num}: x1, x2 must be numbers, got {row!r}"
+                ) from None
+    if not states:
+        raise DataError(f"{path}: no trajectory rows")
     return Trajectory(dt=dt, states=np.array(states), system=system,
                       seed_provenance=seed_provenance)
 
@@ -315,11 +342,14 @@ def read_ensemble(data_dir):
         raise ConfigError(f"no metadata.ini under {data_dir}")
     cp = configparser.ConfigParser()
     cp.read(meta_path)
-    sec = cp["simulation"]
-    s = SystemSpec(SystemId(sec["system"]),
-                   tuple(float(v) for v in sec["constants"].split()))
-    dt = float(sec["dt"])
-    seed = int(sec["seed"])
+
+    def field(key, parse):
+        return ini_field(cp, "simulation", key, parse, meta_path)
+
+    s = SystemSpec(field("system", SystemId),
+                   field("constants", lambda v: tuple(float(c) for c in v.split())))
+    dt = field("dt", float)
+    seed = field("seed", int)
     names = sorted(
         f for f in os.listdir(data_dir)
         if f.startswith("traj_") and f.endswith(".csv")

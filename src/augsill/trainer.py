@@ -24,15 +24,16 @@ from .dictionaries import (
     Kind,
     POLYNOMIAL_FAMILIES,
     ScalarBasisParams,
+    assemble_lift,
+    conjunctive_values,
     lift_many,
     member_sensitivities_packed,
     member_values_packed,
     polynomial_multi_indices,
-    stable_logistic,
 )
 from .errors import DomainError, ParameterDomainError, PoolError, TrainingDivergedError
-from .solver import KoopmanModel, fit_k, frobenius_residual
-from .systems import Mode, SnapshotDataset
+from .solver import KoopmanModel, fit_k, ridge_lstsq
+from .systems import Mode
 
 
 @dataclass
@@ -43,7 +44,6 @@ class TrainConfig:
     lr_decay: float = 0.999
     seed: int = 0
     refit_k_every: int = 10
-    init_box: tuple = None  # per-dim (lo, hi); None = span of the data
     descend_k: bool = False
     ridge: float = None  # forwarded to the closed-form refits
 
@@ -66,15 +66,6 @@ class GradientBundle:
     d_steepness: np.ndarray = None  # (N, m), w.r.t. raw steepness
 
 
-def _assemble_lift(x, vals):
-    r = x.shape[0]
-    psi = np.empty((r, 1 + x.shape[1] + vals.shape[1]))
-    psi[:, 0] = 1.0
-    psi[:, 1 : 1 + x.shape[1]] = x
-    psi[:, 1 + x.shape[1] :] = vals
-    return psi
-
-
 def _loss_and_grads_packed(family, c, a, rbf, k, x_in, x_out, want_shape_grads):
     """Batch loss plus gradients, all from packed parameter arrays."""
     m = x_in.shape[1]
@@ -85,8 +76,8 @@ def _loss_and_grads_packed(family, c, a, rbf, k, x_in, x_out, want_shape_grads):
     else:
         v_in = member_values_packed(family, c, a, rbf, x_in)
         v_out = member_values_packed(family, c, a, rbf, x_out)
-    psi_in = _assemble_lift(x_in, v_in)
-    psi_out = _assemble_lift(x_out, v_out)
+    psi_in = assemble_lift(x_in, v_in)
+    psi_out = assemble_lift(x_out, v_out)
     res = psi_out - psi_in @ k.T
     loss = float(np.sum(res * res)) / b
     d_k = (-2.0 / b) * (res.T @ psi_in)
@@ -128,35 +119,11 @@ def objective_and_gradient(model, batch):
     return loss, GradientBundle(d_k=d_k, d_center=g_c, d_steepness=g_a)
 
 
-def _build_dictionary(family, centers, steepness, n_logistic):
-    if family == Family.SUMMED_RBF:
-        members = tuple(
-            tuple(ScalarBasisParams(c, s) for c, s in zip(crow, srow))
-            for crow, srow in zip(centers, steepness)
-        )
-        return Dictionary(Family.SUMMED_RBF, centers.shape[1], members)
-    members = []
-    for j, (crow, srow) in enumerate(zip(centers, steepness)):
-        kind = Kind.LOGISTIC if j < n_logistic else Kind.RBF
-        members.append(
-            ConjunctiveFunction(
-                kind, tuple(ScalarBasisParams(c, s) for c, s in zip(crow, srow))
-            )
-        )
-    return Dictionary(family, centers.shape[1], tuple(members))
-
-
-def _init_shape_params(dataset, family, n_members, init_box, rng):
-    """Seeded starting placement: centers uniform over the data box (or the
-    given box), log-steepness uniform in [log 0.5, log 3]."""
+def _init_shape_params(dataset, family, n_members, rng):
+    """Seeded starting placement: centers uniform over the data box,
+    log-steepness uniform in [log 0.5, log 3]."""
     m = dataset.m
-    box = init_box
-    if box is None:
-        box = tuple(
-            (dataset.inputs[:, i].min(), dataset.inputs[:, i].max()) for i in range(m)
-        )
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
+    lo, hi = dataset.inputs.min(axis=0), dataset.inputs.max(axis=0)
     centers = rng.uniform(lo, hi, size=(n_members, m))
     log_steep = rng.uniform(math.log(0.5), math.log(3.0), size=(n_members, m))
     n_logistic = (n_members + 1) // 2 if family == Family.AUGSILL else (
@@ -168,7 +135,7 @@ def _init_shape_params(dataset, family, n_members, init_box, rng):
     return centers, log_steep, n_logistic, rbf_mask
 
 
-def initial_dictionary(dataset, family, n_members, seed=0, init_box=None):
+def initial_dictionary(dataset, family, n_members, seed=0):
     """Untrained dictionary with the same seeded placement training starts from.
 
     Useful for pure closed-form fits of conjunctive families; polynomial
@@ -181,16 +148,16 @@ def initial_dictionary(dataset, family, n_members, seed=0, init_box=None):
         return Dictionary(family, dataset.m, polynomial_multi_indices(dataset.m, n_members))
     rng = np.random.default_rng(seed)
     centers, log_steep, n_logistic, _ = _init_shape_params(
-        dataset, family, n_members, init_box, rng
+        dataset, family, n_members, rng
     )
-    return _build_dictionary(family, centers, np.exp(log_steep), n_logistic)
+    return Dictionary.from_packed(family, centers, np.exp(log_steep), n_logistic)
 
 
 def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
     """Learn dictionary parameters by minibatch SGD with periodic K refits.
 
-    Centers initialize uniformly in cfg.init_box (default: the data's
-    per-dimension range), log-steepness uniformly in [log 0.5, log 3]. K is
+    Centers initialize uniformly over the data's per-dimension range,
+    log-steepness uniformly in [log 0.5, log 3]. K is
     initialized by one closed-form fit and replaced by a fresh closed-form fit
     every cfg.refit_k_every epochs; between refits, gradient steps move the
     member parameters (plus K itself when cfg.descend_k). For AugSILL the
@@ -226,11 +193,11 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
         return _descend_k_only(dataset, family, n_members, cfg, rng, epoch_callback)
 
     centers, log_steep, n_logistic, rbf_mask = _init_shape_params(
-        dataset, family, n_members, cfg.init_box, rng
+        dataset, family, n_members, rng
     )
 
     def current_dictionary():
-        return _build_dictionary(family, centers, np.exp(log_steep), n_logistic)
+        return Dictionary.from_packed(family, centers, np.exp(log_steep), n_logistic)
 
     x_in, x_out = dataset.inputs, dataset.targets
     r = dataset.n_rows
@@ -358,15 +325,6 @@ class PursuitPool:
                            steepness_levels=steepness_levels)
 
 
-def _candidate_columns(cands, x):
-    cols = np.empty((x.shape[0], len(cands)))
-    for j, f in enumerate(cands):
-        lam = stable_logistic(f.steepnesses[None, :] * (x - f.centers[None, :]))
-        vals = lam * (1.0 - lam) if f.kind == Kind.RBF else lam
-        cols[:, j] = vals.prod(axis=1)
-    return cols
-
-
 def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
     """Greedy dictionary growth from the [1, y] base.
 
@@ -396,7 +354,9 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
     else:
         # constant row has zero time derivative; state rows carry dy/dt
         fixed_targets = np.hstack([np.zeros((dataset.n_rows, 1)), dataset.targets])
-    cand_cols = _candidate_columns(cands, x)
+    cand_cols = np.empty((dataset.n_rows, len(cands)))
+    for j, f in enumerate(cands):
+        cand_cols[:, j] = conjunctive_values(f, x)
 
     base = np.hstack([np.ones((dataset.n_rows, 1)), x])
     chosen = []
@@ -409,7 +369,8 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
         trial[:, :-1] = design
         for idx in remaining:
             trial[:, -1] = cand_cols[:, idx]
-            res = _ridge_residual(trial, fixed_targets, ridge)
+            w, _ = ridge_lstsq(trial, fixed_targets, ridge)
+            res = float(np.sum((fixed_targets - trial @ w) ** 2))
             if res < best_res:
                 best_res, best_idx = res, idx
         chosen.append(best_idx)
@@ -425,17 +386,3 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
         d = Dictionary(Family.SILL, m, tuple(members))
     model = fit_k(dataset, d, ridge)
     return model, trace
-
-
-def _ridge_residual(a, b, ridge):
-    """SSR of the least-squares fit of b's columns on a, with optional
-    Tikhonov rows; the reported residual excludes the penalty rows."""
-    if ridge > 0:
-        n = a.shape[1]
-        aa = np.vstack([a, np.sqrt(ridge) * np.eye(n)])
-        bb = np.vstack([b, np.zeros((n, b.shape[1]))])
-        w, _, _, _ = np.linalg.lstsq(aa, bb, rcond=None)
-    else:
-        w, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    res = b - a @ w
-    return float(np.sum(res * res))

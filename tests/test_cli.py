@@ -4,6 +4,8 @@ import os
 import pytest
 
 from augsill.cli import main
+from augsill.dictionaries import Family
+from augsill.solver import load_model
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -108,6 +110,76 @@ def test_fit_pursuit_writes_objective_trace(tmp_path):
     assert len(log) == 4
     vals = [float(r.split(",")[1]) for r in log[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_fit_pursuit_follows_family(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert simulate_small(data) == 0
+
+    def pursuit(family):
+        out = tmp_path / family
+        code = run("fit", "--data", str(data), "--family", family, "--n-members", "3",
+                   "--method", "pursuit", "--pool-points", "4",
+                   "--pool-steepness", "1,5", "--out", str(out))
+        return code, out
+
+    code, out = pursuit("sill")
+    assert code == 0
+    d = load_model(str(out / "model.ini")).dictionary
+    assert (d.family, d.n_rbf) == (Family.SILL, 0)
+    # The same data and pool picks an RBF member once RBF candidates are allowed.
+    code, out = pursuit("augsill")
+    assert code == 0
+    d = load_model(str(out / "model.ini")).dictionary
+    assert d.family == Family.AUGSILL and d.n_rbf > 0
+    for family in ("summedrbf", "legendre", "hermite"):
+        code, out = pursuit(family)
+        assert code == 1
+        assert not out.exists()
+    assert "usage error" in capsys.readouterr().err
+
+
+def _drop_line(path, prefix):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(ln for ln in lines if not ln.startswith(prefix)))
+
+
+def _corrupt_cell(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace(",", ",abc", 1)
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("case, named", [
+    ("trajectory_cell", "traj_0000.csv"),
+    ("trajectory_empty", "traj_0000.csv"),
+    ("metadata_constants", "constants"),
+    ("model_k_file", "k_file"),
+    ("model_k_entry", "model.k.csv"),
+])
+def test_malformed_data_files_exit_two(tmp_path, capsys, case, named):
+    data = tmp_path / "data"
+    fit = tmp_path / "fit"
+    assert simulate_small(data) == 0
+    assert run("fit", "--data", str(data), "--family", "sill", "--n-members", "2",
+               "--out", str(fit)) == 0
+    if case == "trajectory_cell":
+        _corrupt_cell(data / "traj_0000.csv")
+    elif case == "trajectory_empty":
+        (data / "traj_0000.csv").write_text("")
+    elif case == "metadata_constants":
+        _drop_line(data / "metadata.ini", "constants")
+    elif case == "model_k_file":
+        _drop_line(fit / "model.ini", "k_file")
+    else:
+        _corrupt_cell(fit / "model.k.csv")
+    capsys.readouterr()
+    code = run("evaluate", "--model", str(fit / "model.ini"), "--data", str(data),
+               "--out", str(tmp_path / "eval"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert named in err
 
 
 def test_missing_data_dir_exits_two(tmp_path, capsys):

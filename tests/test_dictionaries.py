@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,31 @@ def test_rbf_identity_against_logistic():
         lam = stable_logistic(t)
         rho = stable_rbf(t)
         assert abs(rho - (lam - lam * lam)) < 1e-12
+
+
+def masked_logistic(t):
+    """Two-branch overflow-free logistic, the reference for stable_logistic."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_logistic_matches_masked_reference():
+    t = np.linspace(-800.0, 800.0, 1_600_001)
+    with warnings.catch_warnings(), np.errstate(over="raise"):
+        warnings.simplefilter("error")
+        got = stable_logistic(t)
+        ref = masked_logistic(t)
+    # Below t = -708 the exact value is subnormal: the reference keeps it and
+    # expit returns 0.0, so that region compares absolutely.
+    np.testing.assert_allclose(got, ref, rtol=5e-16, atol=np.finfo(float).tiny)
+    ends = np.array([0.0, 800.0, -800.0])
+    for f in (stable_logistic, masked_logistic):
+        assert f(ends).tolist() == [0.5, 1.0, 0.0]
 
 
 # -- conjunctive functions ---------------------------------------------------
@@ -276,6 +303,15 @@ def test_lift_rejects_wrong_shape():
         lift(d, np.zeros(3))
     with pytest.raises(DimensionMismatchError):
         lift_many(d, np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lift_rejects_non_finite_points(bad):
+    d = Dictionary.sill([conj(Kind.LOGISTIC, [0.0, 0.5], [1.0, 2.0])])
+    y = np.zeros((3, 2))
+    y[1, 0] = bad
+    with pytest.raises(ParameterDomainError):
+        lift_many(d, y)
 
 
 # -- gradients ------------------------------------------------------------------
