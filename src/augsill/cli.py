@@ -12,9 +12,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
+import glob
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy
+import scipy
 
 from .closure import (
     DEFAULT_ALPHA_SCALES,
@@ -296,6 +301,38 @@ def _compare_cell(payload):
     return [system, family, str(n_col), str(n_steps), _r(err), str(seed)]
 
 
+# Thread-count setters of the OpenBLAS builds bundled with numpy and scipy
+# wheels (plain, scipy-prefixed, and scipy-prefixed 64-bit-integer builds).
+_BLAS_THREAD_SETTERS = (
+    "openblas_set_num_threads",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread():
+    """Pool-worker initializer: run the bundled OpenBLAS on one thread.
+
+    Forked workers inherit the parent's BLAS thread count, so with as many
+    workers as cores every worker's idle BLAS threads spin against the other
+    workers; that doubled the wall time of the 2-worker comparison grid on 2
+    cores. The grid's matrices (at most 2000 x 23) gain nothing from BLAS
+    threads, and results are identical either way. A BLAS found elsewhere is
+    left as it is.
+    """
+    for pkg in (numpy, scipy):
+        site = os.path.dirname(os.path.dirname(pkg.__file__))
+        for path in glob.glob(os.path.join(site, pkg.__name__ + ".libs", "*openblas*")):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for name in _BLAS_THREAD_SETTERS:
+                setter = getattr(lib, name, None)
+                if setter is not None:
+                    setter(1)
+
+
 def _cmd_compare(args):
     systems = _SYSTEM_NAMES if args.systems == ("all",) else args.systems
     families = _FAMILY_NAMES if args.families == ("all",) else args.families
@@ -321,7 +358,8 @@ def _cmd_compare(args):
                           args.batch_size, args.lr, args.refit_every,
                           args.n_steps))
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=args.workers,
+                                 initializer=_one_blas_thread) as pool:
             rows = list(pool.map(_compare_cell, cells))
     else:
         rows = [_compare_cell(c) for c in cells]
