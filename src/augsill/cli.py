@@ -491,8 +491,11 @@ def _overlay_config(argv, sub_map):
     if cfg_path is None:
         return
     cp = configparser.ConfigParser()
-    if not cp.read(cfg_path):
-        raise ConfigError(f"cannot read config file {cfg_path}")
+    try:
+        if not cp.read(cfg_path):
+            raise ConfigError(f"cannot read config file {cfg_path}")
+    except configparser.Error as exc:
+        raise ConfigError(f"{cfg_path}: not a valid INI file: {exc}") from None
     if command is None or command not in sub_map or command not in cp:
         return
     section = cp[command]
@@ -500,13 +503,23 @@ def _overlay_config(argv, sub_map):
     for action in parser._actions:
         for key in (action.dest, action.dest.replace("_", "-")):
             if key in section:
-                raw = section[key]
-                if isinstance(action, argparse._StoreTrueAction):
-                    action.default = section.getboolean(key)
-                elif action.type is not None:
-                    action.default = action.type(raw)
-                else:
-                    action.default = raw
+                try:
+                    raw = section[key]
+                    if isinstance(action, argparse._StoreTrueAction):
+                        action.default = section.getboolean(key)
+                    elif action.type is not None:
+                        action.default = action.type(raw)
+                    else:
+                        action.default = raw
+                except (ValueError, configparser.Error) as exc:
+                    raise ConfigError(
+                        f"{cfg_path}: malformed [{command}] {key}: {exc}"
+                    ) from None
+                if action.choices is not None and action.default not in action.choices:
+                    raise ConfigError(
+                        f"{cfg_path}: [{command}] {key} must be one of "
+                        f"{', '.join(map(str, action.choices))}"
+                    )
                 action.required = False
                 break
 

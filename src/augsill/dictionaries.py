@@ -30,6 +30,9 @@ from .errors import (
     DimensionMismatchError,
     ParameterDomainError,
     UnsupportedFamilyError,
+    ini_field,
+    parse_ini,
+    read_ini,
 )
 
 
@@ -595,31 +598,41 @@ def dictionary_to_text(d):
     return buf.getvalue()
 
 
-def dictionary_from_text(text):
-    """Inverse of dictionary_to_text."""
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
-    head = cp["dictionary"]
-    family = Family(head["family"])
-    m = int(head["m"])
-    n = int(head["n_members"])
+def _dictionary_from_ini(cp, source):
+    """Dictionary from parsed dictionary_to_text INI; a missing or malformed
+    field raises DataError naming source and the field."""
+
+    def field(section, key, parse):
+        return ini_field(cp, section, key, parse, source)
+
+    def floats(v):
+        return [float(x) for x in v.split()]
+
+    family = field("dictionary", "family", Family)
+    m = field("dictionary", "m", int)
     members = []
-    for j in range(n):
-        sec = cp[f"member {j}"]
+    for j in range(field("dictionary", "n_members", int)):
+        sec = f"member {j}"
         if family in POLYNOMIAL_FAMILIES:
-            members.append(tuple(int(k) for k in sec["degrees"].split()))
+            members.append(field(sec, "degrees", lambda v: tuple(int(k) for k in v.split())))
             continue
-        centers = [float(v) for v in sec["centers"].split()]
-        steeps = [float(v) for v in sec["steepnesses"].split()]
+        centers = field(sec, "centers", floats)
+        steeps = field(sec, "steepnesses", floats)
         params = tuple(ScalarBasisParams(c, s) for c, s in zip(centers, steeps))
         if family == Family.SUMMED_RBF:
             members.append(params)
         else:
-            members.append(ConjunctiveFunction(Kind(sec["kind"]), params))
+            members.append(ConjunctiveFunction(field(sec, "kind", Kind), params))
     d = Dictionary(family, m, tuple(members))
-    if d.n_logistic != int(head["n_logistic"]) or d.n_rbf != int(head["n_rbf"]):
+    if (d.n_logistic != field("dictionary", "n_logistic", int)
+            or d.n_rbf != field("dictionary", "n_rbf", int)):
         raise ParameterDomainError("member kinds disagree with declared counts")
     return d
+
+
+def dictionary_from_text(text):
+    """Inverse of dictionary_to_text."""
+    return _dictionary_from_ini(parse_ini(text, "dictionary text"), "dictionary text")
 
 
 def save_dictionary(d, path):
@@ -628,5 +641,4 @@ def save_dictionary(d, path):
 
 
 def load_dictionary(path):
-    with open(path) as fh:
-        return dictionary_from_text(fh.read())
+    return _dictionary_from_ini(read_ini(path), path)

@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the INI readers that turn
+malformed data files into them.
 
 Two families matter for the CLI exit-code contract: DomainError covers bad
 inputs, parameters, or configuration (exit code 2); NumericalError covers
 failures that arise while computing (exit code 3).
 """
+
+import configparser
 
 
 class DomainError(ValueError):
@@ -73,3 +76,31 @@ class RateFitError(NumericalError):
 
 class IllConditionedWarning(UserWarning):
     """Lifted data matrix is rank deficient or badly conditioned."""
+
+
+def parse_ini(text, source):
+    """ConfigParser over INI text; text that does not parse as INI raises
+    DataError naming source, the file or text it came from."""
+    cp = configparser.ConfigParser()
+    try:
+        cp.read_string(text, str(source))
+    except configparser.Error as exc:
+        raise DataError(f"{source}: not a valid INI file: {exc}") from None
+    return cp
+
+
+def read_ini(path):
+    """parse_ini over the contents of one file."""
+    with open(path) as fh:
+        return parse_ini(fh.read(), path)
+
+
+def ini_field(cp, section, key, parse, path):
+    """parse() of one field of a parsed INI file; a missing section or field,
+    or a value parse() rejects, raises DataError naming the file and field."""
+    try:
+        return parse(cp[section][key])
+    except (KeyError, ValueError, configparser.Error) as exc:
+        raise DataError(
+            f"{path}: missing or malformed [{section}] {key}: {exc}"
+        ) from None

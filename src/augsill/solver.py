@@ -20,11 +20,11 @@ from scipy.linalg import expm
 
 from .dictionaries import (
     Dictionary,
-    dictionary_from_text,
     dictionary_to_text,
     lift,
     lift_jacobian_many,
     lift_many,
+    load_dictionary,
 )
 from .errors import (
     DataError,
@@ -32,8 +32,10 @@ from .errors import (
     EvaluationWindowError,
     IllConditionedWarning,
     NumericalError,
+    ini_field,
+    read_ini,
 )
-from .systems import Mode, SnapshotDataset, ini_field
+from .systems import Mode
 
 DEFAULT_RIDGE_FACTOR = 1e-8  # default ridge = this times sigma_max^2
 
@@ -72,8 +74,7 @@ class KoopmanModel:
 
 
 def _lifted_pair(dataset, d):
-    if not (np.all(np.isfinite(dataset.inputs)) and np.all(np.isfinite(dataset.targets))):
-        raise DataError("dataset contains non-finite values")
+    dataset.check_finite()
     psi_in = lift_many(d, dataset.inputs)
     if dataset.mode == Mode.DISCRETE_PAIRS:
         psi_out = lift_many(d, dataset.targets)
@@ -95,22 +96,21 @@ def ridge_lstsq(a, b, ridge):
     return w, rank
 
 
-def fit_k(dataset, d, ridge=None):
-    """Least-squares fit of K over a fixed dictionary.
+def solve_k(psi_in, psi_out, ridge=None):
+    """Least-squares K with psi_out ~ psi_in @ K.T, from lifted rows.
 
-    ridge=None uses the adaptive default 1e-8 * sigma_max(Psi)^2; pass 0.0 for
-    an unregularized solve (min-norm on rank-deficient data, with a warning).
+    ridge=None uses the adaptive default 1e-8 * sigma_max(psi_in)^2; pass 0.0
+    for an unregularized solve (min-norm on rank-deficient data, with a
+    warning). Returns K C-contiguous, the layout KoopmanModel stores.
     """
-    psi_in, psi_out = _lifted_pair(dataset, d)
     r, n = psi_in.shape
     if r < n:
         warnings.warn(
             f"only {r} rows for a {n}-dimensional lift; fit is underdetermined",
-            IllConditionedWarning, stacklevel=2,
+            IllConditionedWarning, stacklevel=3,
         )
-    sigma_max = np.linalg.norm(psi_in, 2)
     if ridge is None:
-        ridge = DEFAULT_RIDGE_FACTOR * sigma_max**2
+        ridge = DEFAULT_RIDGE_FACTOR * np.linalg.norm(psi_in, 2) ** 2
     if ridge < 0:
         raise DomainError(f"ridge must be >= 0, got {ridge}")
     kt, rank = ridge_lstsq(psi_in, psi_out, ridge)
@@ -118,9 +118,15 @@ def fit_k(dataset, d, ridge=None):
         warnings.warn(
             f"lifted data matrix is rank deficient ({rank} < {n}); "
             "returning the minimum-norm solution",
-            IllConditionedWarning, stacklevel=2,
+            IllConditionedWarning, stacklevel=3,
         )
-    return KoopmanModel(dictionary=d, K=kt.T, mode=dataset.mode, dt=dataset.dt)
+    return np.ascontiguousarray(kt.T)
+
+
+def fit_k(dataset, d, ridge=None):
+    """Least-squares fit of K over a fixed dictionary (see solve_k for ridge)."""
+    k = solve_k(*_lifted_pair(dataset, d), ridge)
+    return KoopmanModel(dictionary=d, K=k, mode=dataset.mode, dt=dataset.dt)
 
 
 def frobenius_residual(model, dataset):
@@ -144,8 +150,7 @@ def dmd_baseline(dataset):
     dictionary with zero constant coupling."""
     if dataset.mode != Mode.DISCRETE_PAIRS:
         raise DomainError("dmd baseline needs a discrete-pairs dataset")
-    if not (np.all(np.isfinite(dataset.inputs)) and np.all(np.isfinite(dataset.targets))):
-        raise DataError("dataset contains non-finite values")
+    dataset.check_finite()
     at, _, _, _ = np.linalg.lstsq(dataset.inputs, dataset.targets, rcond=None)
     m = dataset.m
     k = np.zeros((1 + m, 1 + m))
@@ -230,10 +235,8 @@ def save_model(model, path):
 
 
 def load_model(path):
-    cp = configparser.ConfigParser()
-    cp.read(path)
-    with open(path) as fh:
-        d = dictionary_from_text(fh.read())
+    d = load_dictionary(path)
+    cp = read_ini(path)
     k_file = ini_field(cp, "model", "k_file", str, path)
     mode = ini_field(cp, "model", "mode", Mode, path)
     dt = ini_field(cp, "model", "dt", float, path)

@@ -22,6 +22,8 @@ from .errors import (
     DivergenceError,
     DomainError,
     ParameterDomainError,
+    ini_field,
+    read_ini,
 )
 
 DIVERGENCE_LIMIT = 1e9
@@ -219,6 +221,11 @@ class SnapshotDataset:
     def m(self):
         return self.inputs.shape[1]
 
+    def check_finite(self):
+        """Raise DataError unless every input and target is finite."""
+        if not (np.all(np.isfinite(self.inputs)) and np.all(np.isfinite(self.targets))):
+            raise DataError("dataset contains non-finite values")
+
 
 def build_snapshot_dataset(trajectories, mode):
     """Stack snapshot pairs from trajectories sharing dt and system.
@@ -261,17 +268,6 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def ini_field(cp, section, key, parse, path):
-    """parse() of one field of a parsed INI file; a missing section or field,
-    or a value parse() rejects, raises DataError naming the file and field."""
-    try:
-        return parse(cp[section][key])
-    except (KeyError, ValueError) as exc:
-        raise DataError(
-            f"{path}: missing or malformed [{section}] {key}: {exc}"
-        ) from None
-
-
 def trajectory_to_csv(tr, path, include_derivatives=False):
     """Write one trajectory as t,x1,x2[,dx1,dx2]; derivative columns (central
     differences) are left empty on the first and last rows."""
@@ -301,11 +297,15 @@ def trajectory_from_csv(path, system, dt, seed_provenance=-1):
         next(r, None)  # header
         for row in r:
             try:
-                states.append([float(row[1]), float(row[2])])
+                x = [float(row[1]), float(row[2])]
+                ok = math.isfinite(x[0]) and math.isfinite(x[1])
             except (IndexError, ValueError):
+                ok = False
+            if not ok:
                 raise DataError(
-                    f"{path}: line {r.line_num}: x1, x2 must be numbers, got {row!r}"
-                ) from None
+                    f"{path}: line {r.line_num}: x1, x2 must be finite numbers, got {row!r}"
+                )
+            states.append(x)
     if not states:
         raise DataError(f"{path}: no trajectory rows")
     return Trajectory(dt=dt, states=np.array(states), system=system,
@@ -340,8 +340,7 @@ def read_ensemble(data_dir):
     meta_path = os.path.join(data_dir, "metadata.ini")
     if not os.path.exists(meta_path):
         raise ConfigError(f"no metadata.ini under {data_dir}")
-    cp = configparser.ConfigParser()
-    cp.read(meta_path)
+    cp = read_ini(meta_path)
 
     def field(key, parse):
         return ini_field(cp, "simulation", key, parse, meta_path)

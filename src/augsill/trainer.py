@@ -1,12 +1,16 @@
 """Dictionary learning: minibatch SGD over member parameters, and greedy
 matching pursuit over a fixed candidate pool.
 
-SGD alternates gradient steps on the centers/steepnesses with periodic
-closed-form refits of K (the inner problem is linear least squares, so
-descending on K is optional). Steepness is parameterized as exp(u) with u
-unconstrained; gradients chain through the exponential. Both algorithms are
-deterministic under a fixed seed. Training operates on discrete snapshot
-pairs; continuous-mode fitting stays in the closed-form solver.
+SGD is one epoch loop for every family. Minibatch gradient steps move the
+centers/steepnesses (plus K itself when asked); every cfg.refit_k_every
+epochs K is replaced by the closed-form least-squares solve, which is exact
+because the inner problem is linear given the shapes. Each epoch lifts the
+full data once and uses that one lift for the refit and for the epoch loss;
+polynomial families have no shapes, so their lift is computed once.
+Steepness is parameterized as exp(u) with u unconstrained; gradients chain
+through the exponential. Both algorithms are deterministic under a fixed
+seed. Training operates on discrete snapshot pairs; continuous-mode fitting
+stays in the closed-form solver.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .dictionaries import (
     polynomial_multi_indices,
 )
 from .errors import DomainError, ParameterDomainError, PoolError, TrainingDivergedError
-from .solver import KoopmanModel, fit_k, ridge_lstsq
+from .solver import KoopmanModel, fit_k, ridge_lstsq, solve_k
 from .systems import Mode
 
 
@@ -66,23 +70,23 @@ class GradientBundle:
     d_steepness: np.ndarray = None  # (N, m), w.r.t. raw steepness
 
 
-def _loss_and_grads_packed(family, c, a, rbf, k, x_in, x_out, want_shape_grads):
-    """Batch loss plus gradients, all from packed parameter arrays."""
+def _residual(psi_in, psi_out, k):
+    """Lifted one-step residual rows psi_out - psi_in K^T and their mean
+    squared norm, the training loss."""
+    res = psi_out - psi_in @ k.T
+    return res, float(np.sum(res * res)) / len(res)
+
+
+def _loss_and_grads_packed(family, c, a, rbf, k, x_in, x_out):
+    """Batch loss plus gradients w.r.t. K and every center and raw
+    steepness, all from packed parameter arrays."""
     m = x_in.shape[1]
     b = x_in.shape[0]
-    if want_shape_grads:
-        v_in, s_in = member_sensitivities_packed(family, c, a, rbf, x_in)
-        v_out, s_out = member_sensitivities_packed(family, c, a, rbf, x_out)
-    else:
-        v_in = member_values_packed(family, c, a, rbf, x_in)
-        v_out = member_values_packed(family, c, a, rbf, x_out)
+    v_in, s_in = member_sensitivities_packed(family, c, a, rbf, x_in)
+    v_out, s_out = member_sensitivities_packed(family, c, a, rbf, x_out)
     psi_in = assemble_lift(x_in, v_in)
-    psi_out = assemble_lift(x_out, v_out)
-    res = psi_out - psi_in @ k.T
-    loss = float(np.sum(res * res)) / b
+    res, loss = _residual(psi_in, assemble_lift(x_out, v_out), k)
     d_k = (-2.0 / b) * (res.T @ psi_in)
-    if not want_shape_grads:
-        return loss, d_k, None, None
     # Member j feeds lifted column q = 1+m+j of both liftings; the chain rule
     # pulls res through the output lift directly and through K on the input.
     res_nl = res[:, 1 + m :]
@@ -107,14 +111,11 @@ def objective_and_gradient(model, batch):
     d = model.dictionary
     if d.family in POLYNOMIAL_FAMILIES:
         psi_in = lift_many(d, batch.inputs)
-        psi_out = lift_many(d, batch.targets)
-        res = psi_out - psi_in @ model.K.T
-        b = batch.n_rows
-        loss = float(np.sum(res * res)) / b
-        return loss, GradientBundle(d_k=(-2.0 / b) * (res.T @ psi_in))
+        res, loss = _residual(psi_in, lift_many(d, batch.targets), model.K)
+        return loss, GradientBundle(d_k=(-2.0 / batch.n_rows) * (res.T @ psi_in))
     c, a, rbf = d._packed()
     loss, d_k, g_c, g_a = _loss_and_grads_packed(
-        d.family, c, a, rbf, model.K, batch.inputs, batch.targets, True
+        d.family, c, a, rbf, model.K, batch.inputs, batch.targets
     )
     return loss, GradientBundle(d_k=d_k, d_center=g_c, d_steepness=g_a)
 
@@ -144,6 +145,7 @@ def initial_dictionary(dataset, family, n_members, seed=0):
     family = Family(family)
     if n_members < 1:
         raise DomainError("need n_members >= 1")
+    dataset.check_finite()
     if family in POLYNOMIAL_FAMILIES:
         return Dictionary(family, dataset.m, polynomial_multi_indices(dataset.m, n_members))
     rng = np.random.default_rng(seed)
@@ -157,15 +159,17 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
     """Learn dictionary parameters by minibatch SGD with periodic K refits.
 
     Centers initialize uniformly over the data's per-dimension range,
-    log-steepness uniformly in [log 0.5, log 3]. K is
-    initialized by one closed-form fit and replaced by a fresh closed-form fit
-    every cfg.refit_k_every epochs; between refits, gradient steps move the
-    member parameters (plus K itself when cfg.descend_k). For AugSILL the
-    member budget splits ceil(n/2) logistic members first, then RBF members.
+    log-steepness uniformly in [log 0.5, log 3]. For AugSILL the member
+    budget splits ceil(n/2) logistic members first, then RBF members. K
+    starts as the closed-form solve on the initial lift. Each epoch runs
+    minibatch gradient steps on the member parameters (plus K itself when
+    cfg.descend_k), lifts the full data once, replaces K by the closed-form
+    solve on that lift every cfg.refit_k_every epochs, and scores the epoch
+    loss on the same lift.
 
     Polynomial families carry no shape parameters: their multi-indices are
-    fixed, so training reduces to the closed-form fit (history is constant),
-    unless cfg.descend_k asks for explicit gradient steps on K.
+    fixed, so without cfg.descend_k training is the closed-form fit alone
+    (history is constant); with it, the steps move K only.
 
     Returns (model, loss_history) with one full-dataset loss per epoch;
     epoch_callback(epoch, loss, model), when given, runs after each epoch.
@@ -175,52 +179,68 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
         raise DomainError("sgd training needs a discrete-pairs dataset")
     if n_members < 1:
         raise DomainError("need n_members >= 1")
+    dataset.check_finite()
     family = Family(family)
-    m = dataset.m
+    poly = family in POLYNOMIAL_FAMILIES
+    x_in, x_out = dataset.inputs, dataset.targets
+    rng = np.random.default_rng(cfg.seed)
+    if poly:
+        d = Dictionary(family, dataset.m, polynomial_multi_indices(dataset.m, n_members))
+    else:
+        centers, log_steep, n_logistic, rbf_mask = _init_shape_params(
+            dataset, family, n_members, rng
+        )
 
-    if family in POLYNOMIAL_FAMILIES and not cfg.descend_k:
-        d = Dictionary(family, m, polynomial_multi_indices(m, n_members))
-        model = fit_k(dataset, d, cfg.ridge)
-        loss, _ = objective_and_gradient(model, dataset)
-        history = [loss] * cfg.epochs
+    def lifted_pair():
+        if poly:
+            return lift_many(d, x_in), lift_many(d, x_out)
+        steep = np.exp(log_steep)
+        return tuple(
+            assemble_lift(x, member_values_packed(family, centers, steep, rbf_mask, x))
+            for x in (x_in, x_out)
+        )
+
+    def model(k):
+        dd = d if poly else Dictionary.from_packed(
+            family, centers, np.exp(log_steep), n_logistic
+        )
+        return KoopmanModel(dd, k, dataset.mode, dataset.dt)
+
+    psi_in, psi_out = lifted_pair()
+    k = solve_k(psi_in, psi_out, cfg.ridge)
+    if poly and not cfg.descend_k:
+        # Nothing moves: every epoch would refit the same K on the same lift.
+        _, loss = _residual(psi_in, psi_out, k)
+        fitted = model(k)
         if epoch_callback is not None:
             for epoch in range(cfg.epochs):
-                epoch_callback(epoch, loss, model)
-        return model, history
+                epoch_callback(epoch, loss, fitted)
+        return fitted, [loss] * cfg.epochs
 
-    rng = np.random.default_rng(cfg.seed)
-    if family in POLYNOMIAL_FAMILIES:
-        return _descend_k_only(dataset, family, n_members, cfg, rng, epoch_callback)
-
-    centers, log_steep, n_logistic, rbf_mask = _init_shape_params(
-        dataset, family, n_members, rng
-    )
-
-    def current_dictionary():
-        return Dictionary.from_packed(family, centers, np.exp(log_steep), n_logistic)
-
-    x_in, x_out = dataset.inputs, dataset.targets
     r = dataset.n_rows
-    k = fit_k(dataset, current_dictionary(), cfg.ridge).K
     lr = cfg.learning_rate
     history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(r)
         for start in range(0, r, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            steep = np.exp(log_steep)
-            _, d_k, g_c, g_a = _loss_and_grads_packed(
-                family, centers, steep, rbf_mask, k, x_in[idx], x_out[idx], True
-            )
-            centers -= lr * g_c
-            log_steep -= lr * (g_a * steep)  # chain rule through exp
+            if poly:
+                res, _ = _residual(psi_in[idx], psi_out[idx], k)
+                d_k = (-2.0 / len(idx)) * (res.T @ psi_in[idx])
+            else:
+                steep = np.exp(log_steep)
+                _, d_k, g_c, g_a = _loss_and_grads_packed(
+                    family, centers, steep, rbf_mask, k, x_in[idx], x_out[idx]
+                )
+                centers -= lr * g_c
+                log_steep -= lr * (g_a * steep)  # chain rule through exp
             if cfg.descend_k:
                 k -= lr * d_k
+        if not poly:
+            psi_in, psi_out = lifted_pair()
         if (epoch + 1) % cfg.refit_k_every == 0:
-            k = fit_k(dataset, current_dictionary(), cfg.ridge).K
-        loss, _, _, _ = _loss_and_grads_packed(
-            family, centers, np.exp(log_steep), rbf_mask, k, x_in, x_out, False
-        )
+            k = solve_k(psi_in, psi_out, cfg.ridge)
+        _, loss = _residual(psi_in, psi_out, k)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"loss became non-finite at epoch {epoch}",
@@ -228,44 +248,9 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
             )
         history.append(loss)
         if epoch_callback is not None:
-            epoch_callback(
-                epoch, loss,
-                KoopmanModel(current_dictionary(), k, dataset.mode, dataset.dt),
-            )
+            epoch_callback(epoch, loss, model(k))
         lr *= cfg.lr_decay
-    model = KoopmanModel(current_dictionary(), k, dataset.mode, dataset.dt)
-    return model, history
-
-
-def _descend_k_only(dataset, family, n_members, cfg, rng, epoch_callback):
-    """SGD on K alone for a fixed polynomial dictionary (descend_k=True)."""
-    d = Dictionary(family, dataset.m, polynomial_multi_indices(dataset.m, n_members))
-    k = fit_k(dataset, d, cfg.ridge).K
-    psi_in = lift_many(d, dataset.inputs)
-    psi_out = lift_many(d, dataset.targets)
-    r = dataset.n_rows
-    lr = cfg.learning_rate
-    history = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(r)
-        for start in range(0, r, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            res = psi_out[idx] - psi_in[idx] @ k.T
-            k -= lr * (-2.0 / len(idx)) * (res.T @ psi_in[idx])
-        if (epoch + 1) % cfg.refit_k_every == 0:
-            k = fit_k(dataset, d, cfg.ridge).K
-        res = psi_out - psi_in @ k.T
-        loss = float(np.sum(res * res)) / r
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(
-                f"loss became non-finite at epoch {epoch}",
-                last_finite_epoch=epoch - 1,
-            )
-        history.append(loss)
-        if epoch_callback is not None:
-            epoch_callback(epoch, loss, KoopmanModel(d, k, dataset.mode, dataset.dt))
-        lr *= cfg.lr_decay
-    return KoopmanModel(d, k, dataset.mode, dataset.dt), history
+    return model(k), history
 
 
 # -- matching pursuit ---------------------------------------------------------------

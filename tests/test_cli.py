@@ -150,12 +150,34 @@ def _corrupt_cell(path):
     path.write_text("".join(lines))
 
 
+def _nan_cell(path):
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells[1] = "nan"
+    lines[2] = ",".join(cells)
+    path.write_text("".join(lines))
+
+
+def _replace_line(path, prefix, line):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line + "\n" if ln.startswith(prefix) else ln for ln in lines))
+
+
+def _prepend_stray_line(path):
+    path.write_text("stray line\n" + path.read_text())
+
+
 @pytest.mark.parametrize("case, named", [
     ("trajectory_cell", "traj_0000.csv"),
     ("trajectory_empty", "traj_0000.csv"),
+    ("trajectory_nan", "traj_0000.csv"),
     ("metadata_constants", "constants"),
+    ("metadata_header", "metadata.ini"),
     ("model_k_file", "k_file"),
     ("model_k_entry", "model.k.csv"),
+    ("model_header", "model.ini"),
+    ("model_n_members", "[member 2]"),
+    ("model_kind", "kind"),
 ])
 def test_malformed_data_files_exit_two(tmp_path, capsys, case, named):
     data = tmp_path / "data"
@@ -167,10 +189,20 @@ def test_malformed_data_files_exit_two(tmp_path, capsys, case, named):
         _corrupt_cell(data / "traj_0000.csv")
     elif case == "trajectory_empty":
         (data / "traj_0000.csv").write_text("")
+    elif case == "trajectory_nan":
+        _nan_cell(data / "traj_0000.csv")
     elif case == "metadata_constants":
         _drop_line(data / "metadata.ini", "constants")
+    elif case == "metadata_header":
+        _prepend_stray_line(data / "metadata.ini")
     elif case == "model_k_file":
         _drop_line(fit / "model.ini", "k_file")
+    elif case == "model_header":
+        _prepend_stray_line(fit / "model.ini")
+    elif case == "model_n_members":
+        _replace_line(fit / "model.ini", "n_members", "n_members = 5")
+    elif case == "model_kind":
+        _replace_line(fit / "model.ini", "kind", "kind = cubic")
     else:
         _corrupt_cell(fit / "model.k.csv")
     capsys.readouterr()
@@ -189,7 +221,7 @@ def test_missing_data_dir_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_config_file_overlay(tmp_path):
+def test_config_file_overlay(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[simulate]\nn-traj = 2\nsteps = 25\n")
     out1 = tmp_path / "a"
@@ -203,6 +235,17 @@ def test_config_file_overlay(tmp_path):
     assert len([n for n in os.listdir(out2) if n.startswith("traj_")]) == 4
     assert run("--config", str(tmp_path / "absent.ini"), "simulate",
                "--system", "duffing", "--out", str(tmp_path / "c")) == 2
+    for case, text, named in (
+        ("header", "stray line\n[simulate]\nsystem = duffing\n", "header.ini"),
+        ("value", "[simulate]\nsystem = duffing\nsteps = five\n", "steps"),
+        ("choice", "[simulate]\nsystem = nosuch\n", "system"),
+    ):
+        bad = tmp_path / f"{case}.ini"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert run("--config", str(bad), "simulate", "--out", str(tmp_path / case)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"{case}.ini" in err and named in err
 
 
 def test_closure_artifacts(tmp_path):

@@ -7,9 +7,12 @@ from augsill.dictionaries import (
     Family,
     Kind,
     ScalarBasisParams,
+    lift_many,
+    polynomial_multi_indices,
     stable_logistic,
 )
 from augsill.errors import (
+    DataError,
     DomainError,
     ParameterDomainError,
     PoolError,
@@ -215,6 +218,69 @@ def test_sgd_polynomial_family_is_closed_form():
     direct = fit_k(ds, initial_dictionary(ds, Family.LEGENDRE, 4))
     np.testing.assert_array_equal(model.K, direct.K)
     assert len(set(history)) == 1 and len(history) == 7
+
+
+def _descend_k_reference(ds, family, n_members, cfg):
+    """The former K-only SGD loop for a fixed polynomial dictionary, kept as
+    the reference for sgd_fit with descend_k on a polynomial family."""
+    rng = np.random.default_rng(cfg.seed)
+    d = Dictionary(family, ds.m, polynomial_multi_indices(ds.m, n_members))
+    k = fit_k(ds, d, cfg.ridge).K
+    psi_in = lift_many(d, ds.inputs)
+    psi_out = lift_many(d, ds.targets)
+    r = ds.n_rows
+    lr = cfg.learning_rate
+    history = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(r)
+        for start in range(0, r, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            res = psi_out[idx] - psi_in[idx] @ k.T
+            k -= lr * (-2.0 / len(idx)) * (res.T @ psi_in[idx])
+        if (epoch + 1) % cfg.refit_k_every == 0:
+            k = fit_k(ds, d, cfg.ridge).K
+        res = psi_out - psi_in @ k.T
+        history.append(float(np.sum(res * res)) / r)
+        lr *= cfg.lr_decay
+    return k, history
+
+
+def test_sgd_polynomial_descend_k_matches_reference():
+    # 240 rows in batches of 32 leave a last batch of 16: with power-of-two
+    # batch sizes, (lr * -2/b) * G and lr * (-2/b * G) round identically.
+    ds = vdp_dataset()
+    assert ds.n_rows == 240
+    cfg = TrainConfig(epochs=12, seed=3, learning_rate=1e-4, refit_k_every=5,
+                      descend_k=True)
+    model, history = sgd_fit(ds, Family.LEGENDRE, 6, cfg)
+    k_ref, history_ref = _descend_k_reference(ds, Family.LEGENDRE, 6, cfg)
+    assert model.K.tobytes() == k_ref.tobytes()
+    assert history == history_ref
+    # the last two epochs follow the epoch-10 refit, so K has really moved
+    assert not np.array_equal(model.K, fit_k(ds, model.dictionary).K)
+
+
+def test_sgd_returns_refit_k():
+    # with epochs a multiple of refit_k_every, the returned K is the
+    # closed-form fit over the returned dictionary, bit for bit
+    ds = vdp_dataset()
+    cfg = TrainConfig(epochs=10, seed=1, refit_k_every=5)
+    for family in (Family.SILL, Family.AUGSILL, Family.SUMMED_RBF):
+        model, _ = sgd_fit(ds, family, 5, cfg)
+        direct = fit_k(ds, model.dictionary, cfg.ridge)
+        assert model.K.tobytes() == direct.K.tobytes(), family
+
+
+def test_sgd_rejects_non_finite_data():
+    ds = vdp_dataset(n_traj=2, steps=10)
+    x = ds.inputs.copy()
+    x[3, 1] = np.nan
+    bad = SnapshotDataset(Mode.DISCRETE_PAIRS, x, ds.targets, ds.dt)
+    for family in (Family.SILL, Family.LEGENDRE):
+        with pytest.raises(DataError):
+            sgd_fit(bad, family, 3, TrainConfig(epochs=2))
+        with pytest.raises(DataError):
+            initial_dictionary(bad, family, 3)
 
 
 def test_sgd_epoch_callback_cadence():
