@@ -23,10 +23,9 @@ from .dictionaries import (
     Dictionary,
     Family,
     Kind,
-    ScalarBasisParams,
+    _conjunctive_values_and_weights,
+    conjunctive_members,
     conjunctive_values,
-    h_function,
-    member_sensitivities_packed,
     product_limit_logistic,
     scale_steepness,
     stable_logistic,
@@ -198,12 +197,6 @@ class ClosureReport:
     n_points: int
 
 
-def _conjunctive(kind, centers, steeps):
-    return ConjunctiveFunction(
-        kind, tuple(ScalarBasisParams(float(c), float(a)) for c, a in zip(centers, steeps))
-    )
-
-
 def sample_theorem_config(theorem, config_id, seed=0, gap=0.2) -> TheoremConfig:
     """Random member pair satisfying one limit statement's hypotheses.
 
@@ -231,11 +224,9 @@ def sample_theorem_config(theorem, config_id, seed=0, gap=0.2) -> TheoremConfig:
         mu_o = mu_l + rng.choice((-1.0, 1.0), size=m) * sep
     a_l = rng.uniform(0.8, 1.25, size=m)
     a_o = rng.uniform(0.8, 1.25, size=m)
-    kind_l = Kind.RBF if theorem == "rbfrbf" else Kind.LOGISTIC
-    kind_o = Kind.LOGISTIC if theorem == "loglog" else Kind.RBF
-    return TheoremConfig(
-        theorem, m, config_id, _conjunctive(kind_l, mu_l, a_l), _conjunctive(kind_o, mu_o, a_o)
-    )
+    # theta_l is an RBF only in rbfrbf; theta_other is logistic only in loglog.
+    pair = conjunctive_members([mu_l, mu_o], [a_l, a_o], [theorem == "rbfrbf", theorem != "loglog"])
+    return TheoremConfig(theorem, m, config_id, *pair)
 
 
 def _halton_points(m, n_points, lo=-2.5, hi=2.5):
@@ -375,7 +366,7 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
         raise DimensionMismatchError(f"weights must have shape ({d.m}, {n}), got {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ParameterDomainError("weights must be finite")
-    c, a, rbf = d._packed()
+    c, a, rbf = d.centers, d.steepness, d.is_rbf
     gaps = np.abs(pts[:, None, :] - c[None, :, :])
     if n and gaps.min() < CLOSURE_GAP_MIN:
         raise HypothesisViolationError(
@@ -383,7 +374,9 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
         )
 
     n_log = d.n_logistic
-    vals, sens = member_sensitivities_packed(d.family, c, a, rbf, pts)  # (r, n), (r, n, m)
+    # vals (r, n); wts (r, n, m) is 1 - lam (logistic) or 1 - 2 lam (RBF).
+    vals, wts = _conjunctive_values_and_weights(c, a, rbf, pts)
+    sens = wts * vals[:, :, None]
     vals_rbf = vals[:, n_log:]
     field = vals @ w.T  # (r, m)
 
@@ -417,9 +410,7 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
 
     # Logistic members: stage (b) keeps the (1 - lambda) weights, stage (c)
     # drops them.
-    lam = stable_logistic(a[None, :, :] * (pts[:, None, :] - c[None, :, :]))
-    lam_log, lam_rbf = lam[:, :n_log, :], lam[:, n_log:, :]
-    coef_b_log = np.einsum("li,rli,iq->rlq", a_log, 1.0 - lam_log, w)
+    coef_b_log = np.einsum("li,rli,iq->rlq", a_log, wts[:, :n_log], w)
     coef_c_log = np.einsum("li,iq->lq", a_log, w)
     stage_b_log = np.einsum("rlq,rlq->rl", coef_b_log, limit_targets)
     stage_c_log = np.einsum("lq,rlq->rl", coef_c_log, limit_targets)
@@ -429,7 +420,7 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
     # target of the pair (logistic j, RBF k) is the RBF itself gated by the
     # same branch matrix, transposed to (k, j).
     a_r = a[n_log:]
-    coef_b_rbf = np.einsum("ki,rki,ij->rkj", a_r, 1.0 - 2.0 * lam_rbf, w[:, :n_log])
+    coef_b_rbf = np.einsum("ki,rki,ij->rkj", a_r, wts[:, n_log:], w[:, :n_log])
     coef_c_rbf = np.einsum("ki,ij->kj", a_r, w[:, :n_log])
     gate = branch.T  # (n_rbf, n_log)
     stage_b_rbf = vals_rbf * (coef_b_rbf * gate[None, :, :]).sum(axis=2)
@@ -439,7 +430,6 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
     stage_c = np.concatenate([stage_c_log, stage_c_rbf], axis=1)
 
     stats = []
-    kinds = [f.kind for f in d.members]
     for q in range(n):
         ab = np.abs(exact[:, q] - stage_b[:, q])
         bc = np.abs(stage_b[:, q] - stage_c[:, q])
@@ -448,7 +438,7 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
         stats.append(
             MemberClosureStats(
                 index=q,
-                kind=kinds[q],
+                kind=Kind.RBF if rbf[q] else Kind.LOGISTIC,
                 sup_exact_vs_limit=float(ab.max()),
                 mean_exact_vs_limit=float(ab.mean()),
                 sup_limit_vs_linear=float(bc.max()),

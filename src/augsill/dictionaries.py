@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import (
+    DataError,
     DimensionMismatchError,
     ParameterDomainError,
     UnsupportedFamilyError,
@@ -195,66 +196,105 @@ def _compositions(total, m):
             yield (first,) + rest
 
 
-@dataclass(eq=False)
-class Dictionary:
-    """A lifting dictionary: family tag, measurement dimension, member payload.
+def conjunctive_members(centers, steepness, is_rbf):
+    """ConjunctiveFunction views of packed rows: one member per row of the
+    (N, m) center and steepness arrays, RBF where is_rbf, else logistic."""
+    rows = zip(np.asarray(centers).tolist(), np.asarray(steepness).tolist(), is_rbf)
+    return tuple(ConjunctiveFunction(Kind.RBF if r else Kind.LOGISTIC,
+                                     tuple(map(ScalarBasisParams, c, a)))
+                 for c, a, r in rows)
 
-    The payload type depends on the family: ConjunctiveFunction tuples for
-    sill/augsill, per-dimension ScalarBasisParams tuples for summedrbf, and
-    integer multi-indices for the polynomial families. Treat instances as
-    immutable; training code builds new dictionaries rather than editing one.
+
+def _member_arrays(family, m, members):
+    """(centers, steepness, is_rbf) of sill/augsill ConjunctiveFunction
+    members or summedrbf ScalarBasisParams tuples."""
+    if family == Family.SUMMED_RBF:
+        if any(len(ps) != m or not all(isinstance(p, ScalarBasisParams) for p in ps)
+               for ps in members):
+            raise ParameterDomainError(f"each summedrbf member needs {m} ScalarBasisParams")
+        members = [ConjunctiveFunction(Kind.RBF, ps) for ps in members]
+    for f in members:
+        if not isinstance(f, ConjunctiveFunction):
+            raise ParameterDomainError("members must be ConjunctiveFunction")
+        if f.m != m:
+            raise DimensionMismatchError(f"member dimension {f.m} != dictionary m {m}")
+    return (np.reshape([f.centers for f in members], (-1, m)),
+            np.reshape([f.steepnesses for f in members], (-1, m)),
+            [f.kind == Kind.RBF for f in members])
+
+
+class Dictionary:
+    """A lifting dictionary: family tag, measurement dimension m, members.
+
+    Sill, augsill and summedrbf store their N members as read-only arrays,
+    ``centers`` and ``steepness`` (N, m) and ``is_rbf`` (N,), logistic rows
+    first; ``members`` builds ConjunctiveFunction views (summedrbf: tuples of
+    ScalarBasisParams) on demand. Polynomial families keep multi-indices as
+    ``members`` and no arrays (None). Instances are immutable.
     """
 
-    family: Family
-    m: int
-    members: tuple
+    def __init__(self, family, m, members):
+        self.family = Family(family)
+        self.m = m
+        if m < 1:
+            raise ParameterDomainError(f"m must be >= 1, got {m}")
+        members = tuple(members)
+        if self.family not in POLYNOMIAL_FAMILIES:
+            self._store(*_member_arrays(self.family, m, members))
+            return
+        self._indices = members
+        self.centers = self.steepness = self.is_rbf = None
+        for idx in members:
+            if len(idx) != m:
+                raise DimensionMismatchError(f"multi-index {idx} has length != m = {m}")
+            if any(int(k) != k or k < 0 for k in idx):
+                raise ParameterDomainError(f"bad multi-index {idx}")
+            if sum(idx) < 2:
+                raise ParameterDomainError(
+                    f"multi-index {idx} duplicates the constant/linear rows"
+                )
 
-    def __post_init__(self):
-        self.family = Family(self.family)
-        self.members = tuple(self.members)
-        if self.m < 1:
-            raise ParameterDomainError(f"m must be >= 1, got {self.m}")
-        self._validate_members()
-        self._cache = None
+    @staticmethod
+    def from_packed(family, centers, steepness, is_rbf):
+        """Logistic/RBF dictionary over copies of (N, m) center and
+        steepness arrays and an (N,) RBF mask."""
+        d = object.__new__(Dictionary)
+        d.family = Family(family)
+        if d.family in POLYNOMIAL_FAMILIES:
+            raise UnsupportedFamilyError("polynomial families have no centers")
+        d._store(centers, steepness, is_rbf)
+        d.m = d.centers.shape[1]
+        return d
 
-    def _validate_members(self):
-        if self.family in (Family.SILL, Family.AUGSILL):
-            seen_rbf = False
-            for f in self.members:
-                if not isinstance(f, ConjunctiveFunction):
-                    raise ParameterDomainError("members must be ConjunctiveFunction")
-                if f.m != self.m:
-                    raise DimensionMismatchError(
-                        f"member dimension {f.m} != dictionary m {self.m}"
-                    )
-                if self.family == Family.SILL and f.kind != Kind.LOGISTIC:
-                    raise ParameterDomainError("sill members must all be logistic")
-                if f.kind == Kind.RBF:
-                    seen_rbf = True
-                elif seen_rbf:
-                    raise ParameterDomainError(
-                        "augsill members must list all logistic members first"
-                    )
-        elif self.family == Family.SUMMED_RBF:
-            for ps in self.members:
-                if len(ps) != self.m or not all(
-                    isinstance(p, ScalarBasisParams) for p in ps
-                ):
-                    raise ParameterDomainError(
-                        f"each summedrbf member needs {self.m} ScalarBasisParams"
-                    )
-        else:
-            for idx in self.members:
-                if len(idx) != self.m:
-                    raise DimensionMismatchError(
-                        f"multi-index {idx} has length != m = {self.m}"
-                    )
-                if any(int(k) != k or k < 0 for k in idx):
-                    raise ParameterDomainError(f"bad multi-index {idx}")
-                if sum(idx) < 2:
-                    raise ParameterDomainError(
-                        f"multi-index {idx} duplicates the constant/linear rows"
-                    )
+    def _store(self, centers, steepness, is_rbf):
+        c = np.array(centers, dtype=float)
+        a = np.array(steepness, dtype=float)
+        rbf = np.array(is_rbf, dtype=bool)
+        if c.ndim != 2 or c.shape[1] < 1 or a.shape != c.shape or rbf.shape != c.shape[:1]:
+            raise DimensionMismatchError(f"need (N, m) centers and steepness and an (N,) "
+                                         f"RBF mask, got {c.shape}, {a.shape}, {rbf.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ParameterDomainError(f"center must be finite, got {c[~np.isfinite(c)][0]}")
+        good = np.isfinite(a) & (a > 0)
+        if not np.all(good):
+            raise ParameterDomainError(f"steepness must be finite and > 0, got {a[~good][0]}")
+        if self.family == Family.SUMMED_RBF and not np.all(rbf):
+            raise ParameterDomainError("summedrbf members are all RBF")
+        if self.family == Family.SILL and np.any(rbf):
+            raise ParameterDomainError("sill members must all be logistic")
+        if np.any(rbf[:-1] > rbf[1:]):
+            raise ParameterDomainError("augsill members must list all logistic members first")
+        for x in (c, a, rbf):
+            x.setflags(write=False)
+        self.centers, self.steepness, self.is_rbf = c, a, rbf
+
+    @property
+    def members(self):
+        """Multi-indices (polynomial families) or member views of the rows."""
+        if self.is_rbf is None:
+            return self._indices
+        views = conjunctive_members(self.centers, self.steepness, self.is_rbf)
+        return tuple(f.params for f in views) if self.family == Family.SUMMED_RBF else views
 
     # -- construction helpers -------------------------------------------------
 
@@ -286,62 +326,23 @@ class Dictionary:
         """The trivial [1, y] dictionary (no nonlinear members)."""
         return Dictionary(Family.SILL, m, ())
 
-    @staticmethod
-    def from_packed(family, centers, steepness, n_logistic):
-        """Dictionary over (N, m) center and steepness arrays. Conjunctive
-        families take rows below n_logistic as logistic members, the rest as
-        RBF members; summedrbf ignores n_logistic."""
-        params = [
-            tuple(ScalarBasisParams(c, s) for c, s in zip(crow, srow))
-            for crow, srow in zip(centers, steepness)
-        ]
-        if family == Family.SUMMED_RBF:
-            return Dictionary(family, centers.shape[1], params)
-        members = [
-            ConjunctiveFunction(Kind.LOGISTIC if j < n_logistic else Kind.RBF, ps)
-            for j, ps in enumerate(params)
-        ]
-        return Dictionary(family, centers.shape[1], members)
-
     # -- sizes ----------------------------------------------------------------
 
     @property
     def n_members(self):
-        return len(self.members)
+        return len(self._indices) if self.is_rbf is None else len(self.is_rbf)
 
     @property
     def n_logistic(self):
-        if self.family in (Family.SILL, Family.AUGSILL):
-            return sum(1 for f in self.members if f.kind == Kind.LOGISTIC)
-        return 0
+        return 0 if self.is_rbf is None else self.n_members - self.n_rbf
 
     @property
     def n_rbf(self):
-        if self.family in (Family.SILL, Family.AUGSILL):
-            return sum(1 for f in self.members if f.kind == Kind.RBF)
-        if self.family == Family.SUMMED_RBF:
-            return len(self.members)
-        return 0
+        return 0 if self.is_rbf is None else int(np.count_nonzero(self.is_rbf))
 
     @property
     def lifted_dim(self):
-        return 1 + self.m + len(self.members)
-
-    # -- packed parameter arrays (internal) -----------------------------------
-
-    def _packed(self):
-        """(centers, steepnesses, is_rbf) as (N, m) arrays for non-polynomial
-        families; cached because lifting is the package's hot path."""
-        if self._cache is None:
-            if self.family in POLYNOMIAL_FAMILIES:
-                raise UnsupportedFamilyError("polynomial families have no centers")
-            summed = self.family == Family.SUMMED_RBF
-            params = [f if summed else f.params for f in self.members]
-            c = np.array([[p.center for p in ps] for ps in params]).reshape(-1, self.m)
-            a = np.array([[p.steepness for p in ps] for ps in params]).reshape(-1, self.m)
-            rbf = np.array([summed or f.kind == Kind.RBF for f in self.members], dtype=bool)
-            self._cache = (c, a, rbf)
-        return self._cache
+        return 1 + self.m + self.n_members
 
     def with_scaled_steepness(self, factor):
         """Copy of this dictionary with every steepness multiplied by factor."""
@@ -349,8 +350,8 @@ class Dictionary:
             raise ParameterDomainError(f"factor must be finite and > 0: {factor}")
         if self.family in POLYNOMIAL_FAMILIES:
             return Dictionary(self.family, self.m, self.members)
-        c, a, _ = self._packed()
-        return Dictionary.from_packed(self.family, c, a * factor, self.n_logistic)
+        return Dictionary.from_packed(self.family, self.centers, self.steepness * factor,
+                                      self.is_rbf)
 
 
 def scale_steepness(f, factor):
@@ -432,6 +433,15 @@ def conjunctive_values(f, Y):
     )[:, 0]
 
 
+def _conjunctive_values_and_weights(c, a, rbf, Y):
+    """Conjunctive member values (r, N) and the per-factor weights w
+    (r, N, m): 1 - lam for logistic rows, 1 - 2 lam for RBF rows."""
+    lam = stable_logistic(a[None] * (Y[:, None, :] - c[None]))
+    fac = np.where(rbf[None, :, None], lam * (1.0 - lam), lam)
+    w = np.where(rbf[None, :, None], 1.0 - 2.0 * lam, 1.0 - lam)
+    return fac.prod(axis=2), w
+
+
 def member_sensitivities_packed(family, c, a, rbf, Y):
     """Member values plus the per-coordinate sensitivity factor S, where
 
@@ -442,34 +452,25 @@ def member_sensitivities_packed(family, c, a, rbf, Y):
     For conjunctive members S = w_i * value with w = (1-lam) (logistic) or
     (1-2lam) (RBF); for summedrbf S_i = rho_i*(1-2lam_i).
     """
+    if family != Family.SUMMED_RBF:
+        vals, w = _conjunctive_values_and_weights(c, a, rbf, Y)
+        return vals, w * vals[:, :, None]
     lam = stable_logistic(a[None] * (Y[:, None, :] - c[None]))
-    if family == Family.SUMMED_RBF:
-        rho = lam * (1.0 - lam)
-        return rho.sum(axis=2), rho * (1.0 - 2.0 * lam)
-    fac = np.where(rbf[None, :, None], lam * (1.0 - lam), lam)
-    vals = fac.prod(axis=2)
-    w = np.where(rbf[None, :, None], 1.0 - 2.0 * lam, 1.0 - lam)
-    return vals, w * vals[:, :, None]
+    rho = lam * (1.0 - lam)
+    return rho.sum(axis=2), rho * (1.0 - 2.0 * lam)
 
 
 def _member_values(d, Y):
     """Nonlinear member values at a batch of points: (r, m) -> (r, N)."""
-    r = Y.shape[0]
-    if not d.members:
-        return np.zeros((r, 0))
+    if d.n_members == 0:
+        return np.zeros((Y.shape[0], 0))
     if d.family in POLYNOMIAL_FAMILIES:
         vals, _ = _poly_tables(d, Y)
         cols = [
             vals[:, np.arange(d.m), np.array(idx)].prod(axis=1) for idx in d.members
         ]
         return np.stack(cols, axis=1)
-    c, a, rbf = d._packed()
-    return member_values_packed(d.family, c, a, rbf, Y)
-
-
-def _member_sensitivities(d, Y):
-    c, a, rbf = d._packed()
-    return member_sensitivities_packed(d.family, c, a, rbf, Y)
+    return member_values_packed(d.family, d.centers, d.steepness, d.is_rbf, Y)
 
 
 def assemble_lift(Y, vals):
@@ -502,7 +503,7 @@ def lift_jacobian_many(d, Y):
     r = Y.shape[0]
     J = np.zeros((r, d.lifted_dim, d.m))
     J[:, 1 : 1 + d.m, :] = np.eye(d.m)
-    if not d.members:
+    if d.n_members == 0:
         return J
     if d.family in POLYNOMIAL_FAMILIES:
         vals, ders = _poly_tables(d, Y)
@@ -514,9 +515,8 @@ def lift_jacobian_many(d, Y):
                 others = fac[:, [q for q in range(d.m) if q != i]].prod(axis=1)
                 J[:, 1 + d.m + j, i] = dfac[:, i] * others
         return J
-    _, a, _ = d._packed()
-    _, S = _member_sensitivities(d, Y)
-    J[:, 1 + d.m :, :] = a[None] * S
+    _, S = member_sensitivities_packed(d.family, d.centers, d.steepness, d.is_rbf, Y)
+    J[:, 1 + d.m :, :] = d.steepness[None] * S
     return J
 
 
@@ -544,10 +544,9 @@ def param_gradients_many(d, Y):
             f"{d.family.value} has no trainable shape parameters"
         )
     Y = _check_batch(d, Y)
-    c, a, _ = d._packed()
-    _, S = _member_sensitivities(d, Y)
+    _, S = member_sensitivities_packed(d.family, d.centers, d.steepness, d.is_rbf, Y)
     return ParamGradients(
-        d_center=-a[None] * S, d_steepness=(Y[:, None, :] - c[None]) * S
+        d_center=-d.steepness[None] * S, d_steepness=(Y[:, None, :] - d.centers[None]) * S
     )
 
 
@@ -577,21 +576,15 @@ def dictionary_to_text(d):
         "n_logistic": str(d.n_logistic),
         "n_rbf": str(d.n_rbf),
     }
-    for j, member in enumerate(d.members):
+    for j in range(d.n_members):
         sec = f"member {j}"
         if d.family in POLYNOMIAL_FAMILIES:
-            cp[sec] = {"degrees": " ".join(str(k) for k in member)}
-        elif d.family == Family.SUMMED_RBF:
-            cp[sec] = {
-                "kind": Kind.RBF.value,
-                "centers": _fmt_floats(p.center for p in member),
-                "steepnesses": _fmt_floats(p.steepness for p in member),
-            }
+            cp[sec] = {"degrees": " ".join(str(k) for k in d.members[j])}
         else:
             cp[sec] = {
-                "kind": member.kind.value,
-                "centers": _fmt_floats(member.centers),
-                "steepnesses": _fmt_floats(member.steepnesses),
+                "kind": (Kind.RBF if d.is_rbf[j] else Kind.LOGISTIC).value,
+                "centers": _fmt_floats(d.centers[j]),
+                "steepnesses": _fmt_floats(d.steepness[j]),
             }
     buf = io.StringIO()
     cp.write(buf)
@@ -606,24 +599,27 @@ def _dictionary_from_ini(cp, source):
         return ini_field(cp, section, key, parse, source)
 
     def floats(v):
-        return [float(x) for x in v.split()]
+        x = [float(t) for t in v.split()]
+        if len(x) != m:
+            raise ValueError(f"need {m} numbers, got {len(x)}")
+        return x
 
     family = field("dictionary", "family", Family)
-    m = field("dictionary", "m", int)
-    members = []
-    for j in range(field("dictionary", "n_members", int)):
-        sec = f"member {j}"
-        if family in POLYNOMIAL_FAMILIES:
-            members.append(field(sec, "degrees", lambda v: tuple(int(k) for k in v.split())))
-            continue
-        centers = field(sec, "centers", floats)
-        steeps = field(sec, "steepnesses", floats)
-        params = tuple(ScalarBasisParams(c, s) for c, s in zip(centers, steeps))
-        if family == Family.SUMMED_RBF:
-            members.append(params)
-        else:
-            members.append(ConjunctiveFunction(field(sec, "kind", Kind), params))
-    d = Dictionary(family, m, tuple(members))
+    m, n = field("dictionary", "m", int), field("dictionary", "n_members", int)
+    if m < 1 or n < 0:
+        raise DataError(f"{source}: [dictionary] needs m >= 1 and n_members >= 0")
+    sections = [f"member {j}" for j in range(n)]
+    if family in POLYNOMIAL_FAMILIES:
+        d = Dictionary(family, m, [
+            field(sec, "degrees", lambda v: tuple(int(k) for k in v.split()))
+            for sec in sections
+        ])
+    else:
+        c = [field(sec, "centers", floats) for sec in sections]
+        a = [field(sec, "steepnesses", floats) for sec in sections]
+        rbf = [family == Family.SUMMED_RBF or field(sec, "kind", Kind) == Kind.RBF
+               for sec in sections]
+        d = Dictionary.from_packed(family, np.reshape(c, (n, m)), np.reshape(a, (n, m)), rbf)
     if (d.n_logistic != field("dictionary", "n_logistic", int)
             or d.n_rbf != field("dictionary", "n_rbf", int)):
         raise ParameterDomainError("member kinds disagree with declared counts")

@@ -7,6 +7,7 @@ failures that arise while computing (exit code 3).
 """
 
 import configparser
+import math
 
 
 class DomainError(ValueError):
@@ -93,6 +94,22 @@ def read_ini(path):
     """parse_ini over the contents of one file."""
     with open(path) as fh:
         return parse_ini(fh.read(), path)
+
+
+def finite_floats(text):
+    """Whitespace-separated finite numbers; ValueError otherwise."""
+    values = tuple(float(v) for v in text.split())
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{text!r} is not finite")
+    return values
+
+
+def positive_float(text):
+    """One finite number > 0; ValueError otherwise."""
+    (value,) = finite_floats(text)
+    if value <= 0:
+        raise ValueError(f"{text!r} is not > 0")
+    return value
 
 
 def ini_field(cp, section, key, parse, path):

@@ -33,6 +33,7 @@ from .errors import (
     IllConditionedWarning,
     NumericalError,
     ini_field,
+    positive_float,
     read_ini,
 )
 from .systems import Mode
@@ -239,11 +240,13 @@ def load_model(path):
     cp = read_ini(path)
     k_file = ini_field(cp, "model", "k_file", str, path)
     mode = ini_field(cp, "model", "mode", Mode, path)
-    dt = ini_field(cp, "model", "dt", float, path)
+    dt = ini_field(cp, "model", "dt", positive_float, path)
     k_path = os.path.join(os.path.dirname(os.path.abspath(path)), k_file)
     with open(k_path, newline="") as fh:
         try:
             k = np.array([[float(v) for v in row] for row in csv.reader(fh)])
         except ValueError:
-            raise DataError(f"{k_path}: K entries must be numbers") from None
+            k = None
+    if k is None or not np.all(np.isfinite(k)):
+        raise DataError(f"{k_path}: K entries must be finite numbers in equal-length rows")
     return KoopmanModel(dictionary=d, K=k, mode=mode, dt=dt)

@@ -22,7 +22,9 @@ from .errors import (
     DivergenceError,
     DomainError,
     ParameterDomainError,
+    finite_floats,
     ini_field,
+    positive_float,
     read_ini,
 )
 
@@ -183,8 +185,8 @@ def simulate_ensemble(s, n_trajectories, dt, steps, seed, box=None,
     if n_trajectories < 1:
         raise DomainError("need at least one trajectory")
     x0 = sample_initial_conditions(s, n_trajectories, seed, box)
-    if dt <= 0 or steps < 1:
-        raise DomainError("dt must be > 0 and steps >= 1")
+    if not (np.isfinite(dt) and dt > 0) or steps < 1:
+        raise DomainError(f"dt must be finite and > 0 and steps >= 1, got {dt}, {steps}")
     paths = _rk4_batch(s, x0, dt, steps, max_substep)
     return [
         Trajectory(dt=dt, states=paths[:, i, :], system=s, seed_provenance=seed)
@@ -345,9 +347,8 @@ def read_ensemble(data_dir):
     def field(key, parse):
         return ini_field(cp, "simulation", key, parse, meta_path)
 
-    s = SystemSpec(field("system", SystemId),
-                   field("constants", lambda v: tuple(float(c) for c in v.split())))
-    dt = field("dt", float)
+    s = SystemSpec(field("system", SystemId), field("constants", finite_floats))
+    dt = field("dt", positive_float)
     seed = field("seed", int)
     names = sorted(
         f for f in os.listdir(data_dir)

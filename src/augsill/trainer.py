@@ -15,21 +15,18 @@ stays in the closed-form solver.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dictionaries import (
-    ConjunctiveFunction,
     Dictionary,
     Family,
     Kind,
     POLYNOMIAL_FAMILIES,
-    ScalarBasisParams,
     assemble_lift,
-    conjunctive_values,
+    conjunctive_members,
     lift_many,
     member_sensitivities_packed,
     member_values_packed,
@@ -113,27 +110,22 @@ def objective_and_gradient(model, batch):
         psi_in = lift_many(d, batch.inputs)
         res, loss = _residual(psi_in, lift_many(d, batch.targets), model.K)
         return loss, GradientBundle(d_k=(-2.0 / batch.n_rows) * (res.T @ psi_in))
-    c, a, rbf = d._packed()
     loss, d_k, g_c, g_a = _loss_and_grads_packed(
-        d.family, c, a, rbf, model.K, batch.inputs, batch.targets
+        d.family, d.centers, d.steepness, d.is_rbf, model.K, batch.inputs, batch.targets
     )
     return loss, GradientBundle(d_k=d_k, d_center=g_c, d_steepness=g_a)
 
 
 def _init_shape_params(dataset, family, n_members, rng):
     """Seeded starting placement: centers uniform over the data box,
-    log-steepness uniform in [log 0.5, log 3]."""
+    log-steepness uniform in [log 0.5, log 3]; augsill's RBF members follow
+    its ceil(n/2) logistic ones."""
     m = dataset.m
     lo, hi = dataset.inputs.min(axis=0), dataset.inputs.max(axis=0)
     centers = rng.uniform(lo, hi, size=(n_members, m))
     log_steep = rng.uniform(math.log(0.5), math.log(3.0), size=(n_members, m))
-    n_logistic = (n_members + 1) // 2 if family == Family.AUGSILL else (
-        n_members if family == Family.SILL else 0
-    )
-    rbf_mask = np.arange(n_members) >= n_logistic
-    if family == Family.SUMMED_RBF:
-        rbf_mask = np.ones(n_members, dtype=bool)
-    return centers, log_steep, n_logistic, rbf_mask
+    n_logistic = {Family.SILL: n_members, Family.AUGSILL: (n_members + 1) // 2}.get(family, 0)
+    return centers, log_steep, np.arange(n_members) >= n_logistic
 
 
 def initial_dictionary(dataset, family, n_members, seed=0):
@@ -149,10 +141,8 @@ def initial_dictionary(dataset, family, n_members, seed=0):
     if family in POLYNOMIAL_FAMILIES:
         return Dictionary(family, dataset.m, polynomial_multi_indices(dataset.m, n_members))
     rng = np.random.default_rng(seed)
-    centers, log_steep, n_logistic, _ = _init_shape_params(
-        dataset, family, n_members, rng
-    )
-    return Dictionary.from_packed(family, centers, np.exp(log_steep), n_logistic)
+    centers, log_steep, is_rbf = _init_shape_params(dataset, family, n_members, rng)
+    return Dictionary.from_packed(family, centers, np.exp(log_steep), is_rbf)
 
 
 def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
@@ -173,6 +163,8 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
 
     Returns (model, loss_history) with one full-dataset loss per epoch;
     epoch_callback(epoch, loss, model), when given, runs after each epoch.
+    Raises TrainingDivergedError once the loss, a center or a steepness
+    stops being finite, or a steepness reaches 0.
     """
     cfg = cfg if cfg is not None else TrainConfig()
     if dataset.mode != Mode.DISCRETE_PAIRS:
@@ -187,9 +179,7 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
     if poly:
         d = Dictionary(family, dataset.m, polynomial_multi_indices(dataset.m, n_members))
     else:
-        centers, log_steep, n_logistic, rbf_mask = _init_shape_params(
-            dataset, family, n_members, rng
-        )
+        centers, log_steep, rbf_mask = _init_shape_params(dataset, family, n_members, rng)
 
     def lifted_pair():
         if poly:
@@ -201,9 +191,7 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
         )
 
     def model(k):
-        dd = d if poly else Dictionary.from_packed(
-            family, centers, np.exp(log_steep), n_logistic
-        )
+        dd = d if poly else Dictionary.from_packed(family, centers, np.exp(log_steep), rbf_mask)
         return KoopmanModel(dd, k, dataset.mode, dataset.dt)
 
     psi_in, psi_out = lifted_pair()
@@ -237,6 +225,10 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
             if cfg.descend_k:
                 k -= lr * d_k
         if not poly:
+            steep = np.exp(log_steep)
+            if not (np.isfinite(centers).all() and (np.isfinite(steep) & (steep > 0)).all()):
+                raise TrainingDivergedError(f"centers or steepnesses left their domain at "
+                                            f"epoch {epoch}", last_finite_epoch=epoch - 1)
             psi_in, psi_out = lifted_pair()
         if (epoch + 1) % cfg.refit_k_every == 0:
             k = solve_k(psi_in, psi_out, cfg.ridge)
@@ -273,7 +265,7 @@ class PursuitPool:
             raise PoolError("pool needs at least one kind and one steepness level")
         if any(s <= 0 for s in self.steepness_levels):
             raise PoolError("steepness levels must be positive")
-        if any(g.size == 0 for g in self.center_grids):
+        if not self.center_grids or any(g.size == 0 for g in self.center_grids):
             raise PoolError("empty center lattice")
 
     @property
@@ -283,19 +275,20 @@ class PursuitPool:
             n *= g.size
         return n
 
+    def packed(self):
+        """All candidates as (centers, steepness, is_rbf) arrays of shape
+        (size, m), (size, m), (size,). Index order is fixed: kind-major, then
+        lattice point (last dimension fastest), then steepness level."""
+        m = len(self.center_grids)
+        lattice = np.stack(np.meshgrid(*self.center_grids, indexing="ij"), -1).reshape(-1, m)
+        levels = np.asarray(self.steepness_levels)
+        kind, point, level = np.indices((len(self.kinds), len(lattice), len(levels))).reshape(3, -1)
+        is_rbf = np.array([k == Kind.RBF for k in self.kinds])
+        return lattice[point], np.repeat(levels[level, None], m, axis=1), is_rbf[kind]
+
     def candidates(self):
-        """Materialize all candidates, index order fixed: kind-major, then
-        lattice point (itertools.product order), then steepness level."""
-        out = []
-        for kind in self.kinds:
-            for centers in itertools.product(*self.center_grids):
-                for s in self.steepness_levels:
-                    out.append(
-                        ConjunctiveFunction(
-                            kind, tuple(ScalarBasisParams(c, s) for c in centers)
-                        )
-                    )
-        return out
+        """ConjunctiveFunction views of packed(), in its index order."""
+        return list(conjunctive_members(*self.packed()))
 
     @staticmethod
     def for_data(inputs, points_per_dim=9, steepness_levels=(1.0, 3.0, 10.0),
@@ -326,27 +319,28 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
         ridge = 0.0
     if ridge < 0:
         raise DomainError(f"ridge must be >= 0, got {ridge}")
-    cands = pool.candidates()
-    if len(cands) < n_members:
-        raise PoolError(f"pool of {len(cands)} cannot supply {n_members} members")
-    bad_dim = [f for f in cands if f.m != dataset.m]
-    if bad_dim:
+    c, a, rbf = pool.packed()
+    if pool.size < n_members:
+        raise PoolError(f"pool of {pool.size} cannot supply {n_members} members")
+    if c.shape[1] != dataset.m:
         raise PoolError("pool candidate dimension != dataset dimension")
-    m = dataset.m
     x = dataset.inputs
     if dataset.mode == Mode.DISCRETE_PAIRS:
         fixed_targets = np.hstack([np.ones((dataset.n_rows, 1)), dataset.targets])
     else:
         # constant row has zero time derivative; state rows carry dy/dt
         fixed_targets = np.hstack([np.zeros((dataset.n_rows, 1)), dataset.targets])
-    cand_cols = np.empty((dataset.n_rows, len(cands)))
-    for j, f in enumerate(cands):
-        cand_cols[:, j] = conjunctive_values(f, x)
+    # One candidate per kernel call keeps the temporaries at (rows, 1, m).
+    cand_cols = np.empty((dataset.n_rows, pool.size))
+    for j in range(pool.size):
+        cand_cols[:, j] = member_values_packed(
+            Family.AUGSILL, c[j : j + 1], a[j : j + 1], rbf[j : j + 1], x
+        )[:, 0]
 
     base = np.hstack([np.ones((dataset.n_rows, 1)), x])
     chosen = []
     trace = []
-    remaining = list(range(len(cands)))
+    remaining = list(range(pool.size))
     design = base
     for _ in range(n_members):
         best_idx, best_res = None, np.inf
@@ -363,11 +357,8 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
         design = np.hstack([design, cand_cols[:, best_idx : best_idx + 1]])
         trace.append(best_res)
 
-    members = [cands[i] for i in chosen]
-    members.sort(key=lambda f: 0 if f.kind == Kind.LOGISTIC else 1)
-    if any(f.kind == Kind.RBF for f in members):
-        d = Dictionary(Family.AUGSILL, m, tuple(members))
-    else:
-        d = Dictionary(Family.SILL, m, tuple(members))
+    keep = sorted(chosen, key=lambda i: rbf[i])  # stable: logistic members first
+    family = Family.AUGSILL if rbf[keep].any() else Family.SILL
+    d = Dictionary.from_packed(family, c[keep], a[keep], rbf[keep])
     model = fit_k(dataset, d, ridge)
     return model, trace

@@ -225,6 +225,7 @@ def test_criterion_07_empirical_bound_checks():
     print("criterion 7 PASS: sampled product means sit under the closed-form bounds")
 
 
+@pytest.mark.slow
 def test_criterion_08_dictionary_comparison(tmp_path):
     t0 = time.monotonic()
     out = tmp_path / "grid"

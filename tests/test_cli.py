@@ -1,5 +1,6 @@
 import filecmp
 import os
+import random
 
 import pytest
 
@@ -214,11 +215,107 @@ def test_malformed_data_files_exit_two(tmp_path, capsys, case, named):
     assert named in err
 
 
+# Values that no field of a data or config file accepts.
+FUZZ_TOKENS = ("abc", "", "nan", "inf", "-inf", "1e999")
+
+
+def _fuzz_ini(text, rng, mutation, corrupt_keys, drop_keys):
+    """Cut a random line before its '=' or ']', put a bad value in one key of
+    corrupt_keys, or drop a section header or one key line of drop_keys
+    (None: any key)."""
+    lines = text.splitlines(keepends=True)
+    keys = [ln.split("=", 1)[0].strip() if "=" in ln else None for ln in lines]
+    headers = [i for i, ln in enumerate(lines) if ln.startswith("[")]
+
+    def key_lines(wanted):
+        return [i for i, k in enumerate(keys)
+                if k is not None and (wanted is None or k in wanted)]
+
+    if mutation == "truncate":
+        i = rng.choice(headers + key_lines(None))
+        cut = rng.randrange(1, lines[i].index("]" if keys[i] is None else "="))
+        return "".join(lines[:i]) + lines[i][:cut]
+    if mutation == "corrupt":
+        i = rng.choice(key_lines(corrupt_keys))
+        lines[i] = f"{keys[i]} = {rng.choice(FUZZ_TOKENS)}\n"
+    else:
+        del lines[rng.choice(headers + key_lines(drop_keys))]
+    return "".join(lines)
+
+
+def _fuzz_csv(text, rng, mutation, first_row, columns):
+    """Cut a random row before its last field, put a bad value in one cell,
+    or drop one of columns from every row; rows before first_row are left
+    as they are."""
+    lines = text.splitlines(keepends=True)
+    if mutation == "truncate":
+        i = rng.randrange(first_row, len(lines))
+        return "".join(lines[:i]) + lines[i][: rng.randrange(1, lines[i].rindex(",") + 1)]
+    rows = [ln.rstrip("\n").split(",") for ln in lines]
+    col = rng.choice(columns)
+    if mutation == "corrupt":
+        rows[rng.randrange(first_row, len(rows))][col] = rng.choice(FUZZ_TOKENS)
+    else:
+        for row in rows:
+            del row[col]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def test_reader_fuzz_exits_two(tmp_path, capsys):
+    """Seeded truncation, corruption and dropped keys in every file a command
+    reads: each must exit 2 with no traceback."""
+    data, fit = tmp_path / "data", tmp_path / "fit"
+    assert simulate_small(data) == 0
+    assert run("fit", "--data", str(data), "--family", "augsill", "--n-members", "3",
+               "--out", str(fit)) == 0
+    config = tmp_path / "run.ini"
+    config.write_text("[simulate]\nsystem = duffing\nn-traj = 2\nsteps = 5\n"
+                      "dt = 0.05\nseed = 1\n")
+    evaluate = ("evaluate", "--model", str(fit / "model.ini"), "--data", str(data),
+                "--out", str(tmp_path / "eval"))
+    simulate = ("--config", str(config), "simulate", "--out", str(tmp_path / "sim"))
+    metadata_keys = {"system", "constants", "dt", "seed"}
+    artifacts = [
+        (data / "traj_0001.csv", evaluate, lambda t, r, mu: _fuzz_csv(t, r, mu, 1, (1, 2))),
+        (data / "metadata.ini", evaluate,
+         lambda t, r, mu: _fuzz_ini(t, r, mu, metadata_keys, metadata_keys)),
+        (fit / "model.ini", evaluate, lambda t, r, mu: _fuzz_ini(t, r, mu, None, None)),
+        # K is 6 x 6: the lift [1, y1, y2] plus 3 members
+        (fit / "model.k.csv", evaluate, lambda t, r, mu: _fuzz_csv(t, r, mu, 0, range(6))),
+        # A config may leave out any option, so only its section header is dropped.
+        (config, simulate, lambda t, r, mu: _fuzz_ini(t, r, mu, None, set())),
+    ]
+    rng = random.Random(0)
+    for path, argv, mutate in artifacts:
+        original = path.read_text()
+        for mutation in ("truncate", "corrupt", "drop") * 20:
+            bad = mutate(original, rng, mutation)
+            path.write_text(bad)
+            capsys.readouterr()
+            code = run(*argv)
+            err = capsys.readouterr().err
+            assert code == 2 and "Traceback" not in err, (path.name, mutation, bad, err)
+        path.write_text(original)
+
+
 def test_missing_data_dir_exits_two(tmp_path, capsys):
     code = run("fit", "--data", str(tmp_path / "nope"), "--family", "sill",
                "--out", str(tmp_path / "fit"))
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_diverging_fit_exits_three(tmp_path, capsys):
+    # Unregularized summedrbf training on the default toggle-switch data
+    # drives a steepness to 0.0 by epoch 20: a numerical failure.
+    data = tmp_path / "data"
+    assert run("simulate", "--system", "toggleswitch", "--out", str(data)) == 0
+    code = run("fit", "--data", str(data), "--family", "summedrbf", "--n-members", "20",
+               "--method", "sgd", "--ridge", "0", "--epochs", "25",
+               "--out", str(tmp_path / "fit"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical failure" in err and "Traceback" not in err
 
 
 def test_config_file_overlay(tmp_path, capsys):

@@ -100,6 +100,11 @@ def test_scalar_basis_rejects_bad_input():
         ScalarBasisParams(0.0, -2.0)
     with pytest.raises(ParameterDomainError):
         ScalarBasisParams(float("inf"), 1.0)
+    # the array constructor rejects the same parameters
+    with pytest.raises(ParameterDomainError):
+        Dictionary.from_packed(Family.SILL, [[float("nan")]], [[1.0]], [False])
+    with pytest.raises(ParameterDomainError):
+        Dictionary.from_packed(Family.SILL, [[0.0]], [[0.0]], [False])
 
 
 def test_rbf_identity_against_logistic():
@@ -445,11 +450,41 @@ def test_augsill_requires_logistic_block_first():
     Dictionary.augsill([log, rbf])  # fine
     with pytest.raises(ParameterDomainError):
         Dictionary.augsill([rbf, log])
+    with pytest.raises(ParameterDomainError):
+        Dictionary.from_packed(Family.AUGSILL, np.zeros((2, 1)), np.ones((2, 1)),
+                               [True, False])
 
 
 def test_sill_rejects_rbf_members():
     with pytest.raises(ParameterDomainError):
         Dictionary.sill([conj(Kind.RBF, [0.0], [1.0])])
+    with pytest.raises(ParameterDomainError):
+        Dictionary.from_packed(Family.SILL, np.zeros((1, 1)), np.ones((1, 1)), [True])
+
+
+@pytest.mark.parametrize("family", [Family.SILL, Family.AUGSILL, Family.SUMMED_RBF])
+def test_array_constructor_matches_members(family):
+    # random_dictionary draws these same arrays and builds member objects
+    rng = np.random.default_rng(43)
+    centers = rng.uniform(-1.5, 1.5, (5, 2))
+    steeps = rng.uniform(0.5, 3.0, (5, 2))
+    n_log = {Family.SILL: 5, Family.AUGSILL: 3, Family.SUMMED_RBF: 0}[family]
+    is_rbf = np.arange(5) >= n_log
+    by_members = random_dictionary(family, 2, 5, np.random.default_rng(43))
+    d = Dictionary.from_packed(family, centers, steeps, is_rbf)
+    assert d.members == by_members.members
+    Y = rng.uniform(-2, 2, (7, 2))
+    assert lift_many(d, Y).tobytes() == lift_many(by_members, Y).tobytes()
+    assert dictionary_to_text(d) == dictionary_to_text(by_members)
+    # The constructor copies: training updates its arrays in place after
+    # handing a dictionary to a callback.
+    centers += 1.0
+    steeps *= 2.0
+    is_rbf[:] = True
+    assert d.members == by_members.members
+    for stored in (d.centers, d.steepness, d.is_rbf):
+        with pytest.raises(ValueError):
+            stored[0] = stored[1]
 
 
 def test_dictionary_counts():

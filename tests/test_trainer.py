@@ -123,7 +123,7 @@ def test_objective_gradients_match_finite_differences():
                 ))
             return Dictionary(family, full.m, tuple(ms))
 
-        c0, a0, _ = d._packed()
+        c0, a0 = d.centers, d.steepness
         for _ in range(6):
             jj = int(rng.integers(0, 4))
             ii = int(rng.integers(0, full.m))
@@ -298,6 +298,16 @@ def test_sgd_divergence_raises():
     with pytest.raises(TrainingDivergedError):
         with np.errstate(all="ignore"):
             sgd_fit(ds, Family.SILL, 2, cfg)
+    # Unregularized summedrbf on the toggle switch: a steepness underflows to
+    # 0.0 by epoch 20 while the loss is still finite.
+    trs = simulate_ensemble(SystemSpec.default("toggleswitch"), 10, dt=0.05,
+                            steps=200, seed=0)
+    ds = build_snapshot_dataset(trs, Mode.DISCRETE_PAIRS)
+    cfg = TrainConfig(epochs=25, seed=0, ridge=0.0)
+    for callback in (None, lambda epoch, loss, model: None):
+        with pytest.raises(TrainingDivergedError):
+            with np.errstate(all="ignore"):
+                sgd_fit(ds, Family.SUMMED_RBF, 20, cfg, epoch_callback=callback)
 
 
 def test_sgd_rejects_bad_inputs():
