@@ -10,6 +10,7 @@ motivates bounded dictionaries in the first place.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,10 +25,11 @@ from .dictionaries import (
     Family,
     Kind,
     _conjunctive_values_and_weights,
+    _member_arrays,
     conjunctive_members,
-    conjunctive_values,
-    product_limit_logistic,
-    scale_steepness,
+    limit_logistic_packed,
+    member_values_packed,
+    rbf_branch_survives,
     stable_logistic,
 )
 from .errors import (
@@ -73,28 +75,28 @@ def _check_pair_kinds(pair, theta_l, theta_other):
         raise DimensionMismatchError("members have mismatched dimension")
 
 
-def _pair_errors_batch(pair, theta_l, theta_other, pts, alpha_scale):
-    """|product - steep-limit target| at every row of pts.
+def _pair_errors_batch(pair, c, a, rbf, pts, alpha_scale):
+    """|product - steep-limit target| at every row of pts for the packed
+    (2, m) pair (c, a, rbf), row 0 theta_l and row 1 theta_other.
 
     Callers must have verified the center-avoidance hypothesis already; this
     core assumes it and vectorizes freely.
     """
-    tl = scale_steepness(theta_l, alpha_scale)
-    to = scale_steepness(theta_other, alpha_scale)
-    prod = conjunctive_values(tl, pts) * conjunctive_values(to, pts)
+    a = a * alpha_scale
+    # One member per kernel call: batching the pair into one call is slower.
+    v_l, v_o = (member_values_packed(Family.AUGSILL, c[i:i + 1], a[i:i + 1],
+                                     rbf[i:i + 1], pts)[:, 0] for i in (0, 1))
     if pair == PairKind.LOG_LOG:
         # Scaling both members by the same factor commutes with the limit
         # parameters, so the target is the scaled limit member.
-        star = scale_steepness(product_limit_logistic(theta_l, theta_other), alpha_scale)
-        target = conjunctive_values(star, pts)
-    elif pair == PairKind.LOG_RBF:
-        if np.any(theta_other.centers >= theta_l.centers):
-            target = conjunctive_values(to, pts)
-        else:
-            target = 0.0
+        c_star, a_star = limit_logistic_packed(c[0], a[0], c[1], a[1])
+        target = member_values_packed(Family.SILL, c_star[None], a_star[None],
+                                      np.zeros(1, dtype=bool), pts)[:, 0]
+    elif pair == PairKind.LOG_RBF and rbf_branch_survives(c[0], c[1]):
+        target = v_o
     else:
         target = 0.0
-    return np.abs(prod - target)
+    return np.abs(v_l * v_o - target)
 
 
 def product_error(pair, y, theta_l, theta_other, alpha_scale=1.0):
@@ -114,14 +116,13 @@ def product_error(pair, y, theta_l, theta_other, alpha_scale=1.0):
         raise DimensionMismatchError(f"expected y of shape ({theta_l.m},), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ParameterDomainError("y must be finite")
-    for f in (theta_l, theta_other):
-        if np.min(np.abs(y - f.centers)) < PRODUCT_GAP_MIN:
-            raise HypothesisViolationError(
-                "evaluation point sits on a member center, which the limit "
-                "statements exclude"
-            )
-    err = _pair_errors_batch(pair, theta_l, theta_other, y[None, :], alpha_scale)
-    return float(err[0])
+    c, a, rbf = _member_arrays(Family.AUGSILL, theta_l.m, (theta_l, theta_other))
+    if np.min(np.abs(y - c)) < PRODUCT_GAP_MIN:
+        raise HypothesisViolationError(
+            "evaluation point sits on a member center, which the limit "
+            "statements exclude"
+        )
+    return float(_pair_errors_batch(pair, c, a, rbf, y[None, :], alpha_scale)[0])
 
 
 class RateFit(NamedTuple):
@@ -229,9 +230,13 @@ def sample_theorem_config(theorem, config_id, seed=0, gap=0.2) -> TheoremConfig:
     return TheoremConfig(theorem, m, config_id, *pair)
 
 
+@functools.lru_cache(maxsize=8)
 def _halton_points(m, n_points, lo=-2.5, hi=2.5):
+    """Unscrambled Halton points on the box; cached, so read-only."""
     sampler = qmc.Halton(d=m, scramble=False)
-    return lo + (hi - lo) * sampler.random(n_points)
+    pts = lo + (hi - lo) * sampler.random(n_points)
+    pts.setflags(write=False)
+    return pts
 
 
 def _filter_near_centers(pts, centers_list, gap):
@@ -252,16 +257,14 @@ def sweep_config(cfg: TheoremConfig, alpha_scales=DEFAULT_ALPHA_SCALES,
     product is within exp(-a_min * scale * gap) of its limit on the filtered
     set, and at most 2 m factors differ.
     """
-    pts = _halton_points(cfg.m, n_points)
-    pts = _filter_near_centers(
-        pts, [cfg.theta_l.centers, cfg.theta_other.centers], gap
-    )
+    c, a, rbf = _member_arrays(Family.AUGSILL, cfg.m, (cfg.theta_l, cfg.theta_other))
+    pts = _filter_near_centers(_halton_points(cfg.m, n_points), c, gap)
     if pts.shape[0] < 100:
         raise DataError("center guard bands left too few sample points")
-    a_min = float(min(cfg.theta_l.steepnesses.min(), cfg.theta_other.steepnesses.min()))
+    a_min = float(a.min())
     sups, means, bounds = [], [], []
     for s in alpha_scales:
-        errs = _pair_errors_batch(cfg.pair, cfg.theta_l, cfg.theta_other, pts, s)
+        errs = _pair_errors_batch(cfg.pair, c, a, rbf, pts, s)
         sups.append(float(errs.max()))
         means.append(float(errs.mean()))
         bounds.append(2.0 * cfg.m * math.exp(-s * a_min * gap))
@@ -387,24 +390,15 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
     products = vals * np.einsum("rm,nm->rn", field, a)
 
     c_log, a_log = c[:n_log], a[:n_log]
-    c_rbf = c[n_log:]
-    # Limit target of every logistic-logistic pair: larger center wins the
-    # dimension, larger steepness breaks ties.
-    take_l = (c_log[:, None, :] > c_log[None, :, :]) | (
-        (c_log[:, None, :] == c_log[None, :, :])
-        & (a_log[:, None, :] >= a_log[None, :, :])
-    )
-    c_star = np.where(take_l, c_log[:, None, :], c_log[None, :, :])
-    a_star = np.where(take_l, a_log[:, None, :], a_log[None, :, :])
-    lam_star = stable_logistic(
-        a_star[None, :, :, :] * (pts[:, None, None, :] - c_star[None, :, :, :])
-    )
-    limit_star = lam_star.prod(axis=3)  # (r, n_log, n_log)
-    # Logistic-RBF limit branch: the RBF survives when its center is at or
-    # above the logistic's in some dimension.
-    branch = np.any(
-        c_rbf[None, :, :] >= c_log[:, None, :], axis=2
-    )  # (n_log, n_rbf)
+    # Limit member of every logistic-logistic pair, evaluated as one packed
+    # batch of n_log^2 logistic members.
+    c_star, a_star = limit_logistic_packed(c_log[:, None], a_log[:, None],
+                                           c_log[None], a_log[None])
+    limit_star = member_values_packed(
+        Family.SILL, c_star.reshape(-1, d.m), a_star.reshape(-1, d.m),
+        np.zeros(n_log * n_log, dtype=bool), pts,
+    ).reshape(pts.shape[0], n_log, n_log)
+    branch = rbf_branch_survives(c_log[:, None], c[None, n_log:])  # (n_log, n_rbf)
     limit_h = vals_rbf[:, None, :] * branch[None, :, :]  # (r, n_log, n_rbf)
     limit_targets = np.concatenate([limit_star, limit_h], axis=2)  # (r, n_log, n)
 

@@ -126,28 +126,39 @@ def eval_conjunctive(f, y):
     y = np.asarray(y, dtype=float)
     if y.shape != (f.m,):
         raise DimensionMismatchError(f"expected y of shape ({f.m},), got {y.shape}")
-    return float(conjunctive_values(f, y[None, :])[0])
+    c, a, rbf = _member_arrays(Family.AUGSILL, f.m, (f,))
+    # Any conjunctive family selects the product form; rbf picks the factor.
+    return float(member_values_packed(Family.AUGSILL, c, a, rbf, y[None, :])[0, 0])
 
 
-def product_limit_logistic(theta_l, theta_j):
-    """Steep-limit parameters of a product of two conjunctive logistics.
+def limit_logistic_packed(c_l, a_l, c_j, a_j):
+    """Steep-limit (centers, steepness) of products of conjunctive logistics,
+    broadcast over packed arrays whose last axis is the dimension.
 
     Per dimension the larger center wins and carries its own steepness; on a
     center tie the larger steepness dominates the asymptotics and is kept.
     """
+    take_l = (c_l > c_j) | ((c_l == c_j) & (a_l >= a_j))
+    return np.where(take_l, c_l, c_j), np.where(take_l, a_l, a_j)
+
+
+def rbf_branch_survives(c_log, c_rbf):
+    """Steep-limit branch of a logistic-RBF product, broadcast over packed
+    centers (last axis the dimension): True where the RBF survives, i.e. its
+    center is at or above the logistic's in some dimension; else the limit is 0."""
+    return np.any(c_rbf >= c_log, axis=-1)
+
+
+def product_limit_logistic(theta_l, theta_j):
+    """Steep-limit member of a product of two conjunctive logistics
+    (limit_logistic_packed on one pair)."""
     if theta_l.kind != Kind.LOGISTIC or theta_j.kind != Kind.LOGISTIC:
         raise ParameterDomainError("both members must be logistic")
     if theta_l.m != theta_j.m:
         raise DimensionMismatchError("dimension mismatch between members")
-    params = []
-    for pl, pj in zip(theta_l.params, theta_j.params):
-        if pl.center > pj.center:
-            params.append(pl)
-        elif pj.center > pl.center:
-            params.append(pj)
-        else:
-            params.append(pl if pl.steepness >= pj.steepness else pj)
-    return ConjunctiveFunction(Kind.LOGISTIC, tuple(params))
+    c, a = limit_logistic_packed(theta_l.centers, theta_l.steepnesses,
+                                 theta_j.centers, theta_j.steepnesses)
+    return conjunctive_members(c[None], a[None], [False])[0]
 
 
 def h_function(y, theta_l, theta_k):
@@ -167,7 +178,7 @@ def h_function(y, theta_l, theta_k):
         raise DimensionMismatchError(
             f"expected y of shape ({theta_l.m},), got {y.shape}"
         )
-    if np.any(theta_k.centers >= theta_l.centers):
+    if rbf_branch_survives(theta_l.centers, theta_k.centers):
         return eval_conjunctive(theta_k, y)
     return 0.0
 
@@ -220,7 +231,7 @@ def _member_arrays(family, m, members):
             raise DimensionMismatchError(f"member dimension {f.m} != dictionary m {m}")
     return (np.reshape([f.centers for f in members], (-1, m)),
             np.reshape([f.steepnesses for f in members], (-1, m)),
-            [f.kind == Kind.RBF for f in members])
+            np.array([f.kind == Kind.RBF for f in members], dtype=bool))
 
 
 class Dictionary:
@@ -354,14 +365,6 @@ class Dictionary:
                                       self.is_rbf)
 
 
-def scale_steepness(f, factor):
-    """ConjunctiveFunction with all steepnesses multiplied by factor."""
-    return ConjunctiveFunction(
-        f.kind,
-        tuple(ScalarBasisParams(p.center, p.steepness * factor) for p in f.params),
-    )
-
-
 # -- evaluation ----------------------------------------------------------------
 
 
@@ -422,15 +425,6 @@ def member_values_packed(family, c, a, rbf, Y):
         return (lam * (1.0 - lam)).sum(axis=2)
     fac = np.where(rbf[None, :, None], lam * (1.0 - lam), lam)
     return fac.prod(axis=2)
-
-
-def conjunctive_values(f, Y):
-    """Values of one conjunctive member at an (r, m) point batch: (r,)."""
-    rbf = np.array([f.kind == Kind.RBF])
-    # Any conjunctive family selects the product form; rbf picks the factor.
-    return member_values_packed(
-        Family.AUGSILL, f.centers[None], f.steepnesses[None], rbf, Y
-    )[:, 0]
 
 
 def _conjunctive_values_and_weights(c, a, rbf, Y):
@@ -566,8 +560,9 @@ def _fmt_floats(values):
     return " ".join(repr(float(v)) for v in values)
 
 
-def dictionary_to_text(d):
-    """Serialize to INI-style text, round-trip exact via shortest repr."""
+def dictionary_to_ini(d):
+    """ConfigParser holding d's [dictionary] and [member j] sections; floats
+    as shortest repr, so reading it back is exact."""
     cp = configparser.ConfigParser()
     cp["dictionary"] = {
         "family": d.family.value,
@@ -586,14 +581,20 @@ def dictionary_to_text(d):
                 "centers": _fmt_floats(d.centers[j]),
                 "steepnesses": _fmt_floats(d.steepness[j]),
             }
+    return cp
+
+
+def dictionary_to_text(d):
+    """Serialize to INI-style text, round-trip exact via shortest repr."""
     buf = io.StringIO()
-    cp.write(buf)
+    dictionary_to_ini(d).write(buf)
     return buf.getvalue()
 
 
-def _dictionary_from_ini(cp, source):
-    """Dictionary from parsed dictionary_to_text INI; a missing or malformed
-    field raises DataError naming source and the field."""
+def dictionary_from_ini(cp, source):
+    """Dictionary from a parsed dictionary_to_ini INI; a missing or malformed
+    field raises DataError naming source, the file or text it came from, and
+    the field."""
 
     def field(section, key, parse):
         return ini_field(cp, section, key, parse, source)
@@ -628,7 +629,7 @@ def _dictionary_from_ini(cp, source):
 
 def dictionary_from_text(text):
     """Inverse of dictionary_to_text."""
-    return _dictionary_from_ini(parse_ini(text, "dictionary text"), "dictionary text")
+    return dictionary_from_ini(parse_ini(text, "dictionary text"), "dictionary text")
 
 
 def save_dictionary(d, path):
@@ -637,4 +638,4 @@ def save_dictionary(d, path):
 
 
 def load_dictionary(path):
-    return _dictionary_from_ini(read_ini(path), path)
+    return dictionary_from_ini(read_ini(path), path)

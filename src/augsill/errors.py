@@ -112,6 +112,14 @@ def positive_float(text):
     return value
 
 
+def positive_int(text):
+    """One integer >= 1; ValueError otherwise."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not >= 1")
+    return value
+
+
 def ini_field(cp, section, key, parse, path):
     """parse() of one field of a parsed INI file; a missing section or field,
     or a value parse() rejects, raises DataError naming the file and field."""

@@ -9,7 +9,6 @@ rule through the dictionary Jacobian.
 
 from __future__ import annotations
 
-import configparser
 import csv
 import os
 import warnings
@@ -20,11 +19,11 @@ from scipy.linalg import expm
 
 from .dictionaries import (
     Dictionary,
-    dictionary_to_text,
+    dictionary_from_ini,
+    dictionary_to_ini,
     lift,
     lift_jacobian_many,
     lift_many,
-    load_dictionary,
 )
 from .errors import (
     DataError,
@@ -220,8 +219,7 @@ def _k_csv_path(model_path):
 def save_model(model, path):
     """Write the model as INI text beside a row-major CSV of K."""
     k_path = _k_csv_path(path)
-    cp = configparser.ConfigParser()
-    cp.read_string(dictionary_to_text(model.dictionary))
+    cp = dictionary_to_ini(model.dictionary)
     cp["model"] = {
         "mode": model.mode.value,
         "dt": repr(float(model.dt)),
@@ -236,8 +234,8 @@ def save_model(model, path):
 
 
 def load_model(path):
-    d = load_dictionary(path)
     cp = read_ini(path)
+    d = dictionary_from_ini(cp, path)
     k_file = ini_field(cp, "model", "k_file", str, path)
     mode = ini_field(cp, "model", "mode", Mode, path)
     dt = ini_field(cp, "model", "dt", positive_float, path)

@@ -25,6 +25,7 @@ from .errors import (
     finite_floats,
     ini_field,
     positive_float,
+    positive_int,
     read_ini,
 )
 
@@ -350,12 +351,19 @@ def read_ensemble(data_dir):
     s = SystemSpec(field("system", SystemId), field("constants", finite_floats))
     dt = field("dt", positive_float)
     seed = field("seed", int)
+    steps, n_traj = field("steps", positive_int), field("trajectories", positive_int)
     names = sorted(
         f for f in os.listdir(data_dir)
         if f.startswith("traj_") and f.endswith(".csv")
     )
     if not names:
         raise ConfigError(f"no trajectory files under {data_dir}")
-    return [
-        trajectory_from_csv(os.path.join(data_dir, f), s, dt, seed) for f in names
-    ]
+    if len(names) != n_traj:
+        raise DataError(f"{meta_path}: trajectories = {n_traj}, but {data_dir} "
+                        f"holds {len(names)} traj_*.csv files")
+    trajs = [trajectory_from_csv(os.path.join(data_dir, f), s, dt, seed) for f in names]
+    for f, tr in zip(names, trajs):
+        if len(tr) != steps + 1:
+            raise DataError(f"{os.path.join(data_dir, f)}: {len(tr)} rows, but "
+                            f"{meta_path} has steps = {steps}, so {steps + 1} rows")
+    return trajs

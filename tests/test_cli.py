@@ -174,6 +174,9 @@ def _prepend_stray_line(path):
     ("trajectory_nan", "traj_0000.csv"),
     ("metadata_constants", "constants"),
     ("metadata_header", "metadata.ini"),
+    ("metadata_steps", "steps"),
+    ("trajectory_missing", "trajectories"),
+    ("trajectory_short", "traj_0000.csv"),
     ("model_k_file", "k_file"),
     ("model_k_entry", "model.k.csv"),
     ("model_header", "model.ini"),
@@ -196,6 +199,13 @@ def test_malformed_data_files_exit_two(tmp_path, capsys, case, named):
         _drop_line(data / "metadata.ini", "constants")
     elif case == "metadata_header":
         _prepend_stray_line(data / "metadata.ini")
+    elif case == "metadata_steps":
+        _replace_line(data / "metadata.ini", "steps", "steps = abc")
+    elif case == "trajectory_missing":
+        (data / "traj_0002.csv").unlink()
+    elif case == "trajectory_short":
+        lines = (data / "traj_0000.csv").read_text().splitlines(keepends=True)
+        (data / "traj_0000.csv").write_text("".join(lines[:-1]))
     elif case == "model_k_file":
         _drop_line(fit / "model.ini", "k_file")
     elif case == "model_header":
@@ -274,7 +284,7 @@ def test_reader_fuzz_exits_two(tmp_path, capsys):
     evaluate = ("evaluate", "--model", str(fit / "model.ini"), "--data", str(data),
                 "--out", str(tmp_path / "eval"))
     simulate = ("--config", str(config), "simulate", "--out", str(tmp_path / "sim"))
-    metadata_keys = {"system", "constants", "dt", "seed"}
+    metadata_keys = {"system", "constants", "dt", "seed", "steps", "trajectories"}
     artifacts = [
         (data / "traj_0001.csv", evaluate, lambda t, r, mu: _fuzz_csv(t, r, mu, 1, (1, 2))),
         (data / "metadata.ini", evaluate,

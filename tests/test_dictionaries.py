@@ -9,6 +9,7 @@ from augsill.dictionaries import (
     Family,
     Kind,
     ScalarBasisParams,
+    conjunctive_members,
     dictionary_from_text,
     dictionary_to_text,
     eval_conjunctive,
@@ -18,10 +19,12 @@ from augsill.dictionaries import (
     lift_jacobian,
     lift_jacobian_many,
     lift_many,
+    limit_logistic_packed,
     load_dictionary,
     param_gradients,
     polynomial_multi_indices,
     product_limit_logistic,
+    rbf_branch_survives,
     save_dictionary,
     stable_logistic,
     stable_rbf,
@@ -248,6 +251,46 @@ def test_h_function_branches():
     log02 = conj(Kind.LOGISTIC, [0.0, 2.0], [1.0, 1.0])
     y = np.array([0.7, 0.2])
     assert h_function(y, log02, rbf11) == eval_conjunctive(rbf11, y)
+
+
+def test_packed_limit_rules_match_member_forms():
+    # Centers on a half-integer grid, so many pairs tie in some dimension.
+    rng = np.random.default_rng(4)
+    c = rng.integers(-2, 3, (8, 3)) / 2.0
+    a = rng.choice([0.5, 1.0, 2.0], size=c.shape)
+    members = conjunctive_members(c, a, [False] * 8)
+    # Every ordered pair at once, broadcast the way lie_closure_error does.
+    c_star, a_star = limit_logistic_packed(c[:, None], a[:, None], c[None], a[None])
+    ties = 0
+    for i, fl in enumerate(members):
+        for j, fj in enumerate(members):
+            # Per dimension: the larger center wins, a tie keeps the steeper.
+            want = tuple(pl if (pl.center, pl.steepness) >= (pj.center, pj.steepness) else pj
+                         for pl, pj in zip(fl.params, fj.params))
+            star = product_limit_logistic(fl, fj)
+            assert star.params == want
+            assert c_star[i, j].tolist() == star.centers.tolist()
+            assert a_star[i, j].tolist() == star.steepnesses.tolist()
+            ties += i != j and bool(np.any(fl.centers == fj.centers))
+    assert ties > 0
+    # The branch rule against h_function, on the points and members of
+    # test_h_function_branches and every cross pairing of them.
+    cases = [
+        (conj(Kind.LOGISTIC, [0.0, 0.0], [1.0, 1.0]), conj(Kind.RBF, [1.0, 1.0], [1.0, 1.0]),
+         np.array([1.0, 1.0])),
+        (conj(Kind.LOGISTIC, [1.0, 1.0], [1.0, 1.0]), conj(Kind.RBF, [0.0, 0.0], [1.0, 1.0]),
+         np.array([5.0, -3.0])),
+        (conj(Kind.LOGISTIC, [0.0, 2.0], [1.0, 1.0]), conj(Kind.RBF, [1.0, 1.0], [1.0, 1.0]),
+         np.array([0.7, 0.2])),
+    ]
+    c_log = np.array([fl.centers for fl, _, _ in cases])
+    c_rbf = np.array([fk.centers for _, fk, _ in cases])
+    survives = rbf_branch_survives(c_log[:, None], c_rbf[None])
+    assert survives.diagonal().tolist() == [True, False, True]
+    for i, (fl, _, y) in enumerate(cases):
+        for k, (_, fk, _) in enumerate(cases):
+            assert rbf_branch_survives(fl.centers, fk.centers) == survives[i, k]
+            assert survives[i, k] == (h_function(y, fl, fk) != 0.0)
 
 
 def test_h_function_validates_kinds():
