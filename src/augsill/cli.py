@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import ctypes
+import dataclasses
+import functools
 import glob
 import os
 import sys
@@ -33,7 +35,7 @@ from .closure import (
 )
 from .errors import ConfigError, DomainError, NumericalError
 from .expectation import expectation_table, write_expectation_csv
-from .dictionaries import Family, Kind
+from .dictionaries import POLYNOMIAL_FAMILIES, TRAINABLE_FAMILIES, Family, Kind
 from .solver import (
     dmd_baseline,
     fit_k,
@@ -68,6 +70,8 @@ _PURSUIT_KINDS = {
     Family.SILL: (Kind.LOGISTIC,),
     Family.AUGSILL: (Kind.LOGISTIC, Kind.RBF),
 }
+# Families each fit method can train; lstsq fits every family.
+_METHOD_FAMILIES = {"sgd": TRAINABLE_FAMILIES, "pursuit": tuple(_PURSUIT_KINDS)}
 _SYSTEM_NAMES = tuple(s.value for s in SystemId)
 
 
@@ -141,9 +145,12 @@ def _cmd_simulate(args):
 
 def _cmd_fit(args):
     family = Family(args.family)
-    if args.method == "pursuit" and family not in _PURSUIT_KINDS:
+    allowed = _METHOD_FAMILIES.get(args.method)
+    if allowed is not None and family not in allowed:
+        names = [f.value for f in allowed]
         raise UsageError(
-            f"--method pursuit needs --family sill or augsill, not {family.value}"
+            f"--method {args.method} needs --family {', '.join(names[:-1])} or "
+            f"{names[-1]}, not {family.value}"
         )
     trajs = read_ensemble(args.data)
     dataset = build_snapshot_dataset(trajs, Mode(args.mode))
@@ -162,10 +169,7 @@ def _cmd_fit(args):
             epochs=args.epochs,
             batch_size=args.batch_size,
             learning_rate=args.lr,
-            lr_decay=args.lr_decay,
             seed=args.seed,
-            refit_k_every=args.refit_every,
-            descend_k=args.descend_k,
             ridge=args.ridge,
         )
         rows = []
@@ -279,26 +283,19 @@ def _cmd_expectation(args):
     return 0
 
 
-def _compare_cell(payload):
-    """One grid cell: simulate, fit, evaluate. Pure and picklable."""
-    (system, family, n_members, seed, n_traj, dt, steps,
-     epochs, batch_size, lr, refit_every, n_steps) = payload
-    spec = SystemSpec(SystemId(system))
-    train = simulate_ensemble(spec, n_traj, dt, steps, seed=2 * seed)
-    holdout = simulate_ensemble(spec, n_traj, dt, steps, seed=2 * seed + 1)
-    dataset = build_snapshot_dataset(train, Mode.DISCRETE_PAIRS)
+def _compare_cell(cfg, n_steps, cell):
+    """One grid cell: fit on the training pairs, score on the holdout
+    trajectories. cfg holds the run-wide SGD options; the cell's seed
+    replaces cfg.seed. Pure and picklable."""
+    system, family, n_members, seed, dataset, holdout = cell
     if family == "dmd":
         model = dmd_baseline(dataset)
-        n_col = 0
+    elif Family(family) in POLYNOMIAL_FAMILIES:
+        model = fit_k(dataset, initial_dictionary(dataset, family, n_members))
     else:
-        cfg = TrainConfig(
-            epochs=epochs, batch_size=batch_size, learning_rate=lr,
-            seed=seed, refit_k_every=refit_every,
-        )
-        model, _ = sgd_fit(dataset, Family(family), n_members, cfg)
-        n_col = n_members
+        model, _ = sgd_fit(dataset, family, n_members, dataclasses.replace(cfg, seed=seed))
     err = n_step_error(model, holdout, n_steps)
-    return [system, family, str(n_col), str(n_steps), _r(err), str(seed)]
+    return [system, family, str(n_members), str(n_steps), _r(err), str(seed)]
 
 
 # Thread-count setters of the OpenBLAS builds bundled with numpy and scipy
@@ -342,27 +339,29 @@ def _cmd_compare(args):
     for f in families:
         if f not in _FAMILY_NAMES:
             raise ConfigError(f"unknown dictionary family {f!r}")
+    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr)
     _emit_config(args)
     cells = []
     for system in systems:
+        spec = SystemSpec(SystemId(system))
+        data = {}  # seed -> (training pairs, holdout trajectories)
+        for seed in args.seeds:
+            train, holdout = (simulate_ensemble(spec, args.n_traj, args.dt, args.steps, s)
+                              for s in (2 * seed, 2 * seed + 1))
+            data[seed] = (build_snapshot_dataset(train, Mode.DISCRETE_PAIRS), holdout)
         for n_members in args.dims:
             for family in families:
                 for seed in args.seeds:
-                    cells.append((system, family, n_members, seed,
-                                  args.n_traj, args.dt, args.steps, args.epochs,
-                                  args.batch_size, args.lr, args.refit_every,
-                                  args.n_steps))
+                    cells.append((system, family, n_members, seed, *data[seed]))
         for seed in args.seeds:
-            cells.append((system, "dmd", 0, seed,
-                          args.n_traj, args.dt, args.steps, args.epochs,
-                          args.batch_size, args.lr, args.refit_every,
-                          args.n_steps))
+            cells.append((system, "dmd", 0, seed, *data[seed]))
+    run_cell = functools.partial(_compare_cell, cfg, args.n_steps)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers,
                                  initializer=_one_blas_thread) as pool:
-            rows = list(pool.map(_compare_cell, cells))
+            rows = list(pool.map(run_cell, cells))
     else:
-        rows = [_compare_cell(c) for c in cells]
+        rows = [run_cell(c) for c in cells]
     path = os.path.join(args.out, "summary.csv")
     write_csv(path, ["system", "dictionary", "N", "n_steps", "error", "seed"], rows)
     print(f"compare: wrote {len(rows)} rows to {path}")
@@ -404,9 +403,6 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--lr-decay", type=float, default=0.999)
-    p.add_argument("--refit-every", type=int, default=10)
-    p.add_argument("--descend-k", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pool-points", type=int, default=9)
     p.add_argument("--pool-steepness", type=_float_list, default=(1.0, 3.0, 10.0))
@@ -458,7 +454,6 @@ def build_parser():
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--refit-every", type=int, default=10)
     p.add_argument("--n-steps", type=int, default=5)
     p.add_argument("--workers", type=int, default=1)
     _add_out(p)
@@ -471,7 +466,9 @@ def build_parser():
 def _overlay_config(argv, sub_map):
     """Apply config-file values as subcommand defaults before parsing.
 
-    Explicit command-line flags still win because they override defaults.
+    Explicit command-line flags still win because they override defaults. A
+    key in the subcommand's section that names none of its options is a
+    ConfigError.
     """
     cfg_path, command = None, None
     i = 0
@@ -500,6 +497,11 @@ def _overlay_config(argv, sub_map):
         return
     section = cp[command]
     parser = sub_map[command]
+    known = {k for a in parser._actions for k in (a.dest, a.dest.replace("_", "-"))}
+    # Keys inherited from [DEFAULT] may belong to other subcommands.
+    stale = sorted(set(section) - set(cp.defaults()) - known)
+    if stale:
+        raise ConfigError(f"{cfg_path}: [{command}] sets unknown option {', '.join(stale)}")
     for action in parser._actions:
         for key in (action.dest, action.dest.replace("_", "-")):
             if key in section:

@@ -361,6 +361,8 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != d.m:
         raise DimensionMismatchError(f"sample points must have shape (r, {d.m})")
+    if len(pts) == 0:
+        raise DataError("the sample set is empty: closure gaps need at least one point")
     if not np.all(np.isfinite(pts)):
         raise ParameterDomainError("sample points must be finite")
     n = d.n_members

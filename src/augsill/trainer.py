@@ -1,12 +1,12 @@
 """Dictionary learning: minibatch SGD over member parameters, and greedy
 matching pursuit over a fixed candidate pool.
 
-SGD is one epoch loop for every family. Minibatch gradient steps move the
-centers/steepnesses (plus K itself when asked); every cfg.refit_k_every
+SGD trains the shaped families (sill, augsill, summedrbf) in one epoch loop.
+Minibatch gradient steps move the centers/steepnesses; every REFIT_K_EVERY
 epochs K is replaced by the closed-form least-squares solve, which is exact
 because the inner problem is linear given the shapes. Each epoch lifts the
-full data once and uses that one lift for the refit and for the epoch loss;
-polynomial families have no shapes, so their lift is computed once.
+full data once and uses that one lift for the refit and for the epoch loss.
+Polynomial families have no shapes to train: fit them with solver.fit_k.
 Steepness is parameterized as exp(u) with u unconstrained; gradients chain
 through the exponential. Both algorithms are deterministic under a fixed
 seed. Training operates on discrete snapshot pairs; continuous-mode fitting
@@ -25,6 +25,7 @@ from .dictionaries import (
     Family,
     Kind,
     POLYNOMIAL_FAMILIES,
+    TRAINABLE_FAMILIES,
     assemble_lift,
     conjunctive_members,
     lift_many,
@@ -32,9 +33,20 @@ from .dictionaries import (
     member_values_packed,
     polynomial_multi_indices,
 )
-from .errors import DomainError, ParameterDomainError, PoolError, TrainingDivergedError
+from .errors import (
+    DomainError,
+    ParameterDomainError,
+    PoolError,
+    TrainingDivergedError,
+    UnsupportedFamilyError,
+)
 from .solver import KoopmanModel, fit_k, ridge_lstsq, solve_k
 from .systems import Mode
+
+# Per-epoch learning-rate factor and the epoch cadence of the closed-form K
+# refit in sgd_fit.
+LR_DECAY = 0.999
+REFIT_K_EVERY = 10
 
 
 @dataclass
@@ -42,19 +54,14 @@ class TrainConfig:
     epochs: int = 1000
     batch_size: int = 32
     learning_rate: float = 1e-2
-    lr_decay: float = 0.999
     seed: int = 0
-    refit_k_every: int = 10
-    descend_k: bool = False
     ridge: float = None  # forwarded to the closed-form refits
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.refit_k_every < 1:
-            raise ParameterDomainError("epochs, batch_size, refit_k_every must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ParameterDomainError("epochs and batch_size must be >= 1")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ParameterDomainError(f"bad learning rate {self.learning_rate}")
-        if not (0 < self.lr_decay <= 1):
-            raise ParameterDomainError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
 
 
 @dataclass
@@ -148,18 +155,15 @@ def initial_dictionary(dataset, family, n_members, seed=0):
 def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
     """Learn dictionary parameters by minibatch SGD with periodic K refits.
 
-    Centers initialize uniformly over the data's per-dimension range,
-    log-steepness uniformly in [log 0.5, log 3]. For AugSILL the member
-    budget splits ceil(n/2) logistic members first, then RBF members. K
-    starts as the closed-form solve on the initial lift. Each epoch runs
-    minibatch gradient steps on the member parameters (plus K itself when
-    cfg.descend_k), lifts the full data once, replaces K by the closed-form
-    solve on that lift every cfg.refit_k_every epochs, and scores the epoch
-    loss on the same lift.
-
-    Polynomial families carry no shape parameters: their multi-indices are
-    fixed, so without cfg.descend_k training is the closed-form fit alone
-    (history is constant); with it, the steps move K only.
+    Trains sill, augsill and summedrbf; any other family raises
+    UnsupportedFamilyError. Centers initialize uniformly over the data's
+    per-dimension range, log-steepness uniformly in [log 0.5, log 3]. For
+    AugSILL the member budget splits ceil(n/2) logistic members first, then
+    RBF members. K starts as the closed-form solve on the initial lift. Each
+    epoch runs minibatch gradient steps on the member parameters, lifts the
+    full data once, replaces K by the closed-form solve on that lift every
+    REFIT_K_EVERY epochs, and scores the epoch loss on the same lift. The
+    learning rate shrinks by LR_DECAY after every epoch.
 
     Returns (model, loss_history) with one full-dataset loss per epoch;
     epoch_callback(epoch, loss, model), when given, runs after each epoch.
@@ -173,17 +177,16 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
         raise DomainError("need n_members >= 1")
     dataset.check_finite()
     family = Family(family)
-    poly = family in POLYNOMIAL_FAMILIES
+    if family not in TRAINABLE_FAMILIES:
+        raise UnsupportedFamilyError(
+            f"sgd trains sill, augsill or summedrbf, not {family.value}; "
+            "fit fixed dictionaries with solver.fit_k"
+        )
     x_in, x_out = dataset.inputs, dataset.targets
     rng = np.random.default_rng(cfg.seed)
-    if poly:
-        d = Dictionary(family, dataset.m, polynomial_multi_indices(dataset.m, n_members))
-    else:
-        centers, log_steep, rbf_mask = _init_shape_params(dataset, family, n_members, rng)
+    centers, log_steep, rbf_mask = _init_shape_params(dataset, family, n_members, rng)
 
     def lifted_pair():
-        if poly:
-            return lift_many(d, x_in), lift_many(d, x_out)
         steep = np.exp(log_steep)
         return tuple(
             assemble_lift(x, member_values_packed(family, centers, steep, rbf_mask, x))
@@ -191,20 +194,11 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
         )
 
     def model(k):
-        dd = d if poly else Dictionary.from_packed(family, centers, np.exp(log_steep), rbf_mask)
-        return KoopmanModel(dd, k, dataset.mode, dataset.dt)
+        d = Dictionary.from_packed(family, centers, np.exp(log_steep), rbf_mask)
+        return KoopmanModel(d, k, dataset.mode, dataset.dt)
 
     psi_in, psi_out = lifted_pair()
     k = solve_k(psi_in, psi_out, cfg.ridge)
-    if poly and not cfg.descend_k:
-        # Nothing moves: every epoch would refit the same K on the same lift.
-        _, loss = _residual(psi_in, psi_out, k)
-        fitted = model(k)
-        if epoch_callback is not None:
-            for epoch in range(cfg.epochs):
-                epoch_callback(epoch, loss, fitted)
-        return fitted, [loss] * cfg.epochs
-
     r = dataset.n_rows
     lr = cfg.learning_rate
     history = []
@@ -212,25 +206,18 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
         order = rng.permutation(r)
         for start in range(0, r, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            if poly:
-                res, _ = _residual(psi_in[idx], psi_out[idx], k)
-                d_k = (-2.0 / len(idx)) * (res.T @ psi_in[idx])
-            else:
-                steep = np.exp(log_steep)
-                _, d_k, g_c, g_a = _loss_and_grads_packed(
-                    family, centers, steep, rbf_mask, k, x_in[idx], x_out[idx]
-                )
-                centers -= lr * g_c
-                log_steep -= lr * (g_a * steep)  # chain rule through exp
-            if cfg.descend_k:
-                k -= lr * d_k
-        if not poly:
             steep = np.exp(log_steep)
-            if not (np.isfinite(centers).all() and (np.isfinite(steep) & (steep > 0)).all()):
-                raise TrainingDivergedError(f"centers or steepnesses left their domain at "
-                                            f"epoch {epoch}", last_finite_epoch=epoch - 1)
-            psi_in, psi_out = lifted_pair()
-        if (epoch + 1) % cfg.refit_k_every == 0:
+            _, _, g_c, g_a = _loss_and_grads_packed(
+                family, centers, steep, rbf_mask, k, x_in[idx], x_out[idx]
+            )
+            centers -= lr * g_c
+            log_steep -= lr * (g_a * steep)  # chain rule through exp
+        steep = np.exp(log_steep)
+        if not (np.isfinite(centers).all() and (np.isfinite(steep) & (steep > 0)).all()):
+            raise TrainingDivergedError(f"centers or steepnesses left their domain at "
+                                        f"epoch {epoch}", last_finite_epoch=epoch - 1)
+        psi_in, psi_out = lifted_pair()
+        if (epoch + 1) % REFIT_K_EVERY == 0:
             k = solve_k(psi_in, psi_out, cfg.ridge)
         _, loss = _residual(psi_in, psi_out, k)
         if not np.isfinite(loss):
@@ -241,7 +228,7 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
         history.append(loss)
         if epoch_callback is not None:
             epoch_callback(epoch, loss, model(k))
-        lr *= cfg.lr_decay
+        lr *= LR_DECAY
     return model(k), history
 
 

@@ -140,6 +140,21 @@ def test_fit_pursuit_follows_family(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_fit_sgd_rejects_polynomial_families(tmp_path, capsys):
+    # Polynomial dictionaries have no shapes for SGD to train; --method lstsq
+    # fits them.
+    data = tmp_path / "data"
+    assert simulate_small(data) == 0
+    for family in ("legendre", "hermite"):
+        out = tmp_path / family
+        capsys.readouterr()
+        assert run("fit", "--data", str(data), "--family", family, "--n-members", "3",
+                   "--method", "sgd", "--epochs", "2", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+        assert not (out / "model.ini").exists()
+
+
 def _drop_line(path, prefix):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(ln for ln in lines if not ln.startswith(prefix)))
@@ -346,6 +361,7 @@ def test_config_file_overlay(tmp_path, capsys):
         ("header", "stray line\n[simulate]\nsystem = duffing\n", "header.ini"),
         ("value", "[simulate]\nsystem = duffing\nsteps = five\n", "steps"),
         ("choice", "[simulate]\nsystem = nosuch\n", "system"),
+        ("stale", "[simulate]\nsystem = duffing\nrefit-every = 5\n", "refit-every"),
     ):
         bad = tmp_path / f"{case}.ini"
         bad.write_text(text)
@@ -353,6 +369,11 @@ def test_config_file_overlay(tmp_path, capsys):
         assert run("--config", str(bad), "simulate", "--out", str(tmp_path / case)) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and f"{case}.ini" in err and named in err
+    # Keys in [DEFAULT] may serve other subcommands, so they are not checked.
+    shared = tmp_path / "shared.ini"
+    shared.write_text("[DEFAULT]\nepochs = 5\n[simulate]\nsystem = duffing\nsteps = 25\n")
+    assert run("--config", str(shared), "simulate", "--n-traj", "2",
+               "--out", str(tmp_path / "d")) == 0
 
 
 def test_closure_artifacts(tmp_path):
@@ -382,17 +403,23 @@ def test_expectation_artifact(tmp_path):
 
 
 def test_compare_grid_row_count(tmp_path):
-    out = tmp_path / "cmp"
-    assert run(
-        "compare", "--systems", "vanderpol", "--families", "sill,legendre",
-        "--dims", "3", "--seeds", "0,1", "--epochs", "3", "--n-traj", "2",
-        "--steps", "20", "--out", str(out)
-    ) == 0
-    lines = (out / "summary.csv").read_text().strip().split("\n")
+    def compare(workers):
+        out = tmp_path / f"cmp{workers}"
+        assert run(
+            "compare", "--systems", "vanderpol", "--families", "sill,legendre",
+            "--dims", "3", "--seeds", "0,1", "--epochs", "3", "--n-traj", "2",
+            "--steps", "20", "--workers", workers, "--out", str(out)
+        ) == 0
+        return (out / "summary.csv").read_bytes()
+
+    summary = compare("1")
+    lines = summary.decode().splitlines()
     assert lines[0] == "system,dictionary,N,n_steps,error,seed"
     # 1 system x 1 dim x 2 families x 2 seeds, plus 2 dmd rows
     assert len(lines) == 1 + 4 + 2
     assert sum(1 for r in lines[1:] if r.split(",")[1] == "dmd") == 2
+    # Pool workers get the parent's simulated ensembles inside each cell.
+    assert compare("2") == summary
 
 
 def test_reruns_are_bitwise_identical(tmp_path):

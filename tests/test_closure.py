@@ -297,6 +297,8 @@ def test_lie_closure_input_validation():
     poly = Dictionary.legendre(2, 3)
     with pytest.raises(UnsupportedFamilyError):
         lie_closure_error(poly, np.zeros((2, 3)), pts)
+    with pytest.raises(DataError, match="empty"):
+        lie_closure_error(d, w, np.empty((0, d.m)))
 
 
 # -- closed-form bounds ----------------------------------------------------------------

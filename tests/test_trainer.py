@@ -7,8 +7,6 @@ from augsill.dictionaries import (
     Family,
     Kind,
     ScalarBasisParams,
-    lift_many,
-    polynomial_multi_indices,
     stable_logistic,
 )
 from augsill.errors import (
@@ -17,6 +15,7 @@ from augsill.errors import (
     ParameterDomainError,
     PoolError,
     TrainingDivergedError,
+    UnsupportedFamilyError,
 )
 from augsill.solver import dmd_baseline, fit_k, frobenius_residual, n_step_error
 from augsill.systems import (
@@ -152,10 +151,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ParameterDomainError):
         TrainConfig(learning_rate=-1.0)
-    with pytest.raises(ParameterDomainError):
-        TrainConfig(lr_decay=0.0)
-    with pytest.raises(ParameterDomainError):
-        TrainConfig(lr_decay=1.5)
 
 
 def test_sgd_static_data_stays_at_zero():
@@ -212,59 +207,19 @@ def test_initial_dictionary_layout():
     assert dp.members == ((0, 2), (1, 1), (2, 0), (0, 3))
 
 
-def test_sgd_polynomial_family_is_closed_form():
-    ds = vdp_dataset()
-    model, history = sgd_fit(ds, Family.LEGENDRE, 4, TrainConfig(epochs=7, seed=0))
-    direct = fit_k(ds, initial_dictionary(ds, Family.LEGENDRE, 4))
-    np.testing.assert_array_equal(model.K, direct.K)
-    assert len(set(history)) == 1 and len(history) == 7
-
-
-def _descend_k_reference(ds, family, n_members, cfg):
-    """The former K-only SGD loop for a fixed polynomial dictionary, kept as
-    the reference for sgd_fit with descend_k on a polynomial family."""
-    rng = np.random.default_rng(cfg.seed)
-    d = Dictionary(family, ds.m, polynomial_multi_indices(ds.m, n_members))
-    k = fit_k(ds, d, cfg.ridge).K
-    psi_in = lift_many(d, ds.inputs)
-    psi_out = lift_many(d, ds.targets)
-    r = ds.n_rows
-    lr = cfg.learning_rate
-    history = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(r)
-        for start in range(0, r, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            res = psi_out[idx] - psi_in[idx] @ k.T
-            k -= lr * (-2.0 / len(idx)) * (res.T @ psi_in[idx])
-        if (epoch + 1) % cfg.refit_k_every == 0:
-            k = fit_k(ds, d, cfg.ridge).K
-        res = psi_out - psi_in @ k.T
-        history.append(float(np.sum(res * res)) / r)
-        lr *= cfg.lr_decay
-    return k, history
-
-
-def test_sgd_polynomial_descend_k_matches_reference():
-    # 240 rows in batches of 32 leave a last batch of 16: with power-of-two
-    # batch sizes, (lr * -2/b) * G and lr * (-2/b * G) round identically.
-    ds = vdp_dataset()
-    assert ds.n_rows == 240
-    cfg = TrainConfig(epochs=12, seed=3, learning_rate=1e-4, refit_k_every=5,
-                      descend_k=True)
-    model, history = sgd_fit(ds, Family.LEGENDRE, 6, cfg)
-    k_ref, history_ref = _descend_k_reference(ds, Family.LEGENDRE, 6, cfg)
-    assert model.K.tobytes() == k_ref.tobytes()
-    assert history == history_ref
-    # the last two epochs follow the epoch-10 refit, so K has really moved
-    assert not np.array_equal(model.K, fit_k(ds, model.dictionary).K)
+def test_sgd_rejects_polynomial_families():
+    # Fixed polynomial dictionaries have nothing to train: fit_k fits them.
+    ds = vdp_dataset(n_traj=2, steps=10)
+    for family in (Family.LEGENDRE, Family.HERMITE):
+        with pytest.raises(UnsupportedFamilyError):
+            sgd_fit(ds, family, 4, TrainConfig(epochs=2))
 
 
 def test_sgd_returns_refit_k():
-    # with epochs a multiple of refit_k_every, the returned K is the
+    # with epochs a multiple of REFIT_K_EVERY, the returned K is the
     # closed-form fit over the returned dictionary, bit for bit
     ds = vdp_dataset()
-    cfg = TrainConfig(epochs=10, seed=1, refit_k_every=5)
+    cfg = TrainConfig(epochs=10, seed=1)
     for family in (Family.SILL, Family.AUGSILL, Family.SUMMED_RBF):
         model, _ = sgd_fit(ds, family, 5, cfg)
         direct = fit_k(ds, model.dictionary, cfg.ridge)
@@ -294,7 +249,7 @@ def test_sgd_epoch_callback_cadence():
 
 def test_sgd_divergence_raises():
     ds = vdp_dataset(n_traj=2, steps=20)
-    cfg = TrainConfig(epochs=3, seed=0, learning_rate=1e6, descend_k=True)
+    cfg = TrainConfig(epochs=3, seed=0, learning_rate=1e6)
     with pytest.raises(TrainingDivergedError):
         with np.errstate(all="ignore"):
             sgd_fit(ds, Family.SILL, 2, cfg)
