@@ -188,9 +188,7 @@ def _cmd_fit(args):
         pool = PursuitPool.for_data(
             dataset.inputs, args.pool_points, args.pool_steepness, _PURSUIT_KINDS[family]
         )
-        model, trace = matching_pursuit_fit(
-            dataset, pool, args.n_members, args.ridge if args.ridge else 0.0
-        )
+        model, trace = matching_pursuit_fit(dataset, pool, args.n_members, args.ridge)
         write_csv(log_path, ["step", "objective"],
                   [[str(i), _r(v)] for i, v in enumerate(trace)])
     else:

@@ -8,9 +8,15 @@ because the inner problem is linear given the shapes. Each epoch lifts the
 full data once and uses that one lift for the refit and for the epoch loss.
 Polynomial families have no shapes to train: fit them with solver.fit_k.
 Steepness is parameterized as exp(u) with u unconstrained; gradients chain
-through the exponential. Both algorithms are deterministic under a fixed
-seed. Training operates on discrete snapshot pairs; continuous-mode fitting
-stays in the closed-form solver.
+through the exponential. Training operates on discrete snapshot pairs;
+continuous-mode fitting stays in the closed-form solver.
+
+Matching pursuit grows a dictionary from the [1, y] base one candidate per
+round. It ranks all candidates at once by a projection score, a lower bound
+on each candidate's refit residual, and solves directly only the candidates
+whose bound can still beat the best direct residual, so it picks what
+refitting every candidate would. Both algorithms are deterministic under a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -48,6 +54,12 @@ from .systems import Mode
 LR_DECAY = 0.999
 REFIT_K_EVERY = 10
 
+# Matching pursuit: relative slack between projection bounds and direct-solve
+# residuals, and the candidate rows deflated per in-place block (bounds the
+# temporaries to (PURSUIT_BLOCK, rows) floats).
+PURSUIT_RTOL = 1e-9
+PURSUIT_BLOCK = 64
+
 
 @dataclass
 class TrainConfig:
@@ -81,16 +93,14 @@ def _residual(psi_in, psi_out, k):
     return res, float(np.sum(res * res)) / len(res)
 
 
-def _loss_and_grads_packed(family, c, a, rbf, k, x_in, x_out):
-    """Batch loss plus gradients w.r.t. K and every center and raw
-    steepness, all from packed parameter arrays."""
+def _shape_grads_packed(family, c, a, rbf, k, x_in, x_out):
+    """Gradients of the batch loss w.r.t. every center and raw steepness,
+    from packed parameter arrays."""
     m = x_in.shape[1]
     b = x_in.shape[0]
     v_in, s_in = member_sensitivities_packed(family, c, a, rbf, x_in)
     v_out, s_out = member_sensitivities_packed(family, c, a, rbf, x_out)
-    psi_in = assemble_lift(x_in, v_in)
-    res, loss = _residual(psi_in, assemble_lift(x_out, v_out), k)
-    d_k = (-2.0 / b) * (res.T @ psi_in)
+    res = assemble_lift(x_out, v_out) - assemble_lift(x_in, v_in) @ k.T
     # Member j feeds lifted column q = 1+m+j of both liftings; the chain rule
     # pulls res through the output lift directly and through K on the input.
     res_nl = res[:, 1 + m :]
@@ -104,7 +114,7 @@ def _loss_and_grads_packed(family, c, a, rbf, k, x_in, x_out):
         np.einsum("tj,tji->ji", res_nl, (x_out[:, None, :] - c[None]) * s_out)
         - np.einsum("tj,tji->ji", back_nl, (x_in[:, None, :] - c[None]) * s_in)
     )
-    return loss, d_k, g_center, g_steep
+    return g_center, g_steep
 
 
 def objective_and_gradient(model, batch):
@@ -113,14 +123,14 @@ def objective_and_gradient(model, batch):
     if batch.mode != Mode.DISCRETE_PAIRS:
         raise DomainError("training objective is defined on discrete pairs")
     d = model.dictionary
-    if d.family in POLYNOMIAL_FAMILIES:
-        psi_in = lift_many(d, batch.inputs)
-        res, loss = _residual(psi_in, lift_many(d, batch.targets), model.K)
-        return loss, GradientBundle(d_k=(-2.0 / batch.n_rows) * (res.T @ psi_in))
-    loss, d_k, g_c, g_a = _loss_and_grads_packed(
-        d.family, d.centers, d.steepness, d.is_rbf, model.K, batch.inputs, batch.targets
-    )
-    return loss, GradientBundle(d_k=d_k, d_center=g_c, d_steepness=g_a)
+    psi_in = lift_many(d, batch.inputs)
+    res, loss = _residual(psi_in, lift_many(d, batch.targets), model.K)
+    grads = GradientBundle(d_k=(-2.0 / batch.n_rows) * (res.T @ psi_in))
+    if d.family not in POLYNOMIAL_FAMILIES:
+        grads.d_center, grads.d_steepness = _shape_grads_packed(
+            d.family, d.centers, d.steepness, d.is_rbf, model.K, batch.inputs, batch.targets
+        )
+    return loss, grads
 
 
 def _init_shape_params(dataset, family, n_members, rng):
@@ -207,7 +217,7 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
         for start in range(0, r, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             steep = np.exp(log_steep)
-            _, _, g_c, g_a = _loss_and_grads_packed(
+            g_c, g_a = _shape_grads_packed(
                 family, centers, steep, rbf_mask, k, x_in[idx], x_out[idx]
             )
             centers -= lr * g_c
@@ -290,17 +300,44 @@ class PursuitPool:
                            steepness_levels=steepness_levels)
 
 
+def _deflate(rows, basis):
+    """Remove the span of basis's orthonormal columns from every row of the
+    (n, r) array rows, in place, PURSUIT_BLOCK rows at a time."""
+    for start in range(0, len(rows), PURSUIT_BLOCK):
+        block = rows[start : start + PURSUIT_BLOCK]
+        block -= (block @ basis) @ basis.T
+
+
 def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
     """Greedy dictionary growth from the [1, y] base.
 
-    Each round refits the measurement-propagation regression for every
-    remaining candidate appended to the current dictionary and keeps the one
-    with the smallest residual (ties break to the lowest pool index). The
-    recorded objective is the sum of squared residuals over the constant and
-    state rows -- the block every candidate competes on -- which a closed-form
-    refit can only shrink as columns are added, so the trace is monotone at
-    ridge=0. Returns (model, trace) with one residual per addition; the model
-    is the full closed-form fit over the final dictionary.
+    Each round appends to the current dictionary the candidate whose
+    closed-form refit of the measurement-propagation regression leaves the
+    smallest residual (ties break to the lowest pool index). The residual is
+    the sum of squared errors over the constant and state rows -- the block
+    every candidate competes on -- which a refit can only shrink as columns
+    are added, so the trace is monotone at ridge=0.
+
+    Candidates are ranked by projection, as in orthogonal matching pursuit:
+    with R the targets' residual against the current design and c_perp a
+    candidate's values with that design projected out, ||R||^2 -
+    ||R^T c_perp||^2 / ||c_perp||^2 is the unregularized least-squares
+    residual of the enlarged design. Ridge shrinkage and lstsq's rcond
+    truncation can only raise a residual above that, so the score is a lower
+    bound on the residual of the direct solve for every ridge >= 0. The
+    direct solve (ridge_lstsq on the enlarged design, the same call for
+    every ridge) is then run on candidates in order of increasing bound until
+    the next bound exceeds the best direct residual by more than a rounding
+    slack, and the smallest direct residual wins. A bound near the top of
+    the order can belong to a column lstsq truncates, or to one a large
+    ridge shrinks; the direct solve then scores it higher and the next
+    candidates get their turn. Winners, tie-breaking and the recorded
+    residuals are therefore those of solving every candidate directly, and
+    each trace entry is the winner's direct-solve residual.
+
+    Returns (model, trace) with one residual per addition; the model is the
+    full closed-form fit over the final dictionary, at the given ridge (None
+    means 0.0).
     """
     if ridge is None:
         ridge = 0.0
@@ -317,32 +354,61 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
     else:
         # constant row has zero time derivative; state rows carry dy/dt
         fixed_targets = np.hstack([np.zeros((dataset.n_rows, 1)), dataset.targets])
-    # One candidate per kernel call keeps the temporaries at (rows, 1, m).
-    cand_cols = np.empty((dataset.n_rows, pool.size))
-    for j in range(pool.size):
-        cand_cols[:, j] = member_values_packed(
+
+    def values(j):
+        # One candidate per kernel call keeps the temporaries at (rows, 1, m).
+        return member_values_packed(
             Family.AUGSILL, c[j : j + 1], a[j : j + 1], rbf[j : j + 1], x
         )[:, 0]
 
-    base = np.hstack([np.ones((dataset.n_rows, 1)), x])
+    # cand[j] holds candidate j's values, deflated against the design so far.
+    cand = np.empty((pool.size, dataset.n_rows))
+    for j in range(pool.size):
+        cand[j] = values(j)
+    design = np.hstack([np.ones((dataset.n_rows, 1)), x])
+    basis = np.linalg.qr(design)[0]
+    _deflate(cand, basis)
+    floor = np.finfo(float).eps * float(np.sum(fixed_targets**2))
+
     chosen = []
     trace = []
-    remaining = list(range(pool.size))
-    design = base
     for _ in range(n_members):
-        best_idx, best_res = None, np.inf
+        resid = fixed_targets - basis @ (basis.T @ fixed_targets)
+        total = float(np.sum(resid * resid))
+        proj = cand @ resid
+        norm2 = np.einsum("jr,jr->j", cand, cand)
+        bound = total - np.einsum("jk,jk->j", proj, proj) / np.where(norm2 > 0, norm2, np.inf)
+        bound[chosen] = np.inf
+        # Projection and direct solves round differently; the slack keeps
+        # every candidate that may tie or beat the best direct residual. The
+        # eps-scale floor covers targets that [1, y] already fits, where every
+        # residual is rounding noise.
+        slack = PURSUIT_RTOL * total + floor
+
+        best_res, best_idx = np.inf, pool.size
         trial = np.empty((dataset.n_rows, design.shape[1] + 1))
         trial[:, :-1] = design
-        for idx in remaining:
-            trial[:, -1] = cand_cols[:, idx]
+        # chosen candidates carry infinite bounds and sort last
+        for idx in np.argsort(bound, kind="stable")[: pool.size - len(chosen)]:
+            if bound[idx] > best_res + slack:
+                break
+            trial[:, -1] = values(idx)
             w, _ = ridge_lstsq(trial, fixed_targets, ridge)
             res = float(np.sum((fixed_targets - trial @ w) ** 2))
-            if res < best_res:
-                best_res, best_idx = res, idx
+            if (res, idx) < (best_res, best_idx):
+                best_res, best_idx = res, int(idx)
         chosen.append(best_idx)
-        remaining.remove(best_idx)
-        design = np.hstack([design, cand_cols[:, best_idx : best_idx + 1]])
         trace.append(best_res)
+        col = values(best_idx)
+        design = np.hstack([design, col[:, None]])
+        # Two Gram-Schmidt passes keep the basis orthonormal to rounding.
+        for _ in range(2):
+            col -= basis @ (basis.T @ col)
+        norm = np.linalg.norm(col)
+        if norm > 0:
+            u = (col / norm)[:, None]
+            _deflate(cand, u)
+            basis = np.hstack([basis, u])
 
     keep = sorted(chosen, key=lambda i: rbf[i])  # stable: logistic members first
     family = Family.AUGSILL if rbf[keep].any() else Family.SILL

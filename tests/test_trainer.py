@@ -7,6 +7,7 @@ from augsill.dictionaries import (
     Family,
     Kind,
     ScalarBasisParams,
+    member_values_packed,
     stable_logistic,
 )
 from augsill.errors import (
@@ -17,7 +18,13 @@ from augsill.errors import (
     TrainingDivergedError,
     UnsupportedFamilyError,
 )
-from augsill.solver import dmd_baseline, fit_k, frobenius_residual, n_step_error
+from augsill.solver import (
+    dmd_baseline,
+    fit_k,
+    frobenius_residual,
+    n_step_error,
+    ridge_lstsq,
+)
 from augsill.systems import (
     Mode,
     SnapshotDataset,
@@ -346,6 +353,88 @@ def test_pursuit_recovers_planted_member():
     assert member.params[0].center == 0.0
     assert member.params[0].steepness == 5.0
     assert trace[0] < 1e-20
+
+
+def _direct_pursuit(dataset, pool, n_members, ridge):
+    """Reference: the per-candidate loop, one direct ridge_lstsq solve per
+    remaining candidate per round. Returns (model, trace, chosen)."""
+    c, a, rbf = pool.packed()
+    x = dataset.inputs
+    first = np.ones if dataset.mode == Mode.DISCRETE_PAIRS else np.zeros
+    targets = np.hstack([first((dataset.n_rows, 1)), dataset.targets])
+    cand_cols = np.empty((dataset.n_rows, pool.size))
+    for j in range(pool.size):
+        cand_cols[:, j] = member_values_packed(
+            Family.AUGSILL, c[j : j + 1], a[j : j + 1], rbf[j : j + 1], x
+        )[:, 0]
+    design = np.hstack([np.ones((dataset.n_rows, 1)), x])
+    chosen, trace, remaining = [], [], list(range(pool.size))
+    for _ in range(n_members):
+        best_idx, best_res = None, np.inf
+        trial = np.empty((dataset.n_rows, design.shape[1] + 1))
+        trial[:, :-1] = design
+        for idx in remaining:
+            trial[:, -1] = cand_cols[:, idx]
+            w, _ = ridge_lstsq(trial, targets, ridge)
+            res = float(np.sum((targets - trial @ w) ** 2))
+            if res < best_res:
+                best_res, best_idx = res, idx
+        chosen.append(best_idx)
+        remaining.remove(best_idx)
+        design = np.hstack([design, cand_cols[:, best_idx : best_idx + 1]])
+        trace.append(best_res)
+    keep = sorted(chosen, key=lambda i: rbf[i])
+    family = Family.AUGSILL if rbf[keep].any() else Family.SILL
+    d = Dictionary.from_packed(family, c[keep], a[keep], rbf[keep])
+    return fit_k(dataset, d, ridge), trace, chosen
+
+
+def test_pursuit_matches_direct_scoring():
+    trs = simulate_ensemble(SystemSpec.default("vanderpol"), 4, dt=0.05,
+                            steps=40, seed=3)
+    discrete = build_snapshot_dataset(trs, Mode.DISCRETE_PAIRS)
+    continuous = build_snapshot_dataset(trs, Mode.CONTINUOUS_DERIVATIVES)
+    pool = PursuitPool.for_data(discrete.inputs, points_per_dim=4,
+                                steepness_levels=(1.0, 3.0))
+    # repeated steepness level: every candidate has an exact twin to tie with
+    twins = PursuitPool.for_data(discrete.inputs, points_per_dim=3,
+                                 steepness_levels=(2.0, 2.0, 10.0))
+    # The candidates centred at 5 are about e^-90 on the data: non-zero, but
+    # below lstsq's rcond cutoff. Their direction matches the e^{30(y-2)}
+    # part of the target, so projection alone would rank them first.
+    y = np.random.default_rng(21).uniform(-2.0, 2.0, (400, 1))
+    edge = SnapshotDataset(Mode.CONTINUOUS_DERIVATIVES, y,
+                           -stable_logistic(5.0 * y) + 20.0 * np.exp(30.0 * (y - 2.0)),
+                           0.05)
+    edge_pool = PursuitPool(kinds=(Kind.LOGISTIC, Kind.RBF),
+                            center_grids=(np.array([-2.0, 0.0, 2.0, 5.0]),),
+                            steepness_levels=(1.0, 30.0))
+    # [1, y] fits these targets exactly: every residual is rounding noise
+    exact = static_dataset()
+    cases = ((discrete, pool, 6), (continuous, pool, 6), (discrete, twins, 6),
+             (edge, edge_pool, 3), (exact, PursuitPool.for_data(exact.inputs, 3), 4))
+    for ds, p, n in cases:
+        for ridge in (0.0, 1e-3, 1.0):
+            model, trace = matching_pursuit_fit(ds, p, n, ridge)
+            ref, ref_trace, _ = _direct_pursuit(ds, p, n, ridge)
+            assert trace == ref_trace
+            assert model.K.tobytes() == ref.K.tobytes()
+            got, want = model.dictionary, ref.dictionary
+            assert np.array_equal(got.centers, want.centers)
+            assert np.array_equal(got.steepness, want.steepness)
+            assert np.array_equal(got.is_rbf, want.is_rbf)
+
+    # a bare projection argmin picks a truncated candidate the solve rejects
+    c, a, rbf = edge_pool.packed()
+    vals = member_values_packed(Family.AUGSILL, c, a, rbf, y)
+    targets = np.hstack([np.zeros((400, 1)), edge.targets])
+    q = np.linalg.qr(np.hstack([np.ones((400, 1)), y]))[0]
+    resid = targets - q @ (q.T @ targets)
+    perp = vals - q @ (q.T @ vals)
+    score = np.sum(resid**2) - np.sum((perp.T @ resid) ** 2, axis=1) / np.sum(perp**2, axis=0)
+    front = int(np.argmin(score))
+    assert c[front, 0] == 5.0
+    assert front != _direct_pursuit(edge, edge_pool, 1, 0.0)[2][0]
 
 
 def test_pursuit_trace_monotone():
