@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import ctypes
 import dataclasses
 import functools
@@ -111,11 +112,12 @@ def _fmt_value(v):
     return str(v)
 
 
-def _emit_config(args):
-    """Write the effective option set beside the command's outputs."""
+def _emit_config(args, unused=()):
+    """Write the effective option set beside the command's outputs, leaving
+    out the dests in unused (options the run did not read)."""
     os.makedirs(args.out, exist_ok=True)
     cp = configparser.ConfigParser()
-    skip = {"func", "config", "command"}
+    skip = {"func", "config", "command", *unused}
     cp[args.command] = {
         k: _fmt_value(v)
         for k, v in sorted(vars(args).items())
@@ -154,7 +156,7 @@ def _cmd_fit(args):
         )
     trajs = read_ensemble(args.data)
     dataset = build_snapshot_dataset(trajs, Mode(args.mode))
-    _emit_config(args)
+    _emit_config(args, _foreign_fit_options(args.method))
     log_path = os.path.join(args.out, "training_log.csv")
     model_path = os.path.join(args.out, "model.ini")
 
@@ -339,27 +341,28 @@ def _cmd_compare(args):
             raise ConfigError(f"unknown dictionary family {f!r}")
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr)
     _emit_config(args)
-    cells = []
-    for system in systems:
-        spec = SystemSpec(SystemId(system))
-        data = {}  # seed -> (training pairs, holdout trajectories)
-        for seed in args.seeds:
-            train, holdout = (simulate_ensemble(spec, args.n_traj, args.dt, args.steps, s)
-                              for s in (2 * seed, 2 * seed + 1))
-            data[seed] = (build_snapshot_dataset(train, Mode.DISCRETE_PAIRS), holdout)
-        for n_members in args.dims:
-            for family in families:
-                for seed in args.seeds:
-                    cells.append((system, family, n_members, seed, *data[seed]))
-        for seed in args.seeds:
-            cells.append((system, "dmd", 0, seed, *data[seed]))
-    run_cell = functools.partial(_compare_cell, cfg, args.n_steps)
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers,
-                                 initializer=_one_blas_thread) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
+    # Each (system, seed) has a training ensemble at seed 2*seed and a holdout
+    # ensemble at 2*seed+1, simulated once and shared by the system's cells.
+    sims = [(SystemSpec(SystemId(system)), args.n_traj, args.dt, args.steps, s)
+            for system in systems for seed in args.seeds for s in (2 * seed, 2 * seed + 1)]
+    pool = (ProcessPoolExecutor(max_workers=args.workers, initializer=_one_blas_thread)
+            if args.workers > 1 else None)
+    pmap = pool.map if pool is not None else map
+    with pool or contextlib.nullcontext():
+        ensembles = pmap(simulate_ensemble, *zip(*sims))
+        cells = []
+        for system in systems:
+            data = {}  # seed -> (training pairs, holdout trajectories)
+            for seed in args.seeds:
+                train, holdout = next(ensembles), next(ensembles)
+                data[seed] = (build_snapshot_dataset(train, Mode.DISCRETE_PAIRS), holdout)
+            for n_members in args.dims:
+                for family in families:
+                    for seed in args.seeds:
+                        cells.append((system, family, n_members, seed, *data[seed]))
+            for seed in args.seeds:
+                cells.append((system, "dmd", 0, seed, *data[seed]))
+        rows = list(pmap(functools.partial(_compare_cell, cfg, args.n_steps), cells))
     path = os.path.join(args.out, "summary.csv")
     write_csv(path, ["system", "dictionary", "N", "n_steps", "error", "seed"], rows)
     print(f"compare: wrote {len(rows)} rows to {path}")
@@ -466,7 +469,8 @@ def _overlay_config(argv, sub_map):
 
     Explicit command-line flags still win because they override defaults. A
     key in the subcommand's section that names none of its options is a
-    ConfigError.
+    ConfigError. Returns the dests that the subcommand's own section sets
+    (keys inherited from [DEFAULT] alone do not count).
     """
     cfg_path, command = None, None
     i = 0
@@ -484,7 +488,7 @@ def _overlay_config(argv, sub_map):
             command = tok
         i += 1
     if cfg_path is None:
-        return
+        return set()
     cp = configparser.ConfigParser()
     try:
         if not cp.read(cfg_path):
@@ -492,14 +496,16 @@ def _overlay_config(argv, sub_map):
     except configparser.Error as exc:
         raise ConfigError(f"{cfg_path}: not a valid INI file: {exc}") from None
     if command is None or command not in sub_map or command not in cp:
-        return
+        return set()
     section = cp[command]
     parser = sub_map[command]
     known = {k for a in parser._actions for k in (a.dest, a.dest.replace("_", "-"))}
     # Keys inherited from [DEFAULT] may belong to other subcommands.
-    stale = sorted(set(section) - set(cp.defaults()) - known)
+    own = set(section) - set(cp.defaults())
+    stale = sorted(own - known)
     if stale:
         raise ConfigError(f"{cfg_path}: [{command}] sets unknown option {', '.join(stale)}")
+    given = set()
     for action in parser._actions:
         for key in (action.dest, action.dest.replace("_", "-")):
             if key in section:
@@ -521,17 +527,47 @@ def _overlay_config(argv, sub_map):
                         f"{', '.join(map(str, action.choices))}"
                     )
                 action.required = False
+                if key in own:
+                    given.add(action.dest)
                 break
+    return given
+
+
+def _flags_given(parser, sub, argv):
+    """Dests of the options argv sets explicitly: parse it again with every
+    default of the subcommand suppressed, so that only those reach the
+    namespace. Leaves sub's defaults suppressed."""
+    for action in sub._actions:
+        action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _foreign_fit_options(method):
+    """{dest: method} of the fit options that only another method reads."""
+    owners = {"epochs": "sgd", "batch_size": "sgd", "lr": "sgd",
+              "pool_points": "pursuit", "pool_steepness": "pursuit"}
+    return {dest: owner for dest, owner in owners.items() if owner != method}
+
+
+def _reject_foreign_fit_options(args, given):
+    """Giving fit an option that its method does not read is a usage error."""
+    for dest, owner in _foreign_fit_options(args.method).items():
+        if dest in given:
+            raise UsageError(f"--{dest.replace('_', '-')} applies only to "
+                             f"--method {owner}, not --method {args.method}")
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, sub_map = build_parser()
     try:
-        _overlay_config(argv, sub_map)
+        from_file = _overlay_config(argv, sub_map)
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
             raise UsageError("a subcommand is required (see --help)")
+        if args.command == "fit":
+            _reject_foreign_fit_options(
+                args, from_file | _flags_given(parser, sub_map["fit"], argv))
         return args.func(args) or 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

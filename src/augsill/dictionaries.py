@@ -423,17 +423,31 @@ def member_values_packed(family, c, a, rbf, Y):
     lam = stable_logistic(a[None] * (Y[:, None, :] - c[None]))
     if family == Family.SUMMED_RBF:
         return (lam * (1.0 - lam)).sum(axis=2)
-    fac = np.where(rbf[None, :, None], lam * (1.0 - lam), lam)
-    return fac.prod(axis=2)
+    if rbf.any():
+        lam = np.where(rbf[None, :, None], lam * (1.0 - lam), lam)
+    return _product_over_dims(lam)
+
+
+def _product_over_dims(fac):
+    """fac.prod(axis=2) of (r, N, m) factors as one multiply per dimension:
+    the reduction's left-to-right order, so the same bits, without its
+    per-element overhead on a last axis of length m."""
+    out = fac[:, :, 0].copy()
+    for i in range(1, fac.shape[2]):
+        out *= fac[:, :, i]
+    return out
 
 
 def _conjunctive_values_and_weights(c, a, rbf, Y):
     """Conjunctive member values (r, N) and the per-factor weights w
     (r, N, m): 1 - lam for logistic rows, 1 - 2 lam for RBF rows."""
     lam = stable_logistic(a[None] * (Y[:, None, :] - c[None]))
-    fac = np.where(rbf[None, :, None], lam * (1.0 - lam), lam)
-    w = np.where(rbf[None, :, None], 1.0 - 2.0 * lam, 1.0 - lam)
-    return fac.prod(axis=2), w
+    comp = 1.0 - lam
+    if not rbf.any():
+        return _product_over_dims(lam), comp
+    mask = rbf[None, :, None]
+    fac = np.where(mask, lam * comp, lam)
+    return _product_over_dims(fac), np.where(mask, 1.0 - 2.0 * lam, comp)
 
 
 def member_sensitivities_packed(family, c, a, rbf, Y):

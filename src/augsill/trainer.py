@@ -2,10 +2,13 @@
 matching pursuit over a fixed candidate pool.
 
 SGD trains the shaped families (sill, augsill, summedrbf) in one epoch loop.
-Minibatch gradient steps move the centers/steepnesses; every REFIT_K_EVERY
+Minibatch gradient steps move the centers/steepnesses, with one member-kernel
+call per minibatch on its inputs and targets stacked; every REFIT_K_EVERY
 epochs K is replaced by the closed-form least-squares solve, which is exact
-because the inner problem is linear given the shapes. Each epoch lifts the
-full data once and uses that one lift for the refit and for the epoch loss.
+because the inner problem is linear given the shapes. Each epoch evaluates
+the members once per distinct state of the data (a trajectory ensemble's
+targets are mostly its inputs one step on) and uses that one lift for the
+refit and for the epoch loss.
 Polynomial families have no shapes to train: fit them with solver.fit_k.
 Steepness is parameterized as exp(u) with u unconstrained; gradients chain
 through the exponential. Training operates on discrete snapshot pairs;
@@ -95,24 +98,30 @@ def _residual(psi_in, psi_out, k):
 
 def _shape_grads_packed(family, c, a, rbf, k, x_in, x_out):
     """Gradients of the batch loss w.r.t. every center and raw steepness,
-    from packed parameter arrays."""
-    m = x_in.shape[1]
-    b = x_in.shape[0]
-    v_in, s_in = member_sensitivities_packed(family, c, a, rbf, x_in)
-    v_out, s_out = member_sensitivities_packed(family, c, a, rbf, x_out)
-    res = assemble_lift(x_out, v_out) - assemble_lift(x_in, v_in) @ k.T
+    from packed parameter arrays.
+
+    Inputs and targets go through the member kernel as one stacked batch;
+    every step is elementwise or reduces over the member axis only, so the
+    halves carry the bits of two separate calls."""
+    b, m = x_in.shape
+    x = np.vstack([x_in, x_out])
+    v, s = member_sensitivities_packed(family, c, a, rbf, x)
+    psi = assemble_lift(x, v)
+    res = psi[b:] - psi[:b] @ k.T
     # Member j feeds lifted column q = 1+m+j of both liftings; the chain rule
     # pulls res through the output lift directly and through K on the input.
     res_nl = res[:, 1 + m :]
     back_nl = (res @ k)[:, 1 + m :]
     # d/dmu = -a*S, d/dalpha = (y - c)*S  (see member_sensitivities_packed)
+    d_mu = -a[None] * s
+    d_alpha = (x[:, None, :] - c[None]) * s
     g_center = (2.0 / b) * (
-        np.einsum("tj,tji->ji", res_nl, -a[None] * s_out)
-        - np.einsum("tj,tji->ji", back_nl, -a[None] * s_in)
+        np.einsum("tj,tji->ji", res_nl, d_mu[b:])
+        - np.einsum("tj,tji->ji", back_nl, d_mu[:b])
     )
     g_steep = (2.0 / b) * (
-        np.einsum("tj,tji->ji", res_nl, (x_out[:, None, :] - c[None]) * s_out)
-        - np.einsum("tj,tji->ji", back_nl, (x_in[:, None, :] - c[None]) * s_in)
+        np.einsum("tj,tji->ji", res_nl, d_alpha[b:])
+        - np.einsum("tj,tji->ji", back_nl, d_alpha[:b])
     )
     return g_center, g_steep
 
@@ -171,9 +180,10 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
     AugSILL the member budget splits ceil(n/2) logistic members first, then
     RBF members. K starts as the closed-form solve on the initial lift. Each
     epoch runs minibatch gradient steps on the member parameters, lifts the
-    full data once, replaces K by the closed-form solve on that lift every
-    REFIT_K_EVERY epochs, and scores the epoch loss on the same lift. The
-    learning rate shrinks by LR_DECAY after every epoch.
+    data once (the distinct states among inputs and targets go through the
+    member kernel once), replaces K by the closed-form solve on that lift
+    every REFIT_K_EVERY epochs, and scores the epoch loss on the same lift.
+    The learning rate shrinks by LR_DECAY after every epoch.
 
     Returns (model, loss_history) with one full-dataset loss per epoch;
     epoch_callback(epoch, loss, model), when given, runs after each epoch.
@@ -193,15 +203,19 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
             "fit fixed dictionaries with solver.fit_k"
         )
     x_in, x_out = dataset.inputs, dataset.targets
+    r = dataset.n_rows
     rng = np.random.default_rng(cfg.seed)
     centers, log_steep, rbf_mask = _init_shape_params(dataset, family, n_members, rng)
+    # In a trajectory ensemble the targets are the inputs one step on, so the
+    # two sets share most rows: evaluate the members once per distinct state.
+    # Member values depend on a row's values alone (0.0 and -0.0 give the
+    # same ones); the lifts take their y columns from the original rows.
+    states, where = np.unique(np.vstack([x_in, x_out]), axis=0, return_inverse=True)
 
     def lifted_pair():
-        steep = np.exp(log_steep)
-        return tuple(
-            assemble_lift(x, member_values_packed(family, centers, steep, rbf_mask, x))
-            for x in (x_in, x_out)
-        )
+        vals = member_values_packed(family, centers, np.exp(log_steep), rbf_mask, states)
+        vals = vals[where]
+        return assemble_lift(x_in, vals[:r]), assemble_lift(x_out, vals[r:])
 
     def model(k):
         d = Dictionary.from_packed(family, centers, np.exp(log_steep), rbf_mask)
@@ -209,7 +223,6 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
 
     psi_in, psi_out = lifted_pair()
     k = solve_k(psi_in, psi_out, cfg.ridge)
-    r = dataset.n_rows
     lr = cfg.learning_rate
     history = []
     for epoch in range(cfg.epochs):
@@ -343,6 +356,7 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
         ridge = 0.0
     if ridge < 0:
         raise DomainError(f"ridge must be >= 0, got {ridge}")
+    dataset.check_finite()
     c, a, rbf = pool.packed()
     if pool.size < n_members:
         raise PoolError(f"pool of {pool.size} cannot supply {n_members} members")

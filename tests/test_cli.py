@@ -155,6 +155,41 @@ def test_fit_sgd_rejects_polynomial_families(tmp_path, capsys):
         assert not (out / "model.ini").exists()
 
 
+def test_fit_rejects_options_of_other_methods(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert simulate_small(data) == 0
+    fit = ("fit", "--data", str(data), "--family", "sill", "--n-members", "2")
+    cases = (("lstsq", "--epochs", "5"), ("lstsq", "--batch-size", "8"),
+             ("lstsq", "--lr", "0.1"), ("pursuit", "--epochs", "5"),
+             ("pursuit", "--lr", "0.1"), ("lstsq", "--pool-points", "3"),
+             ("sgd", "--pool-steepness", "1,5"))
+    for i, (method, flag, value) in enumerate(cases):
+        key = flag[2:]
+        config = tmp_path / f"run{i}.ini"
+        config.write_text(f"[fit]\nmethod = {method}\n{key} = {value}\n")
+        for route, argv in (
+            ("flag", (*fit, "--method", method, flag, value)),
+            ("file", ("--config", str(config), *fit)),
+        ):
+            out = tmp_path / f"{route}{i}"
+            capsys.readouterr()
+            assert run(*argv, "--out", str(out)) == 1, (route, method, flag)
+            err = capsys.readouterr().err
+            assert "usage error" in err and flag in err and "Traceback" not in err
+            assert not out.exists()
+    # An option inherited from [DEFAULT] is not given to fit.
+    shared = tmp_path / "shared.ini"
+    shared.write_text("[DEFAULT]\nepochs = 5\n[fit]\nmethod = lstsq\n")
+    out = tmp_path / "shared"
+    assert run("--config", str(shared), *fit, "--out", str(out)) == 0
+    # The echo of a fit leaves out what its method does not read, so it reruns.
+    echo = (out / "effective_config.ini").read_text()
+    assert "epochs" not in echo and "pool_points" not in echo
+    assert run("--config", str(out / "effective_config.ini"), "fit",
+               "--out", str(tmp_path / "rerun")) == 0
+    assert filecmp.cmp(out / "model.k.csv", tmp_path / "rerun" / "model.k.csv", shallow=False)
+
+
 def _drop_line(path, prefix):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(ln for ln in lines if not ln.startswith(prefix)))
@@ -418,7 +453,7 @@ def test_compare_grid_row_count(tmp_path):
     # 1 system x 1 dim x 2 families x 2 seeds, plus 2 dmd rows
     assert len(lines) == 1 + 4 + 2
     assert sum(1 for r in lines[1:] if r.split(",")[1] == "dmd") == 2
-    # Pool workers get the parent's simulated ensembles inside each cell.
+    # With a pool, the workers simulate the ensembles and run the cells.
     assert compare("2") == summary
 
 

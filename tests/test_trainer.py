@@ -7,6 +7,8 @@ from augsill.dictionaries import (
     Family,
     Kind,
     ScalarBasisParams,
+    assemble_lift,
+    member_sensitivities_packed,
     member_values_packed,
     stable_logistic,
 )
@@ -24,6 +26,7 @@ from augsill.solver import (
     frobenius_residual,
     n_step_error,
     ridge_lstsq,
+    solve_k,
 )
 from augsill.systems import (
     Mode,
@@ -33,8 +36,11 @@ from augsill.systems import (
     simulate_ensemble,
 )
 from augsill.trainer import (
+    LR_DECAY,
+    REFIT_K_EVERY,
     PursuitPool,
     TrainConfig,
+    _init_shape_params,
     initial_dictionary,
     matching_pursuit_fit,
     objective_and_gradient,
@@ -243,6 +249,84 @@ def test_sgd_rejects_non_finite_data():
             sgd_fit(bad, family, 3, TrainConfig(epochs=2))
         with pytest.raises(DataError):
             initial_dictionary(bad, family, 3)
+
+
+def _two_call_shape_grads(family, c, a, rbf, k, x_in, x_out):
+    """Reference: the shape gradients from one kernel call on the inputs and
+    one on the targets."""
+    b, m = x_in.shape
+    v_in, s_in = member_sensitivities_packed(family, c, a, rbf, x_in)
+    v_out, s_out = member_sensitivities_packed(family, c, a, rbf, x_out)
+    res = assemble_lift(x_out, v_out) - assemble_lift(x_in, v_in) @ k.T
+    res_nl = res[:, 1 + m :]
+    back_nl = (res @ k)[:, 1 + m :]
+    g_center = (2.0 / b) * (
+        np.einsum("tj,tji->ji", res_nl, -a[None] * s_out)
+        - np.einsum("tj,tji->ji", back_nl, -a[None] * s_in)
+    )
+    g_steep = (2.0 / b) * (
+        np.einsum("tj,tji->ji", res_nl, (x_out[:, None, :] - c[None]) * s_out)
+        - np.einsum("tj,tji->ji", back_nl, (x_in[:, None, :] - c[None]) * s_in)
+    )
+    return g_center, g_steep
+
+
+def _pairwise_sgd(dataset, family, n_members, cfg):
+    """Reference: the SGD loop with two kernel calls per minibatch and the
+    inputs and targets lifted separately every epoch. Returns (K, history,
+    centers, steepness)."""
+    x_in, x_out = dataset.inputs, dataset.targets
+    rng = np.random.default_rng(cfg.seed)
+    centers, log_steep, rbf = _init_shape_params(dataset, family, n_members, rng)
+
+    def lifted_pair():
+        steep = np.exp(log_steep)
+        return tuple(assemble_lift(x, member_values_packed(family, centers, steep, rbf, x))
+                     for x in (x_in, x_out))
+
+    psi_in, psi_out = lifted_pair()
+    k = solve_k(psi_in, psi_out, cfg.ridge)
+    lr, history = cfg.learning_rate, []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(dataset.n_rows)
+        for start in range(0, dataset.n_rows, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            steep = np.exp(log_steep)
+            g_c, g_a = _two_call_shape_grads(family, centers, steep, rbf, k,
+                                             x_in[idx], x_out[idx])
+            centers -= lr * g_c
+            log_steep -= lr * (g_a * steep)
+        psi_in, psi_out = lifted_pair()
+        if (epoch + 1) % REFIT_K_EVERY == 0:
+            k = solve_k(psi_in, psi_out, cfg.ridge)
+        res = psi_out - psi_in @ k.T
+        history.append(float(np.sum(res * res)) / len(res))
+        lr *= LR_DECAY
+    return k, history, centers, np.exp(log_steep)
+
+
+def test_sgd_matches_pairwise_reference():
+    # Trajectory pairs: the targets are mostly the inputs one step on.
+    trajectory = vdp_dataset(n_traj=3, steps=30)
+    # Pairs whose targets share no row with the inputs.
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.0, 1.0, (70, 2))
+    disjoint = SnapshotDataset(Mode.DISCRETE_PAIRS, x, 0.9 * x + 0.05 * np.sin(3.0 * x), 0.1)
+    assert not (disjoint.inputs[:, None, :] == disjoint.targets[None]).all(axis=2).any()
+    # Repeated rows, and 0.0 and -0.0 in the same coordinate.
+    y = np.repeat(rng.uniform(-1.0, 1.0, (20, 2)), 3, axis=0)
+    y[::4, 0] = 0.0
+    y[1::4, 0] = -0.0
+    repeated = SnapshotDataset(Mode.DISCRETE_PAIRS, y, np.roll(y, 5, axis=0) * 0.8, 0.1)
+    cfg = TrainConfig(epochs=2 * REFIT_K_EVERY + 1, batch_size=16, learning_rate=0.05, seed=3)
+    for ds in (trajectory, disjoint, repeated):
+        for family in (Family.SILL, Family.AUGSILL, Family.SUMMED_RBF):
+            model, history = sgd_fit(ds, family, 5, cfg)
+            k, ref_history, centers, steep = _pairwise_sgd(ds, family, 5, cfg)
+            assert history == ref_history, family
+            assert model.K.tobytes() == k.tobytes(), family
+            assert model.dictionary.centers.tobytes() == centers.tobytes(), family
+            assert model.dictionary.steepness.tobytes() == steep.tobytes(), family
 
 
 def test_sgd_epoch_callback_cadence():
@@ -476,3 +560,12 @@ def test_pursuit_errors():
     ok = PursuitPool.for_data(ds.inputs, points_per_dim=2)
     with pytest.raises(DomainError):
         matching_pursuit_fit(ds, ok, 1, ridge=-0.5)
+
+
+def test_pursuit_rejects_non_finite_data():
+    ds = vdp_dataset(n_traj=2, steps=10)
+    x = ds.inputs.copy()
+    x[3, 1] = np.nan
+    bad = SnapshotDataset(Mode.DISCRETE_PAIRS, x, ds.targets, ds.dt)
+    with pytest.raises(DataError):
+        matching_pursuit_fit(bad, PursuitPool.for_data(ds.targets, points_per_dim=2), 1)
