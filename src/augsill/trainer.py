@@ -100,9 +100,9 @@ def _shape_grads_packed(family, c, a, rbf, k, x_in, x_out):
     """Gradients of the batch loss w.r.t. every center and raw steepness,
     from packed parameter arrays.
 
-    Inputs and targets go through the member kernel as one stacked batch;
-    every step is elementwise or reduces over the member axis only, so the
-    halves carry the bits of two separate calls."""
+    Inputs and targets go through the member kernel and the lift as one
+    stacked batch; both work row by row, so the halves carry the bits of two
+    separate calls."""
     b, m = x_in.shape
     x = np.vstack([x_in, x_out])
     v, s = member_sensitivities_packed(family, c, a, rbf, x)
@@ -213,8 +213,8 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
     states, where = np.unique(np.vstack([x_in, x_out]), axis=0, return_inverse=True)
 
     def lifted_pair():
-        vals = member_values_packed(family, centers, np.exp(log_steep), rbf_mask, states)
-        vals = vals[where]
+        steep = np.exp(log_steep)
+        vals = member_values_packed(family, centers, steep, rbf_mask, states)[where]
         return assemble_lift(x_in, vals[:r]), assemble_lift(x_out, vals[r:])
 
     def model(k):

@@ -21,6 +21,8 @@ from augsill.dictionaries import (
     lift_many,
     limit_logistic_packed,
     load_dictionary,
+    member_sensitivities_packed,
+    member_values_packed,
     param_gradients,
     polynomial_multi_indices,
     product_limit_logistic,
@@ -146,6 +148,26 @@ def test_logistic_matches_masked_reference():
     ends = np.array([0.0, 800.0, -800.0])
     for f in (stable_logistic, masked_logistic):
         assert f(ends).tolist() == [0.5, 1.0, 0.0]
+
+
+def test_conjunctive_kernel_matches_select_and_reduce():
+    # The kernel's per-dimension products and its RBF-free shortcut give the
+    # bits of one select over the mask followed by a product over dimensions.
+    rng = np.random.default_rng(8)
+    for m in (1, 2, 3, 5):
+        c = rng.uniform(-1.0, 1.0, (7, m))
+        a = np.exp(rng.uniform(-1.0, 3.0, (7, m)))
+        y = rng.uniform(-2.0, 2.0, (40, m))
+        lam = stable_logistic(a[None] * (y[:, None, :] - c[None]))
+        for family, rbf in ((Family.SILL, np.zeros(7, bool)),
+                            (Family.AUGSILL, np.arange(7) >= 3)):
+            mask = rbf[None, :, None]
+            vals = np.where(mask, lam * (1.0 - lam), lam).prod(axis=2)
+            w = np.where(mask, 1.0 - 2.0 * lam, 1.0 - lam)
+            assert member_values_packed(family, c, a, rbf, y).tobytes() == vals.tobytes()
+            got_vals, got_s = member_sensitivities_packed(family, c, a, rbf, y)
+            assert got_vals.tobytes() == vals.tobytes()
+            assert got_s.tobytes() == (w * vals[:, :, None]).tobytes()
 
 
 # -- conjunctive functions ---------------------------------------------------
