@@ -34,7 +34,7 @@ from .closure import (
     write_closure_csv,
     write_rate_csv,
 )
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import ConfigError, DomainError, NumericalError, positive_int
 from .expectation import expectation_table, write_expectation_csv
 from .dictionaries import POLYNOMIAL_FAMILIES, TRAINABLE_FAMILIES, Family, Kind
 from .solver import (
@@ -81,7 +81,22 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse maps usage problems to exit code 2; we want 1, so raise."""
+    """Raises UsageError (exit 1) where argparse would exit 2.
+
+    argparse sees every option as optional and without a default, so a parse
+    puts into the namespace exactly the dests that argv sets; _resolve fills
+    in the rest from .options, dest -> (action, built-in default, required).
+    """
+
+    def __init__(self, **kwargs):
+        self.options = {}
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
+    def add_argument(self, *args, default=None, required=False, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if default is not argparse.SUPPRESS:  # --help sets no dest
+            self.options[action.dest] = (action, default, required)
+        return action
 
     def error(self, message):
         raise UsageError(message)
@@ -90,16 +105,35 @@ class _Parser(argparse.ArgumentParser):
 # -- small value parsers ------------------------------------------------------------
 
 
+def _seed(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"seed {text!r} is negative")
+    return value
+
+
+def _items(text, parse):
+    """parse() of each comma-separated entry; a list with none is a ValueError."""
+    items = tuple(parse(v.strip()) for v in str(text).split(",") if v.strip())
+    if not items:
+        raise ValueError(f"{text!r} lists no values")
+    return items
+
+
 def _int_list(text):
-    return tuple(int(v) for v in str(text).split(",") if v != "")
+    return _items(text, int)
 
 
 def _float_list(text):
-    return tuple(float(v) for v in str(text).split(",") if v != "")
+    return _items(text, float)
 
 
 def _str_list(text):
-    return tuple(v.strip() for v in str(text).split(",") if v.strip())
+    return _items(text, str)
+
+
+def _seed_list(text):
+    return _items(text, _seed)
 
 
 def _fmt_value(v):
@@ -186,15 +220,13 @@ def _cmd_fit(args):
 
         model, _ = sgd_fit(dataset, family, args.n_members, cfg, epoch_callback=log)
         write_csv(log_path, ["epoch", "loss", "five_step_error"], rows)
-    elif args.method == "pursuit":
+    else:  # pursuit
         pool = PursuitPool.for_data(
             dataset.inputs, args.pool_points, args.pool_steepness, _PURSUIT_KINDS[family]
         )
         model, trace = matching_pursuit_fit(dataset, pool, args.n_members, args.ridge)
         write_csv(log_path, ["step", "objective"],
                   [[str(i), _r(v)] for i, v in enumerate(trace)])
-    else:
-        raise ConfigError(f"unknown fit method {args.method!r}")
 
     save_model(model, model_path)
     print(f"fit: wrote {model_path} and {log_path}")
@@ -372,27 +404,20 @@ def _cmd_compare(args):
 # -- parser construction ------------------------------------------------------------
 
 
-def _add_out(p):
-    p.add_argument("--out", required=True, help="output directory")
-
-
 def build_parser():
     parser = _Parser(prog="augsill", description=__doc__)
     parser.add_argument("--config", help="INI file with a section per subcommand")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    sub_map = {}
 
     p = sub.add_parser("simulate", help="integrate a benchmark system ensemble")
     p.add_argument("--system", required=True, choices=_SYSTEM_NAMES)
     p.add_argument("--n-traj", type=int, default=10)
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--derivatives", action="store_true",
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--derivatives", action="store_true", default=False,
                    help="include central-difference derivative columns")
-    _add_out(p)
     p.set_defaults(func=_cmd_simulate)
-    sub_map["simulate"] = p
 
     p = sub.add_parser("fit", help="fit a lifted linear model to simulated data")
     p.add_argument("--data", required=True, help="directory written by simulate")
@@ -404,51 +429,43 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pool-points", type=int, default=9)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--pool-points", type=positive_int, default=9)
     p.add_argument("--pool-steepness", type=_float_list, default=(1.0, 3.0, 10.0))
-    _add_out(p)
     p.set_defaults(func=_cmd_fit)
-    sub_map["fit"] = p
 
     p = sub.add_parser("evaluate", help="n-step prediction error of a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--n-steps", type=int, default=5)
-    _add_out(p)
     p.set_defaults(func=_cmd_evaluate)
-    sub_map["evaluate"] = p
 
     p = sub.add_parser("closure", help="steep-limit sweeps, blow-up demo, bound checks")
     p.add_argument("--theorems", type=_str_list, default=("all",))
     p.add_argument("--configs", type=int, default=50)
-    p.add_argument("--points", type=int, default=10_000)
+    p.add_argument("--points", type=positive_int, default=10_000)
     p.add_argument("--gap", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--alpha-scales", type=_float_list, default=DEFAULT_ALPHA_SCALES)
     p.add_argument("--degrees", type=_int_list, default=(1, 2, 3))
     p.add_argument("--explosion-y", type=_float_list,
                    default=(32.0, 64.0, 128.0, 256.0, 512.0))
     p.add_argument("--mc-samples", type=int, default=100_000)
-    p.add_argument("--mc-seed", type=int, default=2)
-    _add_out(p)
+    p.add_argument("--mc-seed", type=_seed, default=2)
     p.set_defaults(func=_cmd_closure)
-    sub_map["closure"] = p
 
     p = sub.add_parser("expectation", help="scalar-member expectation table")
     p.add_argument("--a-values", type=_float_list, default=(0.5, 1.0, 2.0, 5.0))
     p.add_argument("--quad-points", type=int, default=200)
     p.add_argument("--mc-samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    _add_out(p)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_expectation)
-    sub_map["expectation"] = p
 
     p = sub.add_parser("compare", help="dictionary-comparison grid with a DMD baseline")
     p.add_argument("--systems", type=_str_list, default=("all",))
     p.add_argument("--families", type=_str_list, default=("all",))
     p.add_argument("--dims", type=_int_list, default=(5, 10, 20))
-    p.add_argument("--seeds", type=_int_list, default=(0, 1, 2))
+    p.add_argument("--seeds", type=_seed_list, default=(0, 1, 2))
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--n-traj", type=int, default=10)
     p.add_argument("--dt", type=float, default=0.05)
@@ -457,89 +474,76 @@ def build_parser():
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--n-steps", type=int, default=5)
     p.add_argument("--workers", type=int, default=1)
-    _add_out(p)
     p.set_defaults(func=_cmd_compare)
-    sub_map["compare"] = p
 
-    return parser, sub_map
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True, help="output directory")
+    return parser, sub.choices
 
 
-def _overlay_config(argv, sub_map):
-    """Apply config-file values as subcommand defaults before parsing.
-
-    Explicit command-line flags still win because they override defaults. A
-    key in the subcommand's section that names none of its options is a
-    ConfigError. Returns the dests that the subcommand's own section sets
-    (keys inherited from [DEFAULT] alone do not count).
-    """
-    cfg_path, command = None, None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            cfg_path = argv[i + 1] if i + 1 < len(argv) else None
-            i += 2
-            continue
-        if tok.startswith("--config="):
-            cfg_path = tok.split("=", 1)[1]
-            i += 1
-            continue
-        if not tok.startswith("-") and command is None:
-            command = tok
-        i += 1
-    if cfg_path is None:
-        return set()
-    cp = configparser.ConfigParser()
+def _read_config(path, command):
+    """The subcommand's own section, then [DEFAULT], of an INI file, each if
+    present. [DEFAULT] reads as an ordinary section, so the own section holds
+    only the keys written under its header."""
+    cp = configparser.ConfigParser(default_section="")
     try:
-        if not cp.read(cfg_path):
-            raise ConfigError(f"cannot read config file {cfg_path}")
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path}")
     except configparser.Error as exc:
-        raise ConfigError(f"{cfg_path}: not a valid INI file: {exc}") from None
-    if command is None or command not in sub_map or command not in cp:
-        return set()
-    section = cp[command]
-    parser = sub_map[command]
-    known = {k for a in parser._actions for k in (a.dest, a.dest.replace("_", "-"))}
-    # Keys inherited from [DEFAULT] may belong to other subcommands.
-    own = set(section) - set(cp.defaults())
-    stale = sorted(own - known)
-    if stale:
-        raise ConfigError(f"{cfg_path}: [{command}] sets unknown option {', '.join(stale)}")
-    given = set()
-    for action in parser._actions:
-        for key in (action.dest, action.dest.replace("_", "-")):
-            if key in section:
-                try:
-                    raw = section[key]
-                    if isinstance(action, argparse._StoreTrueAction):
-                        action.default = section.getboolean(key)
-                    elif action.type is not None:
-                        action.default = action.type(raw)
-                    else:
-                        action.default = raw
-                except (ValueError, configparser.Error) as exc:
-                    raise ConfigError(
-                        f"{cfg_path}: malformed [{command}] {key}: {exc}"
-                    ) from None
-                if action.choices is not None and action.default not in action.choices:
-                    raise ConfigError(
-                        f"{cfg_path}: [{command}] {key} must be one of "
-                        f"{', '.join(map(str, action.choices))}"
-                    )
-                action.required = False
-                if key in own:
-                    given.add(action.dest)
-                break
-    return given
+        raise ConfigError(f"{path}: not a valid INI file: {exc}") from None
+    return [cp[name] for name in (command, "DEFAULT") if cp.has_section(name)]
 
 
-def _flags_given(parser, sub, argv):
-    """Dests of the options argv sets explicitly: parse it again with every
-    default of the subcommand suppressed, so that only those reach the
-    namespace. Leaves sub's defaults suppressed."""
-    for action in sub._actions:
-        action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
+def _config_value(path, section, key, action):
+    """One config key, parsed and checked as its option parses a flag."""
+    try:
+        if isinstance(action, argparse._StoreTrueAction):
+            value = section.getboolean(key)
+        else:
+            value = action.type(section[key]) if action.type else section[key]
+    except (ValueError, configparser.Error) as exc:
+        raise ConfigError(f"{path}: malformed [{section.name}] {key}: {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"{path}: [{section.name}] {key} must be one of "
+                          f"{', '.join(map(str, action.choices))}")
+    return value
+
+
+def _resolve(parser, sub_map, argv):
+    """Parse argv once and fill in each option it leaves out: from the
+    subcommand's own section of the --config file, else from the file's
+    [DEFAULT] section, else from the option's built-in default.
+
+    An own-section key that names no option of the subcommand is a
+    ConfigError; [DEFAULT] keys may serve other subcommands and are not
+    checked. Returns (args, given): the dests that argv or the own section set.
+    """
+    args = parser.parse_args(argv)
+    if args.command is None:
+        raise UsageError("a subcommand is required (see --help)")
+    options = sub_map[args.command].options
+    given = set(options) & set(vars(args))
+    path = getattr(args, "config", None)
+    for section in [] if path is None else _read_config(path, args.command):
+        own = section.name == args.command
+        for key in section:
+            dest = key.replace("-", "_")
+            if dest not in options:
+                if own:
+                    raise ConfigError(f"{path}: [{args.command}] sets unknown option {key}")
+            elif not hasattr(args, dest):
+                setattr(args, dest, _config_value(path, section, key, options[dest][0]))
+                if own:
+                    given.add(dest)
+    missing = []
+    for dest, (action, default, required) in options.items():
+        if not hasattr(args, dest):
+            if required:
+                missing.append(action.option_strings[0])
+            setattr(args, dest, default)
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return args, given
 
 
 def _foreign_fit_options(method):
@@ -558,24 +562,16 @@ def _reject_foreign_fit_options(args, given):
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, sub_map = build_parser()
     try:
-        from_file = _overlay_config(argv, sub_map)
-        args = parser.parse_args(argv)
-        if getattr(args, "command", None) is None:
-            raise UsageError("a subcommand is required (see --help)")
+        args, given = _resolve(parser, sub_map, argv)
         if args.command == "fit":
-            _reject_foreign_fit_options(
-                args, from_file | _flags_given(parser, sub_map["fit"], argv))
+            _reject_foreign_fit_options(args, given)
         return args.func(args) or 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -87,7 +87,10 @@ def _lifted_pair(dataset, d):
 def ridge_lstsq(a, b, ridge):
     """Minimizer w of ||a w - b||^2 + ridge ||w||^2 and the rank of the
     stacked system, by SVD-backed lstsq over a with sqrt(ridge) I rows
-    appended (none at ridge 0, giving the minimum-norm solution)."""
+    appended (none at ridge 0, giving the minimum-norm solution). A ridge
+    that is not finite and >= 0 raises DomainError."""
+    if not 0 <= ridge < np.inf:
+        raise DomainError(f"ridge must be finite and >= 0, got {ridge}")
     if ridge > 0:
         n = a.shape[1]
         a = np.vstack([a, np.sqrt(ridge) * np.eye(n)])
@@ -111,8 +114,6 @@ def solve_k(psi_in, psi_out, ridge=None):
         )
     if ridge is None:
         ridge = DEFAULT_RIDGE_FACTOR * np.linalg.norm(psi_in, 2) ** 2
-    if ridge < 0:
-        raise DomainError(f"ridge must be >= 0, got {ridge}")
     kt, rank = ridge_lstsq(psi_in, psi_out, ridge)
     if ridge == 0 and rank < n:
         warnings.warn(

@@ -273,8 +273,8 @@ class PursuitPool:
         self.steepness_levels = tuple(float(s) for s in self.steepness_levels)
         if not self.kinds or not self.steepness_levels:
             raise PoolError("pool needs at least one kind and one steepness level")
-        if any(s <= 0 for s in self.steepness_levels):
-            raise PoolError("steepness levels must be positive")
+        if not all(0 < s < math.inf for s in self.steepness_levels):
+            raise PoolError("steepness levels must be finite and positive")
         if not self.center_grids or any(g.size == 0 for g in self.center_grids):
             raise PoolError("empty center lattice")
 
@@ -352,10 +352,10 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
     full closed-form fit over the final dictionary, at the given ridge (None
     means 0.0).
     """
+    if n_members < 1:
+        raise DomainError("need n_members >= 1")
     if ridge is None:
         ridge = 0.0
-    if ridge < 0:
-        raise DomainError(f"ridge must be >= 0, got {ridge}")
     dataset.check_finite()
     c, a, rbf = pool.packed()
     if pool.size < n_members:

@@ -182,6 +182,13 @@ def test_fit_rejects_options_of_other_methods(tmp_path, capsys):
     shared.write_text("[DEFAULT]\nepochs = 5\n[fit]\nmethod = lstsq\n")
     out = tmp_path / "shared"
     assert run("--config", str(shared), *fit, "--out", str(out)) == 0
+    # ... but one that fit's own section sets as well is.
+    both = tmp_path / "both.ini"
+    both.write_text("[DEFAULT]\nepochs = 5\n[fit]\nmethod = lstsq\nepochs = 5\n")
+    capsys.readouterr()
+    assert run("--config", str(both), *fit, "--out", str(tmp_path / "both")) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--epochs" in err and "Traceback" not in err
     # The echo of a fit leaves out what its method does not read, so it reruns.
     echo = (out / "effective_config.ini").read_text()
     assert "epochs" not in echo and "pool_points" not in echo
@@ -358,6 +365,58 @@ def test_reader_fuzz_exits_two(tmp_path, capsys):
         path.write_text(original)
 
 
+# Option values that are empty, malformed, non-finite or at most zero.
+OPTION_TOKENS = ("", ",", "abc", "nan", "inf", "-inf", "-1", "0")
+
+
+def test_option_value_fuzz_exits_cleanly(tmp_path, capsys, monkeypatch):
+    """Each option of a tiny run of every subcommand, set to each of
+    OPTION_TOKENS by flag and by config key: every run must exit 0-3 with no
+    traceback. The seeded draw puts each config key in the subcommand's own
+    section or in [DEFAULT], spelled with hyphens or underscores."""
+    monkeypatch.chdir(tmp_path)
+    assert simulate_small("data") == 0
+    assert run("fit", "--data", "data", "--family", "sill", "--n-members", "2",
+               "--out", "fit") == 0
+    fit = {"data": "data", "family": "sill", "n-members": "2", "seed": "0", "ridge": "0.001"}
+    bases = (
+        ("simulate", {"system": "vanderpol", "n-traj": "2", "steps": "5", "dt": "0.05",
+                      "seed": "0"}),
+        ("fit", {**fit, "mode": "discrete", "method": "lstsq"}),
+        ("fit", {**fit, "method": "sgd", "epochs": "2", "batch-size": "8", "lr": "0.01"}),
+        ("fit", {**fit, "method": "pursuit", "pool-points": "2", "pool-steepness": "1,5"}),
+        ("evaluate", {"model": "fit/model.ini", "data": "data", "n-steps": "2"}),
+        ("closure", {"theorems": "loglog", "configs": "1", "points": "500", "gap": "0.2",
+                     "seed": "0", "alpha-scales": "1,2,5,10,20", "degrees": "1",
+                     "explosion-y": "32,64,128,256,512", "mc-samples": "1000",
+                     "mc-seed": "2"}),
+        ("expectation", {"a-values": "1", "quad-points": "64", "mc-samples": "1000",
+                         "seed": "0"}),
+        ("compare", {"systems": "vanderpol", "families": "sill", "dims": "2", "seeds": "0",
+                     "epochs": "1", "n-traj": "2", "steps": "10", "dt": "0.05",
+                     "batch-size": "8", "lr": "0.01", "n-steps": "2", "workers": "1"}),
+    )
+    rng = random.Random(0)
+    for command, base in bases:
+        assert run(command, *(f"--{k}={v}" for k, v in base.items()), "--out", "out") == 0
+        for name in base:
+            for value in OPTION_TOKENS:
+                flags = [f"--{k}={value if k == name else v}" for k, v in base.items()]
+                section = rng.choice((command, "DEFAULT"))
+                key = rng.choice((name, name.replace("-", "_")))
+                (tmp_path / "run.ini").write_text(f"[{section}]\n{key} = {value}\n")
+                rest = [f for f in flags if not f.startswith(f"--{name}=")]
+                for argv in ((command, *flags), ("--config", "run.ini", command, *rest)):
+                    capsys.readouterr()
+                    try:
+                        code = run(*argv, "--out", "out")
+                    except Exception as exc:  # what the command line shows as a traceback
+                        code = repr(exc)
+                    err = capsys.readouterr().err
+                    assert code in (0, 1, 2, 3) and "Traceback" not in err, (
+                        argv, f"[{section}] {key} = {value}", code, err)
+
+
 def test_missing_data_dir_exits_two(tmp_path, capsys):
     code = run("fit", "--data", str(tmp_path / "nope"), "--family", "sill",
                "--out", str(tmp_path / "fit"))
@@ -397,6 +456,8 @@ def test_config_file_overlay(tmp_path, capsys):
         ("value", "[simulate]\nsystem = duffing\nsteps = five\n", "steps"),
         ("choice", "[simulate]\nsystem = nosuch\n", "system"),
         ("stale", "[simulate]\nsystem = duffing\nrefit-every = 5\n", "refit-every"),
+        ("shadow", "[DEFAULT]\nrefit = 5\n[simulate]\nsystem = duffing\nrefit = 5\n",
+         "refit"),
     ):
         bad = tmp_path / f"{case}.ini"
         bad.write_text(text)
@@ -409,6 +470,10 @@ def test_config_file_overlay(tmp_path, capsys):
     shared.write_text("[DEFAULT]\nepochs = 5\n[simulate]\nsystem = duffing\nsteps = 25\n")
     assert run("--config", str(shared), "simulate", "--n-traj", "2",
                "--out", str(tmp_path / "d")) == 0
+    # argparse's abbreviation of --config reads the file as well
+    out3 = tmp_path / "e"
+    assert run("--conf", str(cfg), "simulate", "--system", "duffing", "--out", str(out3)) == 0
+    assert len([n for n in os.listdir(out3) if n.startswith("traj_")]) == 2
 
 
 def test_closure_artifacts(tmp_path):

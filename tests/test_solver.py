@@ -128,6 +128,9 @@ def test_fit_rejects_nonfinite_and_bad_ridge():
     ok = SnapshotDataset(Mode.DISCRETE_PAIRS, np.zeros((3, 2)), np.zeros((3, 2)), 0.1)
     with pytest.raises(DomainError):
         fit_k(ok, Dictionary.linear(2), ridge=-1.0)
+    for ridge in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="ridge must be finite"):
+            fit_k(ok, Dictionary.linear(2), ridge=ridge)
 
 
 def test_state_residual_subsets_frobenius():

@@ -411,15 +411,10 @@ def test_pool_validation():
     with pytest.raises(PoolError):
         PursuitPool(kinds=(Kind.RBF,), center_grids=(np.array([]),),
                     steepness_levels=(1.0,))
-
-
-def test_pursuit_zero_members_is_linear_model():
-    ds = vdp_dataset(n_traj=2, steps=20)
-    pool = PursuitPool.for_data(ds.inputs, points_per_dim=3)
-    model, trace = matching_pursuit_fit(ds, pool, 0)
-    assert trace == []
-    assert model.dictionary.n_members == 0
-    assert model.K.shape == (3, 3)
+    for level in (np.nan, np.inf):
+        with pytest.raises(PoolError):
+            PursuitPool(kinds=(Kind.RBF,), center_grids=(np.array([0.0]),),
+                        steepness_levels=(1.0, level))
 
 
 def test_pursuit_recovers_planted_member():
@@ -560,6 +555,13 @@ def test_pursuit_errors():
     ok = PursuitPool.for_data(ds.inputs, points_per_dim=2)
     with pytest.raises(DomainError):
         matching_pursuit_fit(ds, ok, 1, ridge=-0.5)
+    for ridge in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="ridge must be finite"):
+            matching_pursuit_fit(ds, ok, 1, ridge=ridge)
+    # lstsq and sgd fits need a member too
+    for n_members in (0, -1):
+        with pytest.raises(DomainError, match="n_members >= 1"):
+            matching_pursuit_fit(ds, ok, n_members)
 
 
 def test_pursuit_rejects_non_finite_data():
