@@ -487,10 +487,12 @@ def _read_config(path, command):
     only the keys written under its header."""
     cp = configparser.ConfigParser(default_section="")
     try:
-        if not cp.read(path):
+        if not cp.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read config file {path}")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: not a valid INI file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     return [cp[name] for name in (command, "DEFAULT") if cp.has_section(name)]
 
 

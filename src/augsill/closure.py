@@ -257,6 +257,8 @@ def sweep_config(cfg: TheoremConfig, alpha_scales=DEFAULT_ALPHA_SCALES,
     product is within exp(-a_min * scale * gap) of its limit on the filtered
     set, and at most 2 m factors differ.
     """
+    if n_points < 0:
+        raise ParameterDomainError(f"n_points must be >= 0, got {n_points}")
     c, a, rbf = _member_arrays(Family.AUGSILL, cfg.m, (cfg.theta_l, cfg.theta_other))
     pts = _filter_near_centers(_halton_points(cfg.m, n_points), c, gap)
     if pts.shape[0] < 100:
@@ -379,14 +381,14 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
         )
 
     n_log = d.n_logistic
-    # vals (r, n); wts (r, n, m) is 1 - lam (logistic) or 1 - 2 lam (RBF).
+    # vals (r, n); wts (m, r, n) is 1 - lam (logistic) or 1 - 2 lam (RBF).
     vals, wts = _conjunctive_values_and_weights(c, a, rbf, pts)
-    sens = wts * vals[:, :, None]
+    sens = wts * vals
     vals_rbf = vals[:, n_log:]
     field = vals @ w.T  # (r, m)
 
     # Exact Lie derivative: gradient of each member contracted with the field.
-    exact = np.einsum("nm,rnm,rm->rn", a, sens, field)
+    exact = np.einsum("nm,mrn,rm->rn", a, sens, field)
 
     # Products route: same contraction with the member value pulled outside.
     products = vals * np.einsum("rm,nm->rn", field, a)
@@ -406,7 +408,7 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
 
     # Logistic members: stage (b) keeps the (1 - lambda) weights, stage (c)
     # drops them.
-    coef_b_log = np.einsum("li,rli,iq->rlq", a_log, wts[:, :n_log], w)
+    coef_b_log = np.einsum("li,irl,iq->rlq", a_log, wts[..., :n_log], w)
     coef_c_log = np.einsum("li,iq->lq", a_log, w)
     stage_b_log = np.einsum("rlq,rlq->rl", coef_b_log, limit_targets)
     stage_c_log = np.einsum("lq,rlq->rl", coef_c_log, limit_targets)
@@ -416,7 +418,7 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
     # target of the pair (logistic j, RBF k) is the RBF itself gated by the
     # same branch matrix, transposed to (k, j).
     a_r = a[n_log:]
-    coef_b_rbf = np.einsum("ki,rki,ij->rkj", a_r, wts[:, n_log:], w[:, :n_log])
+    coef_b_rbf = np.einsum("ki,irk,ij->rkj", a_r, wts[..., n_log:], w[:, :n_log])
     coef_c_rbf = np.einsum("ki,ij->kj", a_r, w[:, :n_log])
     gate = branch.T  # (n_rbf, n_log)
     stage_b_rbf = vals_rbf * (coef_b_rbf * gate[None, :, :]).sum(axis=2)

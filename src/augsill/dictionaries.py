@@ -278,8 +278,8 @@ class Dictionary:
         return d
 
     def _store(self, centers, steepness, is_rbf):
-        c = np.array(centers, dtype=float)
-        a = np.array(steepness, dtype=float)
+        c = np.array(centers, dtype=float, order="C")
+        a = np.array(steepness, dtype=float, order="C")
         rbf = np.array(is_rbf, dtype=bool)
         if c.ndim != 2 or c.shape[1] < 1 or a.shape != c.shape or rbf.shape != c.shape[:1]:
             raise DimensionMismatchError(f"need (N, m) centers and steepness and an (N,) "
@@ -419,53 +419,74 @@ def member_values_packed(family, c, a, rbf, Y):
     """Nonlinear member values from packed (N, m) parameter arrays.
 
     Low-level core shared with the trainer's hot path; Y is (r, m), the
-    result (r, N)."""
-    lam = stable_logistic(a[None] * (Y[:, None, :] - c[None]))
+    result (r, N). RBF rows of rbf must follow every logistic row, the order
+    Dictionary enforces: the kernel applies the RBF factor to the tail."""
+    lam = _factor_logistics(c, a, Y)
     if family == Family.SUMMED_RBF:
-        return (lam * (1.0 - lam)).sum(axis=2)
-    if rbf.any():
-        lam = np.where(rbf[None, :, None], lam * (1.0 - lam), lam)
-    return _product_over_dims(lam)
+        return _sum_over_dims(lam * (1.0 - lam))
+    n_log = _n_logistic(rbf)
+    if n_log < len(rbf):
+        tail = lam[..., n_log:]
+        tail *= 1.0 - tail
+    return np.multiply.reduce(lam, axis=0)
 
 
-def _product_over_dims(fac):
-    """fac.prod(axis=2) of (r, N, m) factors as one multiply per dimension:
-    the reduction's left-to-right order, so the same bits, without its
-    per-element overhead on a last axis of length m."""
-    out = fac[:, :, 0].copy()
-    for i in range(1, fac.shape[2]):
-        out *= fac[:, :, i]
-    return out
+def _factor_logistics(c, a, Y):
+    """Scalar logistics lam of every (dimension, row, member) as a C-ordered
+    (m, r, N) array, so that the member axis, not the few dimensions, is
+    numpy's inner loop."""
+    aT, cT, Yt = np.ascontiguousarray(a.T), np.ascontiguousarray(c.T), np.ascontiguousarray(Y.T)
+    return stable_logistic(aT[:, None, :] * (Yt[:, :, None] - cT[:, None, :]))
+
+
+def _sum_over_dims(terms):
+    """Sum of (m, r, N) terms over axis 0 with the bits of numpy's sum over
+    the last axis of the (r, N, m) layout: left to right below 8 dimensions,
+    and pairwise, as numpy sums a contiguous axis that long, from 8 on.
+    Products need no such care: numpy multiplies left to right either way."""
+    if len(terms) < 8:
+        return np.add.reduce(terms, axis=0)
+    return np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=2)
+
+
+def _n_logistic(rbf):
+    return len(rbf) - np.count_nonzero(rbf)
 
 
 def _conjunctive_values_and_weights(c, a, rbf, Y):
     """Conjunctive member values (r, N) and the per-factor weights w
-    (r, N, m): 1 - lam for logistic rows, 1 - 2 lam for RBF rows."""
-    lam = stable_logistic(a[None] * (Y[:, None, :] - c[None]))
-    comp = 1.0 - lam
-    if not rbf.any():
-        return _product_over_dims(lam), comp
-    mask = rbf[None, :, None]
-    fac = np.where(mask, lam * comp, lam)
-    return _product_over_dims(fac), np.where(mask, 1.0 - 2.0 * lam, comp)
+    (m, r, N): 1 - lam for logistic rows, 1 - 2 lam for the RBF rows, which
+    follow every logistic row."""
+    lam = _factor_logistics(c, a, Y)
+    w = 1.0 - lam
+    n_log = _n_logistic(rbf)
+    if n_log < len(rbf):
+        tail, w_tail = lam[..., n_log:], w[..., n_log:]
+        twice = 2.0 * tail
+        tail *= w_tail
+        np.subtract(1.0, twice, out=w_tail)
+    return np.multiply.reduce(lam, axis=0), w
 
 
 def member_sensitivities_packed(family, c, a, rbf, Y):
-    """Member values plus the per-coordinate sensitivity factor S, where
+    """Member values (r, N) plus the sensitivity factor S, laid out
+    (m, r, N) with the dimension first, where
 
-        d(member_j)/dy_i      =  steepness[j,i] * S[t,j,i]
-        d(member_j)/dmu_ji    = -steepness[j,i] * S[t,j,i]
-        d(member_j)/dalpha_ji = (y_i - center[j,i]) * S[t,j,i]
+        d(member_j)/dy_i      =  steepness[j,i] * S[i,t,j]
+        d(member_j)/dmu_ji    = -steepness[j,i] * S[i,t,j]
+        d(member_j)/dalpha_ji = (y_i - center[j,i]) * S[i,t,j]
 
     For conjunctive members S = w_i * value with w = (1-lam) (logistic) or
-    (1-2lam) (RBF); for summedrbf S_i = rho_i*(1-2lam_i).
+    (1-2lam) (RBF); for summedrbf S_i = rho_i*(1-2lam_i). As in
+    member_values_packed, RBF rows must follow every logistic row.
     """
     if family != Family.SUMMED_RBF:
         vals, w = _conjunctive_values_and_weights(c, a, rbf, Y)
-        return vals, w * vals[:, :, None]
-    lam = stable_logistic(a[None] * (Y[:, None, :] - c[None]))
+        w *= vals
+        return vals, w
+    lam = _factor_logistics(c, a, Y)
     rho = lam * (1.0 - lam)
-    return rho.sum(axis=2), rho * (1.0 - 2.0 * lam)
+    return _sum_over_dims(rho), rho * (1.0 - 2.0 * lam)
 
 
 def _member_values(d, Y):
@@ -524,7 +545,7 @@ def lift_jacobian_many(d, Y):
                 J[:, 1 + d.m + j, i] = dfac[:, i] * others
         return J
     _, S = member_sensitivities_packed(d.family, d.centers, d.steepness, d.is_rbf, Y)
-    J[:, 1 + d.m :, :] = d.steepness[None] * S
+    J[:, 1 + d.m :, :] = np.moveaxis(d.steepness.T[:, None, :] * S, 0, -1)
     return J
 
 
@@ -553,9 +574,9 @@ def param_gradients_many(d, Y):
         )
     Y = _check_batch(d, Y)
     _, S = member_sensitivities_packed(d.family, d.centers, d.steepness, d.is_rbf, Y)
-    return ParamGradients(
-        d_center=-d.steepness[None] * S, d_steepness=(Y[:, None, :] - d.centers[None]) * S
-    )
+    a, c = d.steepness.T[:, None, :], d.centers.T[:, None, :]
+    return ParamGradients(d_center=np.moveaxis(-a * S, 0, -1),
+                          d_steepness=np.moveaxis((Y.T[:, :, None] - c) * S, 0, -1))
 
 
 def param_gradients(d, y):

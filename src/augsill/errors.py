@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the INI readers that turn
-malformed data files into them.
+"""Exception types shared across the package, and the INI and CSV readers
+that turn malformed data files into them.
 
 Two families matter for the CLI exit-code contract: DomainError covers bad
 inputs, parameters, or configuration (exit code 2); NumericalError covers
@@ -7,6 +7,8 @@ failures that arise while computing (exit code 3).
 """
 
 import configparser
+import csv
+import io
 import math
 
 
@@ -90,10 +92,24 @@ def parse_ini(text, source):
     return cp
 
 
+def read_text(path, newline=None):
+    """The contents of one UTF-8 text file, newlines handled as open() does;
+    bytes that are not UTF-8 raise DataError naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_ini(path):
-    """parse_ini over the contents of one file."""
-    with open(path) as fh:
-        return parse_ini(fh.read(), path)
+    """parse_ini over the contents of one UTF-8 file."""
+    return parse_ini(read_text(path), path)
+
+
+def read_csv(path):
+    """csv.reader over the rows of one UTF-8 file."""
+    return csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
 
 
 def finite_floats(text):

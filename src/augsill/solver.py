@@ -33,6 +33,7 @@ from .errors import (
     NumericalError,
     ini_field,
     positive_float,
+    read_csv,
     read_ini,
 )
 from .systems import Mode
@@ -241,11 +242,11 @@ def load_model(path):
     mode = ini_field(cp, "model", "mode", Mode, path)
     dt = ini_field(cp, "model", "dt", positive_float, path)
     k_path = os.path.join(os.path.dirname(os.path.abspath(path)), k_file)
-    with open(k_path, newline="") as fh:
-        try:
-            k = np.array([[float(v) for v in row] for row in csv.reader(fh)])
-        except ValueError:
-            k = None
+    rows = read_csv(k_path)
+    try:
+        k = np.array([[float(v) for v in row] for row in rows])
+    except ValueError:
+        k = None
     if k is None or not np.all(np.isfinite(k)):
         raise DataError(f"{k_path}: K entries must be finite numbers in equal-length rows")
     return KoopmanModel(dictionary=d, K=k, mode=mode, dt=dt)

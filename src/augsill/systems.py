@@ -26,6 +26,7 @@ from .errors import (
     ini_field,
     positive_float,
     positive_int,
+    read_csv,
     read_ini,
 )
 
@@ -79,14 +80,15 @@ class SystemSpec:
         return SystemSpec(SystemId(system_id))
 
 
-def _rhs_batch(s, X):
-    """Vector field on a batch of states, shape (r, 2) -> (r, 2).
+def _rhs_batch(s, X, out=None):
+    """Vector field on a batch of states, shape (r, 2) -> (r, 2), written to
+    out when given (it must not overlap X).
 
     Uses elementwise numpy ops only, so one row's arithmetic is identical
     whether integrated alone or inside any batch (bitwise determinism).
     """
     x1, x2 = X[:, 0], X[:, 1]
-    out = np.empty_like(X)
+    out = np.empty_like(X) if out is None else out
     if s.id == SystemId.VAN_DER_POL:
         (c1,) = s.constants
         out[:, 0] = x2
@@ -100,7 +102,7 @@ def _rhs_batch(s, X):
         out[:, 0] = c5 * x1 - c6 * x1 * x2
         out[:, 1] = c7 * x1 * x2 - c8 * x2
     else:
-        if np.any(X < 0):
+        if (X < 0).any():
             raise DomainError(
                 "toggleswitch state must be nonnegative (non-integer Hill powers)"
             )
@@ -132,20 +134,34 @@ class Trajectory:
 
 
 def _rk4_batch(s, X0, dt, steps, max_substep):
-    """RK4 on a batch of initial states; returns (steps+1, r, 2)."""
+    """RK4 on a batch of initial states; returns (steps+1, r, 2).
+
+    Each substep is x + (h/6)(k1 + 2 k2 + 2 k3 + k4) with the stages at
+    x + (h/2) k1, x + (h/2) k2 and x + h k3, evaluated in that operation
+    order in preallocated buffers, with no temporaries."""
     n_sub = max(1, math.ceil(dt / max_substep - 1e-12))
     h = dt / n_sub
     out = np.empty((steps + 1,) + X0.shape)
     out[0] = X0
     x = X0.copy()
+    k1, k2, k3, k4, stage = (np.empty_like(x) for _ in range(5))
     for step in range(steps):
         for _ in range(n_sub):
-            k1 = _rhs_batch(s, x)
-            k2 = _rhs_batch(s, x + (0.5 * h) * k1)
-            k3 = _rhs_batch(s, x + (0.5 * h) * k2)
-            k4 = _rhs_batch(s, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.any(~np.isfinite(x)) or np.any(np.abs(x) > DIVERGENCE_LIMIT):
+            _rhs_batch(s, x, k1)
+            np.multiply(k1, 0.5 * h, out=stage)
+            _rhs_batch(s, np.add(x, stage, out=stage), k2)
+            np.multiply(k2, 0.5 * h, out=stage)
+            _rhs_batch(s, np.add(x, stage, out=stage), k3)
+            np.multiply(k3, h, out=stage)
+            _rhs_batch(s, np.add(x, stage, out=stage), k4)
+            k2 *= 2.0
+            k2 += k1
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            k2 *= h / 6.0
+            x += k2
+        if not (np.abs(x) <= DIVERGENCE_LIMIT).all():
             raise DivergenceError(
                 f"{s.id.value} state exceeded {DIVERGENCE_LIMIT:g} at step {step + 1}",
                 step_index=step + 1,
@@ -295,20 +311,19 @@ def trajectory_to_csv(tr, path, include_derivatives=False):
 
 def trajectory_from_csv(path, system, dt, seed_provenance=-1):
     states = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r, None)  # header
-        for row in r:
-            try:
-                x = [float(row[1]), float(row[2])]
-                ok = math.isfinite(x[0]) and math.isfinite(x[1])
-            except (IndexError, ValueError):
-                ok = False
-            if not ok:
-                raise DataError(
-                    f"{path}: line {r.line_num}: x1, x2 must be finite numbers, got {row!r}"
-                )
-            states.append(x)
+    r = read_csv(path)
+    next(r, None)  # header
+    for row in r:
+        try:
+            x = [float(row[1]), float(row[2])]
+            ok = math.isfinite(x[0]) and math.isfinite(x[1])
+        except (IndexError, ValueError):
+            ok = False
+        if not ok:
+            raise DataError(
+                f"{path}: line {r.line_num}: x1, x2 must be finite numbers, got {row!r}"
+            )
+        states.append(x)
     if not states:
         raise DataError(f"{path}: no trajectory rows")
     return Trajectory(dt=dt, states=np.array(states), system=system,

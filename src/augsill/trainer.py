@@ -8,7 +8,10 @@ epochs K is replaced by the closed-form least-squares solve, which is exact
 because the inner problem is linear given the shapes. Each epoch evaluates
 the members once per distinct state of the data (a trajectory ensemble's
 targets are mostly its inputs one step on) and uses that one lift for the
-refit and for the epoch loss.
+refit and for the epoch loss. The loop holds the shape parameters and each
+minibatch dimension-major, (m, N) and (m, 2b), the layout of the kernel's
+sensitivities, with every RBF member after the logistic ones, the order the
+kernel requires.
 Polynomial families have no shapes to train: fit them with solver.fit_k.
 Steepness is parameterized as exp(u) with u unconstrained; gradients chain
 through the exponential. Training operates on discrete snapshot pairs;
@@ -96,34 +99,36 @@ def _residual(psi_in, psi_out, k):
     return res, float(np.sum(res * res)) / len(res)
 
 
-def _shape_grads_packed(family, c, a, rbf, k, x_in, x_out):
-    """Gradients of the batch loss w.r.t. every center and raw steepness,
-    from packed parameter arrays.
+def _shape_grads_packed(family, c, a, rbf, k, x):
+    """Gradients of the batch loss w.r.t. every center and raw steepness.
+
+    Everything is dimension-major, the layout of the kernel's sensitivities:
+    centers c, steepnesses a and both gradients are (m, N), and x is (m, 2b),
+    a minibatch's b inputs followed by their b targets. RBF rows of rbf must
+    follow every logistic row, as the kernel requires.
 
     Inputs and targets go through the member kernel and the lift as one
     stacked batch; both work row by row, so the halves carry the bits of two
     separate calls."""
-    b, m = x_in.shape
-    x = np.vstack([x_in, x_out])
-    v, s = member_sensitivities_packed(family, c, a, rbf, x)
-    psi = assemble_lift(x, v)
+    m, b = x.shape[0], x.shape[1] // 2
+    v, s = member_sensitivities_packed(family, c.T, a.T, rbf, x.T)
+    psi = assemble_lift(x.T, v)
     res = psi[b:] - psi[:b] @ k.T
     # Member j feeds lifted column q = 1+m+j of both liftings; the chain rule
     # pulls res through the output lift directly and through K on the input.
     res_nl = res[:, 1 + m :]
     back_nl = (res @ k)[:, 1 + m :]
-    # d/dmu = -a*S, d/dalpha = (y - c)*S  (see member_sensitivities_packed)
-    d_mu = -a[None] * s
-    d_alpha = (x[:, None, :] - c[None]) * s
-    g_center = (2.0 / b) * (
-        np.einsum("tj,tji->ji", res_nl, d_mu[b:])
-        - np.einsum("tj,tji->ji", back_nl, d_mu[:b])
+    # d/dmu = -a*S and d/dalpha = (y - c)*S (see member_sensitivities_packed),
+    # stacked so that one contraction per half serves both parameters.
+    d_par = np.empty((2,) + s.shape)
+    np.multiply(-a[:, None, :], s, out=d_par[0])
+    np.multiply(x[:, :, None] - c[:, None, :], s, out=d_par[1])
+    d_par = d_par.reshape(2 * m, 2 * b, -1)
+    g = (2.0 / b) * (
+        np.einsum("tj,itj->ij", res_nl, d_par[:, b:])
+        - np.einsum("tj,itj->ij", back_nl, d_par[:, :b])
     )
-    g_steep = (2.0 / b) * (
-        np.einsum("tj,tji->ji", res_nl, d_alpha[b:])
-        - np.einsum("tj,tji->ji", back_nl, d_alpha[:b])
-    )
-    return g_center, g_steep
+    return g[:m], g[m:]
 
 
 def objective_and_gradient(model, batch):
@@ -136,9 +141,10 @@ def objective_and_gradient(model, batch):
     res, loss = _residual(psi_in, lift_many(d, batch.targets), model.K)
     grads = GradientBundle(d_k=(-2.0 / batch.n_rows) * (res.T @ psi_in))
     if d.family not in POLYNOMIAL_FAMILIES:
-        grads.d_center, grads.d_steepness = _shape_grads_packed(
-            d.family, d.centers, d.steepness, d.is_rbf, model.K, batch.inputs, batch.targets
-        )
+        x = np.hstack([batch.inputs.T, batch.targets.T])
+        g_c, g_a = _shape_grads_packed(d.family, d.centers.T, d.steepness.T, d.is_rbf,
+                                       model.K, x)
+        grads.d_center, grads.d_steepness = g_c.T, g_a.T
     return loss, grads
 
 
@@ -206,6 +212,10 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
     r = dataset.n_rows
     rng = np.random.default_rng(cfg.seed)
     centers, log_steep, rbf_mask = _init_shape_params(dataset, family, n_members, rng)
+    # Shape parameters and minibatches train dimension-major, (m, N) and
+    # (m, 2b), the layout of the member kernel's sensitivities.
+    centers, log_steep = centers.T.copy(), log_steep.T.copy()
+    pairs = np.stack([x_in.T, x_out.T], axis=1)  # (m, 2, r)
     # In a trajectory ensemble the targets are the inputs one step on, so the
     # two sets share most rows: evaluate the members once per distinct state.
     # Member values depend on a row's values alone (0.0 and -0.0 give the
@@ -214,11 +224,11 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
 
     def lifted_pair():
         steep = np.exp(log_steep)
-        vals = member_values_packed(family, centers, steep, rbf_mask, states)[where]
+        vals = member_values_packed(family, centers.T, steep.T, rbf_mask, states)[where]
         return assemble_lift(x_in, vals[:r]), assemble_lift(x_out, vals[r:])
 
     def model(k):
-        d = Dictionary.from_packed(family, centers, np.exp(log_steep), rbf_mask)
+        d = Dictionary.from_packed(family, centers.T, np.exp(log_steep.T), rbf_mask)
         return KoopmanModel(d, k, dataset.mode, dataset.dt)
 
     psi_in, psi_out = lifted_pair()
@@ -230,9 +240,8 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
         for start in range(0, r, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             steep = np.exp(log_steep)
-            g_c, g_a = _shape_grads_packed(
-                family, centers, steep, rbf_mask, k, x_in[idx], x_out[idx]
-            )
+            x = pairs[:, :, idx].reshape(dataset.m, -1)
+            g_c, g_a = _shape_grads_packed(family, centers, steep, rbf_mask, k, x)
             centers -= lr * g_c
             log_steep -= lr * (g_a * steep)  # chain rule through exp
         steep = np.exp(log_steep)
@@ -304,6 +313,8 @@ class PursuitPool:
     def for_data(inputs, points_per_dim=9, steepness_levels=(1.0, 3.0, 10.0),
                  kinds=(Kind.LOGISTIC, Kind.RBF)):
         """Default pool: per-dimension lattice spanning the data range."""
+        if points_per_dim < 1:
+            raise PoolError(f"points_per_dim must be >= 1, got {points_per_dim}")
         inputs = np.asarray(inputs, dtype=float)
         grids = tuple(
             np.linspace(inputs[:, i].min(), inputs[:, i].max(), points_per_dim)

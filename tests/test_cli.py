@@ -329,8 +329,8 @@ def _fuzz_csv(text, rng, mutation, first_row, columns):
 
 
 def test_reader_fuzz_exits_two(tmp_path, capsys):
-    """Seeded truncation, corruption and dropped keys in every file a command
-    reads: each must exit 2 with no traceback."""
+    """Seeded truncation, corruption, dropped keys and bytes that are not
+    UTF-8 in every file a command reads: each must exit 2 with no traceback."""
     data, fit = tmp_path / "data", tmp_path / "fit"
     assert simulate_small(data) == 0
     assert run("fit", "--data", str(data), "--family", "augsill", "--n-members", "3",
@@ -363,6 +363,20 @@ def test_reader_fuzz_exits_two(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code == 2 and "Traceback" not in err, (path.name, mutation, bad, err)
         path.write_text(original)
+    # Bytes that are not UTF-8, spliced in anywhere, are named with the file.
+    junk = (b"\xff\xfe", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80")
+    rng = random.Random(1)
+    for path, argv, _ in artifacts:
+        original = path.read_bytes()
+        for bad in junk * 2:
+            at = rng.randrange(len(original) + 1)
+            path.write_bytes(original[:at] + bad + original[at:])
+            capsys.readouterr()
+            code = run(*argv)
+            err = capsys.readouterr().err
+            assert code == 2 and "Traceback" not in err, (path.name, at, bad, err)
+            assert f"{path}: not UTF-8 text" in err, (path.name, at, bad, err)
+        path.write_bytes(original)
 
 
 # Option values that are empty, malformed, non-finite or at most zero.

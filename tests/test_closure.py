@@ -202,6 +202,18 @@ def test_sweep_config_report():
     assert rep.slope < 0
 
 
+def test_sweep_rejects_negative_point_count():
+    cfg = sample_theorem_config("loglog", 1, seed=0)
+    for n in (-1, -10_000):
+        with pytest.raises(DomainError):
+            sweep_config(cfg, n_points=n)
+        with pytest.raises(DomainError):
+            theorem_suite(theorems=("logrbf",), n_configs=1, n_points=n)
+    # Zero points is a valid request that the guard bands cannot serve.
+    with pytest.raises(DataError):
+        sweep_config(cfg, n_points=0)
+
+
 def test_small_suite_rates_and_tails():
     reports = theorem_suite(n_configs=4, n_points=2000, seed=0)
     assert len(reports) == 16

@@ -151,23 +151,33 @@ def test_logistic_matches_masked_reference():
 
 
 def test_conjunctive_kernel_matches_select_and_reduce():
-    # The kernel's per-dimension products and its RBF-free shortcut give the
-    # bits of one select over the mask followed by a product over dimensions.
+    # The dimension-major kernel -- factors laid out (m, r, N), the RBF
+    # factor applied to the tail of the members, products and sums taken
+    # over the leading axis -- gives the bits of one select over the mask
+    # followed by a reduction over the last axis of the (r, N, m) layout.
+    # m = 9 covers the summed-RBF sums numpy takes pairwise.
     rng = np.random.default_rng(8)
-    for m in (1, 2, 3, 5):
+    for m in (1, 2, 3, 5, 9):
         c = rng.uniform(-1.0, 1.0, (7, m))
         a = np.exp(rng.uniform(-1.0, 3.0, (7, m)))
         y = rng.uniform(-2.0, 2.0, (40, m))
         lam = stable_logistic(a[None] * (y[:, None, :] - c[None]))
-        for family, rbf in ((Family.SILL, np.zeros(7, bool)),
-                            (Family.AUGSILL, np.arange(7) >= 3)):
+        rho = lam * (1.0 - lam)
+        cases = ((Family.SILL, np.zeros(7, bool)), (Family.AUGSILL, np.arange(7) >= 3),
+                 (Family.SUMMED_RBF, np.ones(7, bool)))
+        for family, rbf in cases:
             mask = rbf[None, :, None]
-            vals = np.where(mask, lam * (1.0 - lam), lam).prod(axis=2)
-            w = np.where(mask, 1.0 - 2.0 * lam, 1.0 - lam)
+            if family == Family.SUMMED_RBF:
+                vals = rho.sum(axis=2)
+                s = rho * (1.0 - 2.0 * lam)
+            else:
+                vals = np.where(mask, rho, lam).prod(axis=2)
+                s = np.where(mask, 1.0 - 2.0 * lam, 1.0 - lam) * vals[:, :, None]
             assert member_values_packed(family, c, a, rbf, y).tobytes() == vals.tobytes()
             got_vals, got_s = member_sensitivities_packed(family, c, a, rbf, y)
             assert got_vals.tobytes() == vals.tobytes()
-            assert got_s.tobytes() == (w * vals[:, :, None]).tobytes()
+            assert got_s.shape == (m, 40, 7)
+            assert got_s.tobytes() == np.moveaxis(s, 2, 0).tobytes()
 
 
 # -- conjunctive functions ---------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from augsill.systems import (
     SystemId,
     SystemSpec,
     Trajectory,
+    _rhs_batch,
+    _rk4_batch,
     build_snapshot_dataset,
     integrate,
     read_ensemble,
@@ -119,6 +123,31 @@ def test_divergence_reports_step():
     with pytest.raises(DivergenceError) as ei:
         integrate(s, np.array([3.0, 0.0]), dt=1.0, steps=50)
     assert ei.value.step_index >= 1
+
+
+def test_rk4_buffers_match_formula_bitwise():
+    # The buffered integrator keeps the operation order of the textbook
+    # formula written with temporaries, so every path carries its bits.
+    def reference(s, X0, dt, steps, max_substep):
+        n_sub = max(1, math.ceil(dt / max_substep - 1e-12))
+        h = dt / n_sub
+        out = [X0]
+        x = X0.copy()
+        for _ in range(steps):
+            for _ in range(n_sub):
+                k1 = _rhs_batch(s, x)
+                k2 = _rhs_batch(s, x + (0.5 * h) * k1)
+                k3 = _rhs_batch(s, x + (0.5 * h) * k2)
+                k4 = _rhs_batch(s, x + h * k3)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out.append(x)
+        return np.stack(out)
+
+    for s in (VDP, DUF, PP, TS):
+        x0 = sample_initial_conditions(s, 5, seed=2)
+        for dt, max_substep in ((0.05, 0.01), (0.1, 0.1), (0.03, 0.007)):
+            got = _rk4_batch(s, x0, dt, 20, max_substep)
+            assert got.tobytes() == reference(s, x0, dt, 20, max_substep).tobytes(), s.id
 
 
 # -- seeded ensembles ------------------------------------------------------------

@@ -253,10 +253,11 @@ def test_sgd_rejects_non_finite_data():
 
 def _two_call_shape_grads(family, c, a, rbf, k, x_in, x_out):
     """Reference: the shape gradients from one kernel call on the inputs and
-    one on the targets."""
+    one on the targets, contracted in the (rows, N, m) layout."""
     b, m = x_in.shape
     v_in, s_in = member_sensitivities_packed(family, c, a, rbf, x_in)
     v_out, s_out = member_sensitivities_packed(family, c, a, rbf, x_out)
+    s_in, s_out = (np.ascontiguousarray(np.moveaxis(s, 0, -1)) for s in (s_in, s_out))
     res = assemble_lift(x_out, v_out) - assemble_lift(x_in, v_in) @ k.T
     res_nl = res[:, 1 + m :]
     back_nl = (res @ k)[:, 1 + m :]
@@ -399,6 +400,13 @@ def test_pool_for_data_spans_range():
     assert pool.center_grids[0][0] == 0.0 and pool.center_grids[0][-1] == 4.0
     assert pool.center_grids[1][0] == -2.0 and pool.center_grids[1][-1] == 2.0
     assert pool.size == 2 * 5 * 5 * 3
+
+
+def test_pool_for_data_rejects_empty_lattice():
+    x = np.array([[0.0, -2.0], [4.0, 2.0]])
+    for n in (0, -1, -9):
+        with pytest.raises(DomainError):
+            PursuitPool.for_data(x, points_per_dim=n)
 
 
 def test_pool_validation():
