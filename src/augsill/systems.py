@@ -138,7 +138,7 @@ def _rk4_batch(s, X0, dt, steps, max_substep):
 
     Each substep is x + (h/6)(k1 + 2 k2 + 2 k3 + k4) with the stages at
     x + (h/2) k1, x + (h/2) k2 and x + h k3, evaluated in that operation
-    order in preallocated buffers, with no temporaries."""
+    order in preallocated state and stage buffers."""
     n_sub = max(1, math.ceil(dt / max_substep - 1e-12))
     h = dt / n_sub
     out = np.empty((steps + 1,) + X0.shape)
