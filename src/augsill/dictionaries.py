@@ -440,10 +440,10 @@ def _factor_logistics(c, a, Y):
 
 
 def _sum_over_dims(terms):
-    """Sum of (m, r, N) terms over axis 0 with the bits of numpy's sum over
-    the last axis of the (r, N, m) layout: left to right below 8 dimensions,
-    and pairwise, as numpy sums a contiguous axis that long, from 8 on.
-    Products need no such care: numpy multiplies left to right either way."""
+    """Sum of (m, r, N) terms over axis 0 with the bits numpy gives a sum
+    over a contiguous axis, such as the last axis of an (r, N, m) array:
+    left to right below 8 terms, pairwise from 8 on. Products need no such
+    care: numpy multiplies left to right on any axis."""
     if len(terms) < 8:
         return np.add.reduce(terms, axis=0)
     return np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=2)
