@@ -14,7 +14,6 @@ import argparse
 import configparser
 import contextlib
 import ctypes
-import dataclasses
 import functools
 import glob
 import os
@@ -61,6 +60,7 @@ from .trainer import (
     initial_dictionary,
     matching_pursuit_fit,
     sgd_fit,
+    varpro_fit,
 )
 
 FIVE_STEP_LOG_CADENCE = 50
@@ -72,7 +72,8 @@ _PURSUIT_KINDS = {
     Family.AUGSILL: (Kind.LOGISTIC, Kind.RBF),
 }
 # Families each fit method can train; lstsq fits every family.
-_METHOD_FAMILIES = {"sgd": TRAINABLE_FAMILIES, "pursuit": tuple(_PURSUIT_KINDS)}
+_METHOD_FAMILIES = {"sgd": TRAINABLE_FAMILIES, "varpro": TRAINABLE_FAMILIES,
+                    "pursuit": tuple(_PURSUIT_KINDS)}
 _SYSTEM_NAMES = tuple(s.value for s in SystemId)
 
 
@@ -200,25 +201,25 @@ def _cmd_fit(args):
         loss = frobenius_residual(model, dataset) / dataset.n_rows
         write_csv(log_path, ["epoch", "loss", "five_step_error"],
                   [["0", _r(loss), _r(n_step_error(model, trajs, 5))]])
-    elif args.method == "sgd":
-        cfg = TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.lr,
-            seed=args.seed,
-            ridge=args.ridge,
-        )
+    elif args.method in ("sgd", "varpro"):
         rows = []
 
         def log(epoch, loss, snapshot):
-            # 5-step error is sampled on a fixed cadence; loss every epoch.
+            # 5-step error is sampled on a fixed cadence; loss every epoch
+            # (an L-BFGS iteration for varpro).
             if (epoch + 1) % FIVE_STEP_LOG_CADENCE == 0:
                 rows.append([str(epoch), _r(loss),
                              _r(n_step_error(snapshot, trajs, 5))])
             else:
                 rows.append([str(epoch), _r(loss), ""])
 
-        model, _ = sgd_fit(dataset, family, args.n_members, cfg, epoch_callback=log)
+        if args.method == "sgd":
+            cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                              learning_rate=args.lr, seed=args.seed, ridge=args.ridge)
+            model, _ = sgd_fit(dataset, family, args.n_members, cfg, epoch_callback=log)
+        else:
+            model, _ = varpro_fit(dataset, family, args.n_members, args.epochs, args.ridge,
+                                  args.seed, iteration_callback=log)
         write_csv(log_path, ["epoch", "loss", "five_step_error"], rows)
     else:  # pursuit
         pool = PursuitPool.for_data(
@@ -315,17 +316,17 @@ def _cmd_expectation(args):
     return 0
 
 
-def _compare_cell(cfg, n_steps, cell):
+def _compare_cell(max_iter, n_steps, cell):
     """One grid cell: fit on the training pairs, score on the holdout
-    trajectories. cfg holds the run-wide SGD options; the cell's seed
-    replaces cfg.seed. Pure and picklable."""
+    trajectories. Shaped families train by variable projection, at most
+    max_iter L-BFGS iterations from the cell's seed. Pure and picklable."""
     system, family, n_members, seed, dataset, holdout = cell
     if family == "dmd":
         model = dmd_baseline(dataset)
     elif Family(family) in POLYNOMIAL_FAMILIES:
         model = fit_k(dataset, initial_dictionary(dataset, family, n_members))
     else:
-        model, _ = sgd_fit(dataset, family, n_members, dataclasses.replace(cfg, seed=seed))
+        model, _ = varpro_fit(dataset, family, n_members, max_iter, seed=seed)
     err = n_step_error(model, holdout, n_steps)
     return [system, family, str(n_members), str(n_steps), _r(err), str(seed)]
 
@@ -371,7 +372,6 @@ def _cmd_compare(args):
     for f in families:
         if f not in _FAMILY_NAMES:
             raise ConfigError(f"unknown dictionary family {f!r}")
-    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr)
     _emit_config(args)
     # Each (system, seed) has a training ensemble at seed 2*seed and a holdout
     # ensemble at 2*seed+1, simulated once and shared by the system's cells.
@@ -394,7 +394,7 @@ def _cmd_compare(args):
                         cells.append((system, family, n_members, seed, *data[seed]))
             for seed in args.seeds:
                 cells.append((system, "dmd", 0, seed, *data[seed]))
-        rows = list(pmap(functools.partial(_compare_cell, cfg, args.n_steps), cells))
+        rows = list(pmap(functools.partial(_compare_cell, args.epochs, args.n_steps), cells))
     path = os.path.join(args.out, "summary.csv")
     write_csv(path, ["system", "dictionary", "N", "n_steps", "error", "seed"], rows)
     print(f"compare: wrote {len(rows)} rows to {path}")
@@ -424,9 +424,11 @@ def build_parser():
     p.add_argument("--family", required=True, choices=_FAMILY_NAMES)
     p.add_argument("--n-members", type=int, default=10)
     p.add_argument("--mode", choices=[m.value for m in Mode], default="discrete")
-    p.add_argument("--method", choices=("lstsq", "sgd", "pursuit"), default="lstsq")
+    p.add_argument("--method", choices=("lstsq", "sgd", "varpro", "pursuit"),
+                   default="lstsq")
     p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=1000)
+    p.add_argument("--epochs", type=positive_int, default=1000,
+                   help="sgd epochs, or the varpro iteration cap")
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--seed", type=_seed, default=0)
@@ -466,14 +468,13 @@ def build_parser():
     p.add_argument("--families", type=_str_list, default=("all",))
     p.add_argument("--dims", type=_int_list, default=(5, 10, 20))
     p.add_argument("--seeds", type=_seed_list, default=(0, 1, 2))
-    p.add_argument("--epochs", type=int, default=1000)
+    p.add_argument("--epochs", type=positive_int, default=1000,
+                   help="iteration cap of the variable-projection training")
     p.add_argument("--n-traj", type=int, default=10)
     p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--n-steps", type=int, default=5)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(func=_cmd_compare)
 
     for p in sub.choices.values():
@@ -549,18 +550,18 @@ def _resolve(parser, sub_map, argv):
 
 
 def _foreign_fit_options(method):
-    """{dest: method} of the fit options that only another method reads."""
-    owners = {"epochs": "sgd", "batch_size": "sgd", "lr": "sgd",
-              "pool_points": "pursuit", "pool_steepness": "pursuit"}
-    return {dest: owner for dest, owner in owners.items() if owner != method}
+    """{dest: owners} of the fit options that only other methods read."""
+    owners = {"epochs": ("sgd", "varpro"), "batch_size": ("sgd",), "lr": ("sgd",),
+              "pool_points": ("pursuit",), "pool_steepness": ("pursuit",)}
+    return {dest: own for dest, own in owners.items() if method not in own}
 
 
 def _reject_foreign_fit_options(args, given):
     """Giving fit an option that its method does not read is a usage error."""
-    for dest, owner in _foreign_fit_options(args.method).items():
+    for dest, owners in _foreign_fit_options(args.method).items():
         if dest in given:
             raise UsageError(f"--{dest.replace('_', '-')} applies only to "
-                             f"--method {owner}, not --method {args.method}")
+                             f"--method {' or '.join(owners)}, not --method {args.method}")
 
 
 def main(argv=None):

@@ -100,6 +100,11 @@ def ridge_lstsq(a, b, ridge):
     return w, rank
 
 
+def adaptive_ridge(psi_in):
+    """The default ridge of solve_k: 1e-8 * sigma_max(psi_in)^2."""
+    return DEFAULT_RIDGE_FACTOR * np.linalg.norm(psi_in, 2) ** 2
+
+
 def solve_k(psi_in, psi_out, ridge=None):
     """Least-squares K with psi_out ~ psi_in @ K.T, from lifted rows.
 
@@ -114,7 +119,7 @@ def solve_k(psi_in, psi_out, ridge=None):
             IllConditionedWarning, stacklevel=3,
         )
     if ridge is None:
-        ridge = DEFAULT_RIDGE_FACTOR * np.linalg.norm(psi_in, 2) ** 2
+        ridge = adaptive_ridge(psi_in)
     kt, rank = ridge_lstsq(psi_in, psi_out, ridge)
     if ridge == 0 and rank < n:
         warnings.warn(

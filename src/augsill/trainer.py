@@ -1,14 +1,21 @@
-"""Dictionary learning: minibatch SGD over member parameters, and greedy
-matching pursuit over a fixed candidate pool.
+"""Dictionary learning: variable projection and minibatch SGD over member
+parameters, and greedy matching pursuit over a fixed candidate pool.
 
-SGD trains the shaped families (sill, augsill, summedrbf) in one epoch loop.
-Minibatch gradient steps move the centers/steepnesses, with one member-kernel
-call per minibatch on its inputs and targets stacked; every REFIT_K_EVERY
-epochs K is replaced by the closed-form least-squares solve, which is exact
-because the inner problem is linear given the shapes. Each epoch evaluates
-the members once per distinct state of the data (a trajectory ensemble's
-targets are mostly its inputs one step on) and uses that one lift for the
-refit and for the epoch loss. The loop holds the shape parameters and each
+Variable projection (Golub & Pereyra 1973) trains the shaped families (sill,
+augsill, summedrbf) by removing K exactly: K is linear given the shapes, so
+each evaluation solves it in closed form at a ridge frozen at the initial
+lift, and L-BFGS-B moves only the centers and log-steepnesses along the
+exact gradient the envelope theorem gives. Each evaluation runs the member
+kernel once on the distinct states of the data (a trajectory ensemble's
+targets are mostly its inputs one step on).
+
+SGD trains the same families in one epoch loop, the alternating scheme of
+EDMD with dictionary learning. Minibatch gradient steps move the
+centers/steepnesses, with one member-kernel call per minibatch on its inputs
+and targets stacked; every REFIT_K_EVERY epochs K is replaced by the
+closed-form least-squares solve. Each epoch evaluates the members once per
+distinct state of the data and uses that one lift for the refit and for the
+epoch loss. The loop holds the shape parameters and each
 minibatch dimension-major, (m, N) and (m, 2b), the layout of the kernel's
 sensitivities, with every RBF member after the logistic ones, the order the
 kernel requires.
@@ -21,8 +28,8 @@ Matching pursuit grows a dictionary from the [1, y] base one candidate per
 round. It ranks all candidates at once by a projection score, a lower bound
 on each candidate's refit residual, and solves directly only the candidates
 whose bound can still beat the best direct residual, so it picks what
-refitting every candidate would. Both algorithms are deterministic under a
-fixed seed.
+refitting every candidate would. All three algorithms are deterministic
+under a fixed seed.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
+from scipy.sparse import csr_array
 
 from .dictionaries import (
     Dictionary,
@@ -52,13 +61,20 @@ from .errors import (
     TrainingDivergedError,
     UnsupportedFamilyError,
 )
-from .solver import KoopmanModel, fit_k, ridge_lstsq, solve_k
+from .solver import KoopmanModel, adaptive_ridge, fit_k, ridge_lstsq, solve_k
 from .systems import Mode
 
 # Per-epoch learning-rate factor and the epoch cadence of the closed-form K
 # refit in sgd_fit.
 LR_DECAY = 0.999
 REFIT_K_EVERY = 10
+
+# varpro_fit stops once an L-BFGS iteration lowers the loss, normalised to 1
+# at the initial dictionary, by at most this much (scipy's ftol). Its box
+# |log-steepness| <= VARPRO_LOG_STEEPNESS_BOUND keeps every steepness a line
+# search tries finite and > 0 (exp overflows past 709.78).
+VARPRO_FTOL = 1e-6
+VARPRO_LOG_STEEPNESS_BOUND = 700.0
 
 # Matching pursuit: relative slack between projection bounds and direct-solve
 # residuals, and the candidate rows deflated per in-place block (bounds the
@@ -262,6 +278,158 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
             epoch_callback(epoch, loss, model(k))
         lr *= LR_DECAY
     return model(k), history
+
+
+# -- variable projection ------------------------------------------------------------
+
+
+def _lifted_objective(family, c, a, rbf, ridge, states, where, scatter, x_in, x_out):
+    """Variable-projection loss, its shape gradients and the solved K.
+
+    c and a are dimension-major (m, N) centers and steepnesses. states holds
+    the distinct rows of the stacked inputs and targets (the r inputs, then
+    the r targets), where[i] is the state of stacked row i, and the sparse
+    (states, 2r) matrix scatter has a one at (where[i], i). The member kernel
+    runs once, on the states.
+
+    K is solved out at the given ridge (None: the adaptive one of this
+    lift), and the loss is (||psi_out - psi_in K^T||^2 + ridge ||K||^2) / r.
+    K minimises it, so by the envelope theorem its shape gradients are those
+    of the residual term with K held fixed: the gradients _shape_grads_packed
+    gives on the full data. Returns (loss, g_center, g_steepness, K, ridge);
+    a lift or loss that is not finite raises TrainingDivergedError.
+    """
+    r, m = x_in.shape
+    vals, s = member_sensitivities_packed(family, c.T, a.T, rbf, states)
+    gathered = vals[where]
+    psi_in, psi_out = assemble_lift(x_in, gathered[:r]), assemble_lift(x_out, gathered[r:])
+    if not (np.isfinite(psi_in).all() and np.isfinite(psi_out).all()):
+        raise TrainingDivergedError("member values became non-finite")
+    if ridge is None:
+        ridge = adaptive_ridge(psi_in)
+    k = solve_k(psi_in, psi_out, ridge)
+    res = psi_out - psi_in @ k.T
+    loss = (float(np.sum(res * res)) + ridge * float(np.sum(k * k))) / r
+    if not np.isfinite(loss):
+        raise TrainingDivergedError("loss became non-finite")
+    # Member j feeds lifted column 1+m+j of both liftings: residual rows pull
+    # on it directly through the output lift and through K on the input lift.
+    # Summing both over the rows of each state weights its sensitivities.
+    w = scatter @ np.vstack([-(res @ k)[:, 1 + m :], res[:, 1 + m :]])
+    d_par = np.empty((2,) + s.shape)
+    np.multiply(-a[:, None, :], s, out=d_par[0])
+    np.multiply(states.T[:, :, None] - c[:, None, :], s, out=d_par[1])
+    g = (2.0 / r) * np.einsum("sj,isj->ij", w, d_par.reshape(2 * m, *s.shape[1:]))
+    return loss, g[:m], g[m:], k, ridge
+
+
+class _VarproObjective:
+    """The function L-BFGS-B minimises in varpro_fit.
+
+    theta is the flat vector [centers, log-steepness], each (m, N)
+    dimension-major. Calling the objective gives _lifted_objective's loss and
+    gradient at theta, chained through the exponential and divided by the
+    loss at theta0; the ridge is frozen at theta0's (given, or adaptive on
+    that lift). The latest evaluation is kept: L-BFGS-B ends each iteration
+    on its new iterate, so the iteration callback reads it without a second
+    evaluation.
+    """
+
+    def __init__(self, dataset, family, rbf, ridge, theta0):
+        self.family, self.rbf = family, rbf
+        self.x_in, self.x_out = dataset.inputs, dataset.targets
+        self.shape = (2, dataset.m, len(rbf))
+        # In a trajectory ensemble the targets are the inputs one step on, so
+        # evaluate the members once per distinct state and gather the lifts.
+        stacked = np.vstack([self.x_in, self.x_out])
+        self.states, self.where = np.unique(stacked, axis=0, return_inverse=True)
+        self.scatter = csr_array((np.ones(len(stacked)), (self.where, np.arange(len(stacked)))),
+                                 shape=(len(self.states), len(stacked)))
+        self.ridge, self.last = ridge, None
+        first = self.evaluate(theta0)
+        self.ridge = first["ridge"]
+        self.scale = first["loss"] if first["loss"] > 0 else 1.0
+
+    def evaluate(self, theta):
+        """{loss, grad, k, c, a, ridge} at theta, unnormalised."""
+        key = theta.tobytes()
+        if self.last is None or self.last["key"] != key:
+            c, u = theta.reshape(self.shape)
+            a = np.exp(u)
+            loss, g_c, g_a, k, ridge = _lifted_objective(
+                self.family, c, a, self.rbf, self.ridge, self.states, self.where,
+                self.scatter, self.x_in, self.x_out)
+            grad = np.concatenate([g_c.ravel(), (g_a * a).ravel()])  # chain rule through exp
+            if not np.isfinite(grad).all():
+                raise TrainingDivergedError("gradient became non-finite")
+            self.last = dict(key=key, loss=loss, grad=grad, k=k, c=c, a=a, ridge=ridge)
+        return self.last
+
+    def __call__(self, theta):
+        e = self.evaluate(theta)
+        return e["loss"] / self.scale, e["grad"] / self.scale
+
+
+def varpro_fit(dataset, family, n_members, max_iter=1000, ridge=None, seed=0,
+               iteration_callback=None):
+    """Learn dictionary shapes by variable projection (Golub & Pereyra 1973).
+
+    K is linear given the shapes, so every evaluation solves it out exactly
+    and L-BFGS-B moves only the centers and log-steepnesses, from the seeded
+    placement sgd_fit starts from. The ridge is frozen for the whole run at
+    the given value, or (None) at the adaptive 1e-8 * sigma_max(psi_in)^2 of
+    the initial lift, so the loss (see _lifted_objective) has an exact
+    gradient. Loss and gradient are divided by the initial loss. Training
+    stops after max_iter iterations, or once an iteration lowers the
+    normalised loss by at most VARPRO_FTOL. Log-steepnesses stay within
+    +-VARPRO_LOG_STEEPNESS_BOUND. Each evaluation runs the member kernel once
+    on the distinct states among inputs and targets.
+
+    Returns (model, loss_history) with the loss after each iteration;
+    iteration_callback(iteration, loss, model), when given, runs after each.
+    Raises TrainingDivergedError once an evaluation's loss or gradient is
+    not finite.
+    """
+    if dataset.mode != Mode.DISCRETE_PAIRS:
+        raise DomainError("varpro training needs a discrete-pairs dataset")
+    if n_members < 1:
+        raise DomainError("need n_members >= 1")
+    if max_iter < 1:
+        raise DomainError(f"need max_iter >= 1, got {max_iter}")
+    dataset.check_finite()
+    family = Family(family)
+    if family not in TRAINABLE_FAMILIES:
+        raise UnsupportedFamilyError(
+            f"varpro trains sill, augsill or summedrbf, not {family.value}; "
+            "fit fixed dictionaries with solver.fit_k"
+        )
+    rng = np.random.default_rng(seed)
+    centers, log_steep, rbf_mask = _init_shape_params(dataset, family, n_members, rng)
+    history = []
+
+    def model(e):
+        d = Dictionary.from_packed(family, e["c"].T, e["a"].T, rbf_mask)
+        return KoopmanModel(d, e["k"], dataset.mode, dataset.dt)
+
+    def on_iteration(theta):
+        e = objective.evaluate(theta)
+        history.append(e["loss"])
+        if iteration_callback is not None:
+            iteration_callback(len(history) - 1, e["loss"], model(e))
+
+    try:
+        theta0 = np.concatenate([centers.T.ravel(), log_steep.T.ravel()])
+        objective = _VarproObjective(dataset, family, rbf_mask, ridge, theta0)
+        n = centers.size
+        bounds = [(None, None)] * n + [(-VARPRO_LOG_STEEPNESS_BOUND,
+                                        VARPRO_LOG_STEEPNESS_BOUND)] * n
+        result = minimize(objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
+                          callback=on_iteration,
+                          options={"maxiter": max_iter, "ftol": VARPRO_FTOL})
+        return model(objective.evaluate(result.x)), history
+    except TrainingDivergedError as exc:
+        raise TrainingDivergedError(f"{exc} after iteration {len(history)}",
+                                    last_finite_epoch=len(history) - 1) from None
 
 
 # -- matching pursuit ---------------------------------------------------------------

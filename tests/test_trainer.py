@@ -35,16 +35,21 @@ from augsill.systems import (
     build_snapshot_dataset,
     simulate_ensemble,
 )
+from augsill import trainer
 from augsill.trainer import (
     LR_DECAY,
     REFIT_K_EVERY,
     PursuitPool,
     TrainConfig,
+    _VarproObjective,
     _init_shape_params,
+    _lifted_objective,
+    _shape_grads_packed,
     initial_dictionary,
     matching_pursuit_fit,
     objective_and_gradient,
     sgd_fit,
+    varpro_fit,
 )
 
 
@@ -376,6 +381,140 @@ def test_sgd_beats_dmd_on_toggle_switch():
     ours = n_step_error(model, holdout, 5)
     base = n_step_error(dmd_baseline(ds), holdout, 5)
     assert ours < base
+
+
+# -- variable projection --------------------------------------------------------
+
+
+def varpro_objective(ds, family, n_members, ridge, seed=5):
+    """The objective varpro_fit minimises, and its starting point."""
+    centers, log_steep, rbf = _init_shape_params(ds, family, n_members,
+                                                 np.random.default_rng(seed))
+    theta0 = np.concatenate([centers.T.ravel(), log_steep.T.ravel()])
+    return _VarproObjective(ds, family, rbf, ridge, theta0), theta0
+
+
+def test_varpro_gradient_matches_finite_differences():
+    # Every parameter of the normalised objective, central differences.
+    ds = vdp_dataset()
+    h = 1e-5
+    for ridge in (0.0, 1e-3):
+        for family in (Family.SILL, Family.AUGSILL, Family.SUMMED_RBF):
+            objective, theta0 = varpro_objective(ds, family, 4, ridge)
+            loss, grad = objective(theta0)
+            assert loss == 1.0
+            num = np.array([(objective(theta0 + h * e)[0] - objective(theta0 - h * e)[0])
+                            / (2 * h) for e in np.eye(len(theta0))])
+            assert np.linalg.norm(grad - num) <= 2e-8 * np.linalg.norm(grad), (ridge, family)
+
+
+def test_lifted_objective_matches_full_data_shape_grads():
+    # One kernel call on the distinct states gives the full-data gradients,
+    # and K is the closed-form fit over the same dictionary, bit for bit.
+    ds = vdp_dataset()
+    x = np.hstack([ds.inputs.T, ds.targets.T])
+    for ridge in (None, 0.0, 1e-3):
+        for family in (Family.SILL, Family.AUGSILL, Family.SUMMED_RBF):
+            objective, theta0 = varpro_objective(ds, family, 5, ridge)
+            c, u = theta0.reshape(2, ds.m, 5)
+            a = np.exp(u)
+            rbf = objective.rbf
+            loss, g_c, g_a, k, used = _lifted_objective(
+                family, c, a, rbf, ridge, objective.states, objective.where,
+                objective.scatter, ds.inputs, ds.targets)
+            ref_c, ref_a = _shape_grads_packed(family, c, a, rbf, k, x)
+            assert np.linalg.norm(g_c - ref_c) <= 1e-12 * np.linalg.norm(ref_c)
+            assert np.linalg.norm(g_a - ref_a) <= 1e-12 * np.linalg.norm(ref_a)
+            model = fit_k(ds, Dictionary.from_packed(family, c.T, a.T, rbf), ridge)
+            assert k.tobytes() == model.K.tobytes(), (ridge, family)
+            data = frobenius_residual(model, ds)
+            assert loss == pytest.approx((data + used * np.sum(k * k)) / ds.n_rows,
+                                         rel=1e-12)
+            assert used == (ridge if ridge is not None else objective.ridge)
+
+
+def test_varpro_deterministic():
+    ds = vdp_dataset()
+    for family in (Family.SILL, Family.AUGSILL, Family.SUMMED_RBF):
+        m1, h1 = varpro_fit(ds, family, 4, 40, seed=4)
+        m2, h2 = varpro_fit(ds, family, 4, 40, seed=4)
+        assert h1 == h2
+        assert m1.K.tobytes() == m2.K.tobytes()
+        assert m1.dictionary.centers.tobytes() == m2.dictionary.centers.tobytes()
+        assert m1.dictionary.steepness.tobytes() == m2.dictionary.steepness.tobytes()
+
+
+def test_varpro_descends_within_the_cap():
+    ds = vdp_dataset()
+    d0 = initial_dictionary(ds, Family.AUGSILL, 5, seed=2)
+    loss0 = frobenius_residual(fit_k(ds, d0), ds) / ds.n_rows
+    seen = []
+    model, history = varpro_fit(ds, Family.AUGSILL, 5, 30, seed=2,
+                                iteration_callback=lambda i, loss, m: seen.append((i, loss)))
+    assert 1 <= len(history) <= 30
+    assert seen == list(enumerate(history))
+    assert all(b <= a for a, b in zip(history, history[1:]))
+    assert history[-1] < 0.9 * loss0
+    # The returned K is the one solved at the frozen ridge of the initial lift.
+    k = model.K
+    objective, _ = varpro_objective(ds, Family.AUGSILL, 5, None, seed=2)
+    refit = fit_k(ds, model.dictionary, objective.ridge)
+    assert k.tobytes() == refit.K.tobytes()
+
+
+def test_varpro_static_data_stays_at_zero():
+    ds = static_dataset()
+    model, history = varpro_fit(ds, Family.SILL, 3, 5, ridge=0.0, seed=2)
+    assert all(h < 1e-18 for h in history)
+    assert objective_and_gradient(model, ds)[0] < 1e-18
+
+
+def test_varpro_rejects_bad_inputs():
+    ds = vdp_dataset(n_traj=2, steps=10)
+    for bad_args in ((Family.SILL, 0), (Family.SILL, 2, 0)):
+        with pytest.raises(DomainError):
+            varpro_fit(ds, *bad_args)
+    cont = SnapshotDataset(Mode.CONTINUOUS_DERIVATIVES, ds.inputs, ds.targets, ds.dt)
+    with pytest.raises(DomainError):
+        varpro_fit(cont, Family.SILL, 2)
+    for family in (Family.LEGENDRE, Family.HERMITE):
+        with pytest.raises(UnsupportedFamilyError):
+            varpro_fit(ds, family, 4, 2)
+    x = ds.inputs.copy()
+    x[3, 1] = np.nan
+    with pytest.raises(DataError):
+        varpro_fit(SnapshotDataset(Mode.DISCRETE_PAIRS, x, ds.targets, ds.dt),
+                   Family.SILL, 3, 2)
+
+
+def test_varpro_non_finite_evaluation_raises(monkeypatch):
+    ds = vdp_dataset(n_traj=2, steps=20)
+    objective, theta0 = varpro_objective(ds, Family.AUGSILL, 3, None)
+    # A non-finite parameter, or a log-steepness whose exp overflows.
+    for bad in (np.inf, np.nan, 1e6):
+        theta = theta0.copy()
+        theta[-1] = bad
+        with pytest.raises(TrainingDivergedError):
+            with np.errstate(all="ignore"):
+                objective(theta)
+    # Member values that are not finite never reach lstsq.
+    c, u = theta0.reshape(2, ds.m, 3)
+    with pytest.raises(TrainingDivergedError):
+        _lifted_objective(Family.AUGSILL, np.full_like(c, np.nan), np.exp(u), objective.rbf,
+                          None, objective.states, objective.where, objective.scatter,
+                          ds.inputs, ds.targets)
+    # Member values that turn non-finite mid-run end the fit as a divergence.
+    kernel, calls = trainer.member_sensitivities_packed, []
+
+    def failing(*args):
+        calls.append(1)
+        vals, s = kernel(*args)
+        return (vals * np.nan if len(calls) > 4 else vals), s
+
+    monkeypatch.setattr(trainer, "member_sensitivities_packed", failing)
+    with pytest.raises(TrainingDivergedError) as info:
+        varpro_fit(ds, Family.AUGSILL, 3, 50, seed=0)
+    assert info.value.last_finite_epoch is not None
 
 
 # -- matching pursuit ---------------------------------------------------------------
