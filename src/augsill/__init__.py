@@ -67,6 +67,7 @@ from .trainer import (
     matching_pursuit_fit,
     objective_and_gradient,
     sgd_fit,
+    varpro_fit,
 )
 from .closure import (
     BoundRow,

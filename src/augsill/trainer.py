@@ -297,14 +297,14 @@ def _lifted_objective(family, c, a, rbf, ridge, states, where, scatter, x_in, x_
     K minimises it, so by the envelope theorem its shape gradients are those
     of the residual term with K held fixed: the gradients _shape_grads_packed
     gives on the full data. Returns (loss, g_center, g_steepness, K, ridge);
-    a lift or loss that is not finite raises TrainingDivergedError.
+    non-finite member values or loss raise TrainingDivergedError.
     """
     r, m = x_in.shape
     vals, s = member_sensitivities_packed(family, c.T, a.T, rbf, states)
+    if not np.isfinite(vals).all():
+        raise TrainingDivergedError("member values became non-finite")
     gathered = vals[where]
     psi_in, psi_out = assemble_lift(x_in, gathered[:r]), assemble_lift(x_out, gathered[r:])
-    if not (np.isfinite(psi_in).all() and np.isfinite(psi_out).all()):
-        raise TrainingDivergedError("member values became non-finite")
     if ridge is None:
         ridge = adaptive_ridge(psi_in)
     k = solve_k(psi_in, psi_out, ridge)
