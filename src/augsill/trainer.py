@@ -193,6 +193,19 @@ def initial_dictionary(dataset, family, n_members, seed=0):
     return Dictionary.from_packed(family, centers, np.exp(log_steep), is_rbf)
 
 
+def _distinct_states(x_in, x_out):
+    """The distinct rows of the inputs stacked over the targets, and the
+    index of each stacked row among them.
+
+    In a trajectory ensemble the targets are the inputs one step on, so the
+    two sets share most rows and the trainers evaluate the members once per
+    distinct state. Member values depend on a row's values alone (0.0 and
+    -0.0 give the same ones); the lifts take their y columns from the
+    original rows.
+    """
+    return np.unique(np.vstack([x_in, x_out]), axis=0, return_inverse=True)
+
+
 def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
     """Learn dictionary parameters by minibatch SGD with periodic K refits.
 
@@ -232,11 +245,7 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
     # (m, 2b), the layout of the member kernel's sensitivities.
     centers, log_steep = centers.T.copy(), log_steep.T.copy()
     pairs = np.stack([x_in.T, x_out.T], axis=1)  # (m, 2, r)
-    # In a trajectory ensemble the targets are the inputs one step on, so the
-    # two sets share most rows: evaluate the members once per distinct state.
-    # Member values depend on a row's values alone (0.0 and -0.0 give the
-    # same ones); the lifts take their y columns from the original rows.
-    states, where = np.unique(np.vstack([x_in, x_out]), axis=0, return_inverse=True)
+    states, where = _distinct_states(x_in, x_out)
 
     def lifted_pair():
         steep = np.exp(log_steep)
@@ -339,12 +348,10 @@ class _VarproObjective:
         self.family, self.rbf = family, rbf
         self.x_in, self.x_out = dataset.inputs, dataset.targets
         self.shape = (2, dataset.m, len(rbf))
-        # In a trajectory ensemble the targets are the inputs one step on, so
-        # evaluate the members once per distinct state and gather the lifts.
-        stacked = np.vstack([self.x_in, self.x_out])
-        self.states, self.where = np.unique(stacked, axis=0, return_inverse=True)
-        self.scatter = csr_array((np.ones(len(stacked)), (self.where, np.arange(len(stacked)))),
-                                 shape=(len(self.states), len(stacked)))
+        self.states, self.where = _distinct_states(self.x_in, self.x_out)
+        n = len(self.where)
+        self.scatter = csr_array((np.ones(n), (self.where, np.arange(n))),
+                                 shape=(len(self.states), n))
         self.ridge, self.last = ridge, None
         first = self.evaluate(theta0)
         self.ridge = first["ridge"]
@@ -354,7 +361,7 @@ class _VarproObjective:
         """{loss, grad, k, c, a, ridge} at theta, unnormalised."""
         key = theta.tobytes()
         if self.last is None or self.last["key"] != key:
-            c, u = theta.reshape(self.shape)
+            c, u = theta.reshape(self.shape).copy()  # kept beyond the optimiser's step
             a = np.exp(u)
             loss, g_c, g_a, k, ridge = _lifted_objective(
                 self.family, c, a, self.rbf, self.ridge, self.states, self.where,
