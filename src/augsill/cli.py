@@ -72,8 +72,7 @@ _PURSUIT_KINDS = {
     Family.AUGSILL: (Kind.LOGISTIC, Kind.RBF),
 }
 # Families each fit method can train; lstsq fits every family.
-_METHOD_FAMILIES = {"sgd": TRAINABLE_FAMILIES, "varpro": TRAINABLE_FAMILIES,
-                    "pursuit": tuple(_PURSUIT_KINDS)}
+_METHOD_FAMILIES = {"sgd": TRAINABLE_FAMILIES, "pursuit": tuple(_PURSUIT_KINDS)}
 _SYSTEM_NAMES = tuple(s.value for s in SystemId)
 
 
@@ -201,25 +200,25 @@ def _cmd_fit(args):
         loss = frobenius_residual(model, dataset) / dataset.n_rows
         write_csv(log_path, ["epoch", "loss", "five_step_error"],
                   [["0", _r(loss), _r(n_step_error(model, trajs, 5))]])
-    elif args.method in ("sgd", "varpro"):
+    elif args.method == "sgd":
+        cfg = TrainConfig(
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            learning_rate=args.lr,
+            seed=args.seed,
+            ridge=args.ridge,
+        )
         rows = []
 
         def log(epoch, loss, snapshot):
-            # 5-step error is sampled on a fixed cadence; loss every epoch
-            # (an L-BFGS iteration for varpro).
+            # 5-step error is sampled on a fixed cadence; loss every epoch.
             if (epoch + 1) % FIVE_STEP_LOG_CADENCE == 0:
                 rows.append([str(epoch), _r(loss),
                              _r(n_step_error(snapshot, trajs, 5))])
             else:
                 rows.append([str(epoch), _r(loss), ""])
 
-        if args.method == "sgd":
-            cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                              learning_rate=args.lr, seed=args.seed, ridge=args.ridge)
-            model, _ = sgd_fit(dataset, family, args.n_members, cfg, epoch_callback=log)
-        else:
-            model, _ = varpro_fit(dataset, family, args.n_members, args.epochs, args.ridge,
-                                  args.seed, iteration_callback=log)
+        model, _ = sgd_fit(dataset, family, args.n_members, cfg, epoch_callback=log)
         write_csv(log_path, ["epoch", "loss", "five_step_error"], rows)
     else:  # pursuit
         pool = PursuitPool.for_data(
@@ -424,11 +423,9 @@ def build_parser():
     p.add_argument("--family", required=True, choices=_FAMILY_NAMES)
     p.add_argument("--n-members", type=int, default=10)
     p.add_argument("--mode", choices=[m.value for m in Mode], default="discrete")
-    p.add_argument("--method", choices=("lstsq", "sgd", "varpro", "pursuit"),
-                   default="lstsq")
+    p.add_argument("--method", choices=("lstsq", "sgd", "pursuit"), default="lstsq")
     p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--epochs", type=positive_int, default=1000,
-                   help="sgd epochs, or the varpro iteration cap")
+    p.add_argument("--epochs", type=positive_int, default=1000)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--seed", type=_seed, default=0)
@@ -550,18 +547,18 @@ def _resolve(parser, sub_map, argv):
 
 
 def _foreign_fit_options(method):
-    """{dest: owners} of the fit options that only other methods read."""
-    owners = {"epochs": ("sgd", "varpro"), "batch_size": ("sgd",), "lr": ("sgd",),
-              "pool_points": ("pursuit",), "pool_steepness": ("pursuit",)}
-    return {dest: own for dest, own in owners.items() if method not in own}
+    """{dest: method} of the fit options that only another method reads."""
+    owners = {"epochs": "sgd", "batch_size": "sgd", "lr": "sgd",
+              "pool_points": "pursuit", "pool_steepness": "pursuit"}
+    return {dest: owner for dest, owner in owners.items() if owner != method}
 
 
 def _reject_foreign_fit_options(args, given):
     """Giving fit an option that its method does not read is a usage error."""
-    for dest, owners in _foreign_fit_options(args.method).items():
+    for dest, owner in _foreign_fit_options(args.method).items():
         if dest in given:
             raise UsageError(f"--{dest.replace('_', '-')} applies only to "
-                             f"--method {' or '.join(owners)}, not --method {args.method}")
+                             f"--method {owner}, not --method {args.method}")
 
 
 def main(argv=None):

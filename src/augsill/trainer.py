@@ -115,6 +115,17 @@ def _residual(psi_in, psi_out, k):
     return res, float(np.sum(res * res)) / len(res)
 
 
+def _param_sensitivities(c, a, x, s):
+    """d(member)/d(center) = -a*S and d(member)/d(steepness) = (y - c)*S
+    (see member_sensitivities_packed) at the (m, rows) points x, stacked
+    into one (2m, rows, N) array so that one contraction serves both
+    parameters. c and a are (m, N), s the kernel's (m, rows, N) factor."""
+    d_par = np.empty((2,) + s.shape)
+    np.multiply(-a[:, None, :], s, out=d_par[0])
+    np.multiply(x[:, :, None] - c[:, None, :], s, out=d_par[1])
+    return d_par.reshape(2 * len(c), *s.shape[1:])
+
+
 def _shape_grads_packed(family, c, a, rbf, k, x):
     """Gradients of the batch loss w.r.t. every center and raw steepness.
 
@@ -134,12 +145,7 @@ def _shape_grads_packed(family, c, a, rbf, k, x):
     # pulls res through the output lift directly and through K on the input.
     res_nl = res[:, 1 + m :]
     back_nl = (res @ k)[:, 1 + m :]
-    # d/dmu = -a*S and d/dalpha = (y - c)*S (see member_sensitivities_packed),
-    # stacked so that one contraction per half serves both parameters.
-    d_par = np.empty((2,) + s.shape)
-    np.multiply(-a[:, None, :], s, out=d_par[0])
-    np.multiply(x[:, :, None] - c[:, None, :], s, out=d_par[1])
-    d_par = d_par.reshape(2 * m, 2 * b, -1)
+    d_par = _param_sensitivities(c, a, x, s)
     g = (2.0 / b) * (
         np.einsum("tj,itj->ij", res_nl, d_par[:, b:])
         - np.einsum("tj,itj->ij", back_nl, d_par[:, :b])
@@ -193,9 +199,9 @@ def initial_dictionary(dataset, family, n_members, seed=0):
     return Dictionary.from_packed(family, centers, np.exp(log_steep), is_rbf)
 
 
-def _distinct_states(x_in, x_out):
-    """The distinct rows of the inputs stacked over the targets, and the
-    index of each stacked row among them.
+class _DistinctStates:
+    """The distinct rows among a dataset's inputs and targets, and the lifts
+    of both from member values on those rows alone.
 
     In a trajectory ensemble the targets are the inputs one step on, so the
     two sets share most rows and the trainers evaluate the members once per
@@ -203,7 +209,19 @@ def _distinct_states(x_in, x_out):
     -0.0 give the same ones); the lifts take their y columns from the
     original rows.
     """
-    return np.unique(np.vstack([x_in, x_out]), axis=0, return_inverse=True)
+
+    def __init__(self, x_in, x_out):
+        self.x_in, self.x_out = x_in, x_out
+        # where[i] is the index in rows of row i of the inputs stacked over
+        # the targets.
+        self.rows, self.where = np.unique(np.vstack([x_in, x_out]), axis=0,
+                                          return_inverse=True)
+
+    def lift(self, vals):
+        """(psi_in, psi_out) from the member values (states, N) on rows."""
+        r = len(self.x_in)
+        gathered = vals[self.where]
+        return assemble_lift(self.x_in, gathered[:r]), assemble_lift(self.x_out, gathered[r:])
 
 
 def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
@@ -245,12 +263,12 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
     # (m, 2b), the layout of the member kernel's sensitivities.
     centers, log_steep = centers.T.copy(), log_steep.T.copy()
     pairs = np.stack([x_in.T, x_out.T], axis=1)  # (m, 2, r)
-    states, where = _distinct_states(x_in, x_out)
+    states = _DistinctStates(x_in, x_out)
 
     def lifted_pair():
         steep = np.exp(log_steep)
-        vals = member_values_packed(family, centers.T, steep.T, rbf_mask, states)[where]
-        return assemble_lift(x_in, vals[:r]), assemble_lift(x_out, vals[r:])
+        return states.lift(member_values_packed(family, centers.T, steep.T, rbf_mask,
+                                                states.rows))
 
     def model(k):
         d = Dictionary.from_packed(family, centers.T, np.exp(log_steep.T), rbf_mask)
@@ -292,51 +310,11 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
 # -- variable projection ------------------------------------------------------------
 
 
-def _lifted_objective(family, c, a, rbf, ridge, states, where, scatter, x_in, x_out):
-    """Variable-projection loss, its shape gradients and the solved K.
-
-    c and a are dimension-major (m, N) centers and steepnesses. states holds
-    the distinct rows of the stacked inputs and targets (the r inputs, then
-    the r targets), where[i] is the state of stacked row i, and the sparse
-    (states, 2r) matrix scatter has a one at (where[i], i). The member kernel
-    runs once, on the states.
-
-    K is solved out at the given ridge (None: the adaptive one of this
-    lift), and the loss is (||psi_out - psi_in K^T||^2 + ridge ||K||^2) / r.
-    K minimises it, so by the envelope theorem its shape gradients are those
-    of the residual term with K held fixed: the gradients _shape_grads_packed
-    gives on the full data. Returns (loss, g_center, g_steepness, K, ridge);
-    non-finite member values or loss raise TrainingDivergedError.
-    """
-    r, m = x_in.shape
-    vals, s = member_sensitivities_packed(family, c.T, a.T, rbf, states)
-    if not np.isfinite(vals).all():
-        raise TrainingDivergedError("member values became non-finite")
-    gathered = vals[where]
-    psi_in, psi_out = assemble_lift(x_in, gathered[:r]), assemble_lift(x_out, gathered[r:])
-    if ridge is None:
-        ridge = adaptive_ridge(psi_in)
-    k = solve_k(psi_in, psi_out, ridge)
-    res = psi_out - psi_in @ k.T
-    loss = (float(np.sum(res * res)) + ridge * float(np.sum(k * k))) / r
-    if not np.isfinite(loss):
-        raise TrainingDivergedError("loss became non-finite")
-    # Member j feeds lifted column 1+m+j of both liftings: residual rows pull
-    # on it directly through the output lift and through K on the input lift.
-    # Summing both over the rows of each state weights its sensitivities.
-    w = scatter @ np.vstack([-(res @ k)[:, 1 + m :], res[:, 1 + m :]])
-    d_par = np.empty((2,) + s.shape)
-    np.multiply(-a[:, None, :], s, out=d_par[0])
-    np.multiply(states.T[:, :, None] - c[:, None, :], s, out=d_par[1])
-    g = (2.0 / r) * np.einsum("sj,isj->ij", w, d_par.reshape(2 * m, *s.shape[1:]))
-    return loss, g[:m], g[m:], k, ridge
-
-
 class _VarproObjective:
     """The function L-BFGS-B minimises in varpro_fit.
 
     theta is the flat vector [centers, log-steepness], each (m, N)
-    dimension-major. Calling the objective gives _lifted_objective's loss and
+    dimension-major. Calling the objective gives lifted_objective's loss and
     gradient at theta, chained through the exponential and divided by the
     loss at theta0; the ridge is frozen at theta0's (given, or adaptive on
     that lift). The latest evaluation is kept: L-BFGS-B ends each iteration
@@ -346,16 +324,49 @@ class _VarproObjective:
 
     def __init__(self, dataset, family, rbf, ridge, theta0):
         self.family, self.rbf = family, rbf
-        self.x_in, self.x_out = dataset.inputs, dataset.targets
         self.shape = (2, dataset.m, len(rbf))
-        self.states, self.where = _distinct_states(self.x_in, self.x_out)
-        n = len(self.where)
-        self.scatter = csr_array((np.ones(n), (self.where, np.arange(n))),
-                                 shape=(len(self.states), n))
+        self.states = _DistinctStates(dataset.inputs, dataset.targets)
+        # A one at (where[i], i) sums per-row weights over each state's rows.
+        n = len(self.states.where)
+        self.scatter = csr_array((np.ones(n), (self.states.where, np.arange(n))),
+                                 shape=(len(self.states.rows), n))
         self.ridge, self.last = ridge, None
         first = self.evaluate(theta0)
         self.ridge = first["ridge"]
         self.scale = first["loss"] if first["loss"] > 0 else 1.0
+
+    def lifted_objective(self, c, a):
+        """Variable-projection loss, its shape gradients and the solved K at
+        the dimension-major (m, N) centers c and steepnesses a.
+
+        The member kernel runs once, on the distinct states. K is solved out
+        at the ridge (None: the adaptive one of this lift), and the loss is
+        (||psi_out - psi_in K^T||^2 + ridge ||K||^2) / r. K minimises it, so
+        by the envelope theorem its shape gradients are those of the residual
+        term with K held fixed: the gradients _shape_grads_packed gives on
+        the full data. Returns (loss, g_center, g_steepness, K, ridge);
+        non-finite member values or loss raise TrainingDivergedError.
+        """
+        r, m = self.states.x_in.shape
+        vals, s = member_sensitivities_packed(self.family, c.T, a.T, self.rbf,
+                                              self.states.rows)
+        if not np.isfinite(vals).all():
+            raise TrainingDivergedError("member values became non-finite")
+        psi_in, psi_out = self.states.lift(vals)
+        ridge = adaptive_ridge(psi_in) if self.ridge is None else self.ridge
+        k = solve_k(psi_in, psi_out, ridge)
+        res = psi_out - psi_in @ k.T
+        loss = (float(np.sum(res * res)) + ridge * float(np.sum(k * k))) / r
+        if not np.isfinite(loss):
+            raise TrainingDivergedError("loss became non-finite")
+        # Member j feeds lifted column 1+m+j of both liftings: residual rows
+        # pull on it directly through the output lift and through K on the
+        # input lift. Summing both over the rows of each state weights its
+        # sensitivities.
+        w = self.scatter @ np.vstack([-(res @ k)[:, 1 + m :], res[:, 1 + m :]])
+        d_par = _param_sensitivities(c, a, self.states.rows.T, s)
+        g = (2.0 / r) * np.einsum("sj,isj->ij", w, d_par)
+        return loss, g[:m], g[m:], k, ridge
 
     def evaluate(self, theta):
         """{loss, grad, k, c, a, ridge} at theta, unnormalised."""
@@ -363,9 +374,7 @@ class _VarproObjective:
         if self.last is None or self.last["key"] != key:
             c, u = theta.reshape(self.shape).copy()  # kept beyond the optimiser's step
             a = np.exp(u)
-            loss, g_c, g_a, k, ridge = _lifted_objective(
-                self.family, c, a, self.rbf, self.ridge, self.states, self.where,
-                self.scatter, self.x_in, self.x_out)
+            loss, g_c, g_a, k, ridge = self.lifted_objective(c, a)
             grad = np.concatenate([g_c.ravel(), (g_a * a).ravel()])  # chain rule through exp
             if not np.isfinite(grad).all():
                 raise TrainingDivergedError("gradient became non-finite")
@@ -377,23 +386,21 @@ class _VarproObjective:
         return e["loss"] / self.scale, e["grad"] / self.scale
 
 
-def varpro_fit(dataset, family, n_members, max_iter=1000, ridge=None, seed=0,
-               iteration_callback=None):
+def varpro_fit(dataset, family, n_members, max_iter=1000, seed=0):
     """Learn dictionary shapes by variable projection (Golub & Pereyra 1973).
 
     K is linear given the shapes, so every evaluation solves it out exactly
     and L-BFGS-B moves only the centers and log-steepnesses, from the seeded
     placement sgd_fit starts from. The ridge is frozen for the whole run at
-    the given value, or (None) at the adaptive 1e-8 * sigma_max(psi_in)^2 of
-    the initial lift, so the loss (see _lifted_objective) has an exact
-    gradient. Loss and gradient are divided by the initial loss. Training
-    stops after max_iter iterations, or once an iteration lowers the
-    normalised loss by at most VARPRO_FTOL. Log-steepnesses stay within
-    +-VARPRO_LOG_STEEPNESS_BOUND. Each evaluation runs the member kernel once
-    on the distinct states among inputs and targets.
+    the adaptive 1e-8 * sigma_max(psi_in)^2 of the initial lift, so the loss
+    (see _VarproObjective.lifted_objective) has an exact gradient. Loss and
+    gradient are divided by the initial loss. Training stops after max_iter
+    iterations, or once an iteration lowers the normalised loss by at most
+    VARPRO_FTOL. Log-steepnesses stay within +-VARPRO_LOG_STEEPNESS_BOUND.
+    Each evaluation runs the member kernel once on the distinct states among
+    inputs and targets.
 
-    Returns (model, loss_history) with the loss after each iteration;
-    iteration_callback(iteration, loss, model), when given, runs after each.
+    Returns (model, loss_history) with the loss after each iteration.
     Raises TrainingDivergedError once an evaluation's loss or gradient is
     not finite.
     """
@@ -414,29 +421,24 @@ def varpro_fit(dataset, family, n_members, max_iter=1000, ridge=None, seed=0,
     centers, log_steep, rbf_mask = _init_shape_params(dataset, family, n_members, rng)
     history = []
 
-    def model(e):
-        d = Dictionary.from_packed(family, e["c"].T, e["a"].T, rbf_mask)
-        return KoopmanModel(d, e["k"], dataset.mode, dataset.dt)
-
     def on_iteration(theta):
-        e = objective.evaluate(theta)
-        history.append(e["loss"])
-        if iteration_callback is not None:
-            iteration_callback(len(history) - 1, e["loss"], model(e))
+        history.append(objective.evaluate(theta)["loss"])
 
     try:
         theta0 = np.concatenate([centers.T.ravel(), log_steep.T.ravel()])
-        objective = _VarproObjective(dataset, family, rbf_mask, ridge, theta0)
+        objective = _VarproObjective(dataset, family, rbf_mask, None, theta0)
         n = centers.size
         bounds = [(None, None)] * n + [(-VARPRO_LOG_STEEPNESS_BOUND,
                                         VARPRO_LOG_STEEPNESS_BOUND)] * n
         result = minimize(objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
                           callback=on_iteration,
                           options={"maxiter": max_iter, "ftol": VARPRO_FTOL})
-        return model(objective.evaluate(result.x)), history
+        e = objective.evaluate(result.x)
     except TrainingDivergedError as exc:
         raise TrainingDivergedError(f"{exc} after iteration {len(history)}",
                                     last_finite_epoch=len(history) - 1) from None
+    d = Dictionary.from_packed(family, e["c"].T, e["a"].T, rbf_mask)
+    return KoopmanModel(d, e["k"], dataset.mode, dataset.dt), history
 
 
 # -- matching pursuit ---------------------------------------------------------------

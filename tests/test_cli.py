@@ -41,7 +41,7 @@ def test_usage_errors_exit_one(capsys):
     for value in ("-1", "0"):
         assert run("compare", "--workers", value, "--out", "x") == 1
     assert run("compare", "--epochs", "0", "--out", "x") == 1
-    assert run("fit", "--data", "x", "--family", "sill", "--method", "varpro",
+    assert run("fit", "--data", "x", "--family", "sill", "--method", "sgd",
                "--epochs", "0", "--out", "x") == 1
     capsys.readouterr()
 
@@ -101,27 +101,6 @@ def test_fit_sgd_logs_every_epoch(tmp_path):
     assert len(log) == 13
     last = log[-1].split(",")
     assert float(last[1]) > 0
-
-
-def test_fit_varpro_logs_every_iteration(tmp_path):
-    data = tmp_path / "data"
-    fit = tmp_path / "fit"
-    assert simulate_small(data, system="toggleswitch") == 0
-    assert run(
-        "fit", "--data", str(data), "--family", "augsill", "--n-members", "4",
-        "--method", "varpro", "--epochs", "60", "--seed", "1", "--out", str(fit)
-    ) == 0
-    log = (fit / "training_log.csv").read_text().strip().split("\n")
-    assert log[0] == "epoch,loss,five_step_error"
-    rows = [r.split(",") for r in log[1:]]
-    assert 1 <= len(rows) <= 60
-    assert [int(r[0]) for r in rows] == list(range(len(rows)))
-    # The 5-step error on sgd's cadence, the loss on every iteration.
-    assert all((r[2] != "") == ((int(r[0]) + 1) % 50 == 0) for r in rows)
-    losses = [float(r[1]) for r in rows]
-    assert all(b <= a for a, b in zip(losses, losses[1:]))
-    model = load_model(str(fit / "model.ini"))
-    assert model.dictionary.family == Family.AUGSILL
 
 
 def test_fit_pursuit_writes_objective_trace(tmp_path):
@@ -189,8 +168,7 @@ def test_fit_rejects_options_of_other_methods(tmp_path, capsys):
     cases = (("lstsq", "--epochs", "5"), ("lstsq", "--batch-size", "8"),
              ("lstsq", "--lr", "0.1"), ("pursuit", "--epochs", "5"),
              ("pursuit", "--lr", "0.1"), ("lstsq", "--pool-points", "3"),
-             ("sgd", "--pool-steepness", "1,5"), ("varpro", "--lr", "0.1"),
-             ("varpro", "--pool-points", "3"))
+             ("sgd", "--pool-steepness", "1,5"))
     for i, (method, flag, value) in enumerate(cases):
         key = flag[2:]
         config = tmp_path / f"run{i}.ini"
@@ -426,7 +404,6 @@ def test_option_value_fuzz_exits_cleanly(tmp_path, capsys, monkeypatch):
                       "seed": "0"}),
         ("fit", {**fit, "mode": "discrete", "method": "lstsq"}),
         ("fit", {**fit, "method": "sgd", "epochs": "2", "batch-size": "8", "lr": "0.01"}),
-        ("fit", {**fit, "method": "varpro", "epochs": "2"}),
         ("fit", {**fit, "method": "pursuit", "pool-points": "2", "pool-steepness": "1,5"}),
         ("evaluate", {"model": "fit/model.ini", "data": "data", "n-steps": "2"}),
         ("closure", {"theorems": "loglog", "configs": "1", "points": "500", "gap": "0.2",

@@ -43,7 +43,6 @@ from augsill.trainer import (
     TrainConfig,
     _VarproObjective,
     _init_shape_params,
-    _lifted_objective,
     _shape_grads_packed,
     initial_dictionary,
     matching_pursuit_fit,
@@ -419,9 +418,7 @@ def test_lifted_objective_matches_full_data_shape_grads():
             c, u = theta0.reshape(2, ds.m, 5)
             a = np.exp(u)
             rbf = objective.rbf
-            loss, g_c, g_a, k, used = _lifted_objective(
-                family, c, a, rbf, ridge, objective.states, objective.where,
-                objective.scatter, ds.inputs, ds.targets)
+            loss, g_c, g_a, k, used = objective.lifted_objective(c, a)
             ref_c, ref_a = _shape_grads_packed(family, c, a, rbf, k, x)
             assert np.linalg.norm(g_c - ref_c) <= 1e-12 * np.linalg.norm(ref_c)
             assert np.linalg.norm(g_a - ref_a) <= 1e-12 * np.linalg.norm(ref_a)
@@ -448,11 +445,8 @@ def test_varpro_descends_within_the_cap():
     ds = vdp_dataset()
     d0 = initial_dictionary(ds, Family.AUGSILL, 5, seed=2)
     loss0 = frobenius_residual(fit_k(ds, d0), ds) / ds.n_rows
-    seen = []
-    model, history = varpro_fit(ds, Family.AUGSILL, 5, 30, seed=2,
-                                iteration_callback=lambda i, loss, m: seen.append((i, loss)))
+    model, history = varpro_fit(ds, Family.AUGSILL, 5, 30, seed=2)
     assert 1 <= len(history) <= 30
-    assert seen == list(enumerate(history))
     assert all(b <= a for a, b in zip(history, history[1:]))
     assert history[-1] < 0.9 * loss0
     # The returned K is the one solved at the frozen ridge of the initial lift.
@@ -462,11 +456,15 @@ def test_varpro_descends_within_the_cap():
     assert k.tobytes() == refit.K.tobytes()
 
 
-def test_varpro_static_data_stays_at_zero():
+def test_varpro_static_data_keeps_round_off_residual():
+    # Targets equal inputs, so the identity block of K fits them and the
+    # iterations can only lower the ridge term; the data residual stays at
+    # round-off.
     ds = static_dataset()
-    model, history = varpro_fit(ds, Family.SILL, 3, 5, ridge=0.0, seed=2)
-    assert all(h < 1e-18 for h in history)
-    assert objective_and_gradient(model, ds)[0] < 1e-18
+    model, history = varpro_fit(ds, Family.SILL, 3, 5, seed=2)
+    assert len(history) >= 1
+    assert all(b <= a for a, b in zip(history, history[1:]))
+    assert objective_and_gradient(model, ds)[0] < 1e-12
 
 
 def test_varpro_rejects_bad_inputs():
@@ -500,9 +498,7 @@ def test_varpro_non_finite_evaluation_raises(monkeypatch):
     # Member values that are not finite never reach lstsq.
     c, u = theta0.reshape(2, ds.m, 3)
     with pytest.raises(TrainingDivergedError):
-        _lifted_objective(Family.AUGSILL, np.full_like(c, np.nan), np.exp(u), objective.rbf,
-                          None, objective.states, objective.where, objective.scatter,
-                          ds.inputs, ds.targets)
+        objective.lifted_objective(np.full_like(c, np.nan), np.exp(u))
     # Member values that turn non-finite mid-run end the fit as a divergence.
     kernel, calls = trainer.member_sensitivities_packed, []
 
