@@ -65,7 +65,6 @@ from .trainer import (
     TrainConfig,
     initial_dictionary,
     matching_pursuit_fit,
-    objective_and_gradient,
     sgd_fit,
     varpro_fit,
 )

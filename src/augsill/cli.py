@@ -33,7 +33,7 @@ from .closure import (
     write_closure_csv,
     write_rate_csv,
 )
-from .errors import ConfigError, DomainError, NumericalError, positive_int
+from .errors import ConfigError, DomainError, NumericalError, positive_float, positive_int
 from .expectation import expectation_table, write_expectation_csv
 from .dictionaries import POLYNOMIAL_FAMILIES, TRAINABLE_FAMILIES, Family, Kind
 from .solver import (
@@ -421,13 +421,13 @@ def build_parser():
     p = sub.add_parser("fit", help="fit a lifted linear model to simulated data")
     p.add_argument("--data", required=True, help="directory written by simulate")
     p.add_argument("--family", required=True, choices=_FAMILY_NAMES)
-    p.add_argument("--n-members", type=int, default=10)
+    p.add_argument("--n-members", type=positive_int, default=10)
     p.add_argument("--mode", choices=[m.value for m in Mode], default="discrete")
     p.add_argument("--method", choices=("lstsq", "sgd", "pursuit"), default="lstsq")
     p.add_argument("--ridge", type=float, default=None)
     p.add_argument("--epochs", type=positive_int, default=1000)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-2)
+    p.add_argument("--batch-size", type=positive_int, default=32)
+    p.add_argument("--lr", type=positive_float, default=1e-2)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--pool-points", type=positive_int, default=9)
     p.add_argument("--pool-steepness", type=_float_list, default=(1.0, 3.0, 10.0))
@@ -441,9 +441,9 @@ def build_parser():
 
     p = sub.add_parser("closure", help="steep-limit sweeps, blow-up demo, bound checks")
     p.add_argument("--theorems", type=_str_list, default=("all",))
-    p.add_argument("--configs", type=int, default=50)
+    p.add_argument("--configs", type=positive_int, default=50)
     p.add_argument("--points", type=positive_int, default=10_000)
-    p.add_argument("--gap", type=float, default=0.2)
+    p.add_argument("--gap", type=positive_float, default=0.2)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--alpha-scales", type=_float_list, default=DEFAULT_ALPHA_SCALES)
     p.add_argument("--degrees", type=_int_list, default=(1, 2, 3))

@@ -208,6 +208,8 @@ def sample_theorem_config(theorem, config_id, seed=0, gap=0.2) -> TheoremConfig:
     """
     if theorem not in THEOREM_NAMES:
         raise ParameterDomainError(f"unknown theorem sweep {theorem!r}")
+    if not (math.isfinite(gap) and gap > 0):
+        raise ParameterDomainError(f"gap must be finite and > 0, got {gap}")
     t_idx = THEOREM_NAMES.index(theorem)
     m = config_id % 3 + 1
     rng = np.random.default_rng((seed, t_idx, config_id))
@@ -259,6 +261,8 @@ def sweep_config(cfg: TheoremConfig, alpha_scales=DEFAULT_ALPHA_SCALES,
     """
     if n_points < 0:
         raise ParameterDomainError(f"n_points must be >= 0, got {n_points}")
+    if not (math.isfinite(gap) and gap > 0):
+        raise ParameterDomainError(f"gap must be finite and > 0, got {gap}")
     c, a, rbf = _member_arrays(Family.AUGSILL, cfg.m, (cfg.theta_l, cfg.theta_other))
     pts = _filter_near_centers(_halton_points(cfg.m, n_points), c, gap)
     if pts.shape[0] < 100:
@@ -296,6 +300,8 @@ def sweep_config(cfg: TheoremConfig, alpha_scales=DEFAULT_ALPHA_SCALES,
 def theorem_suite(theorems=THEOREM_NAMES, n_configs=50, alpha_scales=DEFAULT_ALPHA_SCALES,
                   seed=0, n_points=10_000, gap=0.2):
     """Sweep every requested limit statement over random valid configurations."""
+    if n_configs < 1:
+        raise ParameterDomainError(f"n_configs must be >= 1, got {n_configs}")
     reports = []
     for theorem in theorems:
         for config_id in range(n_configs):

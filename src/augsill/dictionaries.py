@@ -566,6 +566,17 @@ class ParamGradients:
     d_steepness: np.ndarray
 
 
+def _param_sensitivities(c, a, x, s):
+    """d(member)/d(center) = -a*S and d(member)/d(steepness) = (y - c)*S
+    (see member_sensitivities_packed) at the (m, rows) points x, stacked
+    into one (2m, rows, N) array so that one contraction serves both
+    parameters. c and a are (m, N), s the kernel's (m, rows, N) factor."""
+    d_par = np.empty((2,) + s.shape)
+    np.multiply(-a[:, None, :], s, out=d_par[0])
+    np.multiply(x[:, :, None] - c[:, None, :], s, out=d_par[1])
+    return d_par.reshape(2 * len(c), *s.shape[1:])
+
+
 def param_gradients_many(d, Y):
     """Batch parameter gradients: arrays of shape (r, N, m)."""
     if d.family in POLYNOMIAL_FAMILIES:
@@ -574,9 +585,9 @@ def param_gradients_many(d, Y):
         )
     Y = _check_batch(d, Y)
     _, S = member_sensitivities_packed(d.family, d.centers, d.steepness, d.is_rbf, Y)
-    a, c = d.steepness.T[:, None, :], d.centers.T[:, None, :]
-    return ParamGradients(d_center=np.moveaxis(-a * S, 0, -1),
-                          d_steepness=np.moveaxis((Y.T[:, :, None] - c) * S, 0, -1))
+    d_par = _param_sensitivities(d.centers.T, d.steepness.T, Y.T, S)
+    return ParamGradients(d_center=np.moveaxis(d_par[: d.m], 0, -1),
+                          d_steepness=np.moveaxis(d_par[d.m :], 0, -1))
 
 
 def param_gradients(d, y):

@@ -143,15 +143,6 @@ def frobenius_residual(model, dataset):
     return float(np.sum(res * res))
 
 
-def state_residual(model, dataset):
-    """Sum of squared residuals over the constant + state rows only (how well
-    the lifted model propagates the measurements themselves)."""
-    psi_in, psi_out = _lifted_pair(dataset, model.dictionary)
-    keep = 1 + model.dictionary.m
-    res = psi_out[:, :keep] - psi_in @ model.K[:keep].T
-    return float(np.sum(res * res))
-
-
 def dmd_baseline(dataset):
     """Plain linear least squares x_{t+1} ~ A x_t, packaged over the [1, y]
     dictionary with zero constant coupling."""

@@ -185,10 +185,11 @@ def integrate(s, x0, dt, steps, max_substep=DEFAULT_SUBSTEP):
     return Trajectory(dt=dt, states=path[:, 0, :], system=s)
 
 
-def sample_initial_conditions(s, n, seed, box=None):
-    """n uniform initial conditions; trajectory i draws from the stream
-    seeded by (seed, i), so any subset reproduces identically."""
-    box = box if box is not None else DEFAULT_IC_BOX[s.id]
+def sample_initial_conditions(s, n, seed):
+    """n uniform initial conditions over the system's DEFAULT_IC_BOX;
+    trajectory i draws from the stream seeded by (seed, i), so any subset
+    reproduces identically."""
+    box = DEFAULT_IC_BOX[s.id]
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     return np.array(
@@ -196,12 +197,11 @@ def sample_initial_conditions(s, n, seed, box=None):
     )
 
 
-def simulate_ensemble(s, n_trajectories, dt, steps, seed, box=None,
-                      max_substep=DEFAULT_SUBSTEP):
+def simulate_ensemble(s, n_trajectories, dt, steps, seed, max_substep=DEFAULT_SUBSTEP):
     """Integrate an ensemble from seeded uniform initial conditions."""
     if n_trajectories < 1:
         raise DomainError("need at least one trajectory")
-    x0 = sample_initial_conditions(s, n_trajectories, seed, box)
+    x0 = sample_initial_conditions(s, n_trajectories, seed)
     if not (np.isfinite(dt) and dt > 0) or steps < 1:
         raise DomainError(f"dt must be finite and > 0 and steps >= 1, got {dt}, {steps}")
     paths = _rk4_batch(s, x0, dt, steps, max_substep)

@@ -1,28 +1,30 @@
 """Dictionary learning: variable projection and minibatch SGD over member
-parameters, and greedy matching pursuit over a fixed candidate pool.
+shapes, and greedy matching pursuit over a fixed candidate pool.
 
-Variable projection (Golub & Pereyra 1973) trains the shaped families (sill,
-augsill, summedrbf) by removing K exactly: K is linear given the shapes, so
-each evaluation solves it in closed form at a ridge frozen at the initial
-lift, and L-BFGS-B moves only the centers and log-steepnesses along the
-exact gradient the envelope theorem gives. Each evaluation runs the member
-kernel once on the distinct states of the data (a trajectory ensemble's
-targets are mostly its inputs one step on).
+Both shape trainers take the shaped families (sill, augsill, summedrbf) on
+discrete snapshot pairs, start from the same seeded placement, and pass the
+same entry checks. Steepness is parameterized as exp(u) with u
+unconstrained; gradients chain through the exponential. The chain rule
+through the member kernel's sensitivities lives in dictionaries. Polynomial
+families have no shapes to train: fit them with solver.fit_k, which also
+serves continuous mode.
 
-SGD trains the same families in one epoch loop, the alternating scheme of
-EDMD with dictionary learning. Minibatch gradient steps move the
-centers/steepnesses, with one member-kernel call per minibatch on its inputs
-and targets stacked; every REFIT_K_EVERY epochs K is replaced by the
-closed-form least-squares solve. Each epoch evaluates the members once per
-distinct state of the data and uses that one lift for the refit and for the
-epoch loss. The loop holds the shape parameters and each
-minibatch dimension-major, (m, N) and (m, 2b), the layout of the kernel's
-sensitivities, with every RBF member after the logistic ones, the order the
-kernel requires.
-Polynomial families have no shapes to train: fit them with solver.fit_k.
-Steepness is parameterized as exp(u) with u unconstrained; gradients chain
-through the exponential. Training operates on discrete snapshot pairs;
-continuous-mode fitting stays in the closed-form solver.
+Variable projection (Golub & Pereyra 1973), the trainer of compare, removes
+K exactly: K is linear given the shapes, so each evaluation solves it in
+closed form at a ridge frozen at the initial lift, and L-BFGS-B moves only
+the centers and log-steepnesses along the exact gradient the envelope
+theorem gives. Each evaluation runs the member kernel once on the distinct
+states of the data (a trajectory ensemble's targets are mostly its inputs
+one step on).
+
+SGD, the trainer of fit --method sgd, alternates as EDMD with dictionary
+learning does. Minibatch gradient steps move the shapes, with one
+member-kernel call per minibatch on its inputs and targets stacked; every
+REFIT_K_EVERY epochs K is replaced by the closed-form solve. Each epoch
+lifts the distinct states once, for the refit and for the epoch loss.
+Shapes and minibatches are held dimension-major, (m, N) and (m, 2b), the
+layout of the kernel's sensitivities, with every RBF member after the
+logistic ones, the order the kernel requires.
 
 Matching pursuit grows a dictionary from the [1, y] base one candidate per
 round. It ranks all candidates at once by a projection score, a lower bound
@@ -47,9 +49,8 @@ from .dictionaries import (
     Kind,
     POLYNOMIAL_FAMILIES,
     TRAINABLE_FAMILIES,
+    _param_sensitivities,
     assemble_lift,
-    conjunctive_members,
-    lift_many,
     member_sensitivities_packed,
     member_values_packed,
     polynomial_multi_indices,
@@ -98,34 +99,6 @@ class TrainConfig:
             raise ParameterDomainError(f"bad learning rate {self.learning_rate}")
 
 
-@dataclass
-class GradientBundle:
-    """Gradients of the batch loss; shape parameters are None for polynomial
-    dictionaries (they have none)."""
-
-    d_k: np.ndarray
-    d_center: np.ndarray = None  # (N, m)
-    d_steepness: np.ndarray = None  # (N, m), w.r.t. raw steepness
-
-
-def _residual(psi_in, psi_out, k):
-    """Lifted one-step residual rows psi_out - psi_in K^T and their mean
-    squared norm, the training loss."""
-    res = psi_out - psi_in @ k.T
-    return res, float(np.sum(res * res)) / len(res)
-
-
-def _param_sensitivities(c, a, x, s):
-    """d(member)/d(center) = -a*S and d(member)/d(steepness) = (y - c)*S
-    (see member_sensitivities_packed) at the (m, rows) points x, stacked
-    into one (2m, rows, N) array so that one contraction serves both
-    parameters. c and a are (m, N), s the kernel's (m, rows, N) factor."""
-    d_par = np.empty((2,) + s.shape)
-    np.multiply(-a[:, None, :], s, out=d_par[0])
-    np.multiply(x[:, :, None] - c[:, None, :], s, out=d_par[1])
-    return d_par.reshape(2 * len(c), *s.shape[1:])
-
-
 def _shape_grads_packed(family, c, a, rbf, k, x):
     """Gradients of the batch loss w.r.t. every center and raw steepness.
 
@@ -153,23 +126,6 @@ def _shape_grads_packed(family, c, a, rbf, k, x):
     return g[:m], g[m:]
 
 
-def objective_and_gradient(model, batch):
-    """Mean squared lifted one-step residual over the batch, with gradients
-    w.r.t. K and (for trainable families) every center and steepness."""
-    if batch.mode != Mode.DISCRETE_PAIRS:
-        raise DomainError("training objective is defined on discrete pairs")
-    d = model.dictionary
-    psi_in = lift_many(d, batch.inputs)
-    res, loss = _residual(psi_in, lift_many(d, batch.targets), model.K)
-    grads = GradientBundle(d_k=(-2.0 / batch.n_rows) * (res.T @ psi_in))
-    if d.family not in POLYNOMIAL_FAMILIES:
-        x = np.hstack([batch.inputs.T, batch.targets.T])
-        g_c, g_a = _shape_grads_packed(d.family, d.centers.T, d.steepness.T, d.is_rbf,
-                                       model.K, x)
-        grads.d_center, grads.d_steepness = g_c.T, g_a.T
-    return loss, grads
-
-
 def _init_shape_params(dataset, family, n_members, rng):
     """Seeded starting placement: centers uniform over the data box,
     log-steepness uniform in [log 0.5, log 3]; augsill's RBF members follow
@@ -180,6 +136,25 @@ def _init_shape_params(dataset, family, n_members, rng):
     log_steep = rng.uniform(math.log(0.5), math.log(3.0), size=(n_members, m))
     n_logistic = {Family.SILL: n_members, Family.AUGSILL: (n_members + 1) // 2}.get(family, 0)
     return centers, log_steep, np.arange(n_members) >= n_logistic
+
+
+def _shaped_start(trainer, dataset, family, n_members, seed):
+    """Entry checks shared by sgd_fit and varpro_fit, whose messages name
+    the trainer, then the seeded starting placement: returns (family, rng,
+    (centers, log_steep, rbf_mask)), rng having drawn the placement."""
+    if dataset.mode != Mode.DISCRETE_PAIRS:
+        raise DomainError(f"{trainer} training needs a discrete-pairs dataset")
+    if n_members < 1:
+        raise DomainError("need n_members >= 1")
+    dataset.check_finite()
+    family = Family(family)
+    if family not in TRAINABLE_FAMILIES:
+        raise UnsupportedFamilyError(
+            f"{trainer} trains sill, augsill or summedrbf, not {family.value}; "
+            "fit fixed dictionaries with solver.fit_k"
+        )
+    rng = np.random.default_rng(seed)
+    return family, rng, _init_shape_params(dataset, family, n_members, rng)
 
 
 def initial_dictionary(dataset, family, n_members, seed=0):
@@ -244,21 +219,10 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
     stops being finite, or a steepness reaches 0.
     """
     cfg = cfg if cfg is not None else TrainConfig()
-    if dataset.mode != Mode.DISCRETE_PAIRS:
-        raise DomainError("sgd training needs a discrete-pairs dataset")
-    if n_members < 1:
-        raise DomainError("need n_members >= 1")
-    dataset.check_finite()
-    family = Family(family)
-    if family not in TRAINABLE_FAMILIES:
-        raise UnsupportedFamilyError(
-            f"sgd trains sill, augsill or summedrbf, not {family.value}; "
-            "fit fixed dictionaries with solver.fit_k"
-        )
+    family, rng, (centers, log_steep, rbf_mask) = _shaped_start(
+        "sgd", dataset, family, n_members, cfg.seed)
     x_in, x_out = dataset.inputs, dataset.targets
     r = dataset.n_rows
-    rng = np.random.default_rng(cfg.seed)
-    centers, log_steep, rbf_mask = _init_shape_params(dataset, family, n_members, rng)
     # Shape parameters and minibatches train dimension-major, (m, N) and
     # (m, 2b), the layout of the member kernel's sensitivities.
     centers, log_steep = centers.T.copy(), log_steep.T.copy()
@@ -294,7 +258,8 @@ def sgd_fit(dataset, family, n_members, cfg=None, epoch_callback=None):
         psi_in, psi_out = lifted_pair()
         if (epoch + 1) % REFIT_K_EVERY == 0:
             k = solve_k(psi_in, psi_out, cfg.ridge)
-        _, loss = _residual(psi_in, psi_out, k)
+        res = psi_out - psi_in @ k.T
+        loss = float(np.sum(res * res)) / r
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"loss became non-finite at epoch {epoch}",
@@ -316,13 +281,13 @@ class _VarproObjective:
     theta is the flat vector [centers, log-steepness], each (m, N)
     dimension-major. Calling the objective gives lifted_objective's loss and
     gradient at theta, chained through the exponential and divided by the
-    loss at theta0; the ridge is frozen at theta0's (given, or adaptive on
-    that lift). The latest evaluation is kept: L-BFGS-B ends each iteration
+    loss at theta0; the ridge is frozen at the adaptive one of theta0's
+    lift. The latest evaluation is kept: L-BFGS-B ends each iteration
     on its new iterate, so the iteration callback reads it without a second
     evaluation.
     """
 
-    def __init__(self, dataset, family, rbf, ridge, theta0):
+    def __init__(self, dataset, family, rbf, theta0):
         self.family, self.rbf = family, rbf
         self.shape = (2, dataset.m, len(rbf))
         self.states = _DistinctStates(dataset.inputs, dataset.targets)
@@ -330,7 +295,7 @@ class _VarproObjective:
         n = len(self.states.where)
         self.scatter = csr_array((np.ones(n), (self.states.where, np.arange(n))),
                                  shape=(len(self.states.rows), n))
-        self.ridge, self.last = ridge, None
+        self.ridge, self.last = None, None
         first = self.evaluate(theta0)
         self.ridge = first["ridge"]
         self.scale = first["loss"] if first["loss"] > 0 else 1.0
@@ -340,8 +305,9 @@ class _VarproObjective:
         the dimension-major (m, N) centers c and steepnesses a.
 
         The member kernel runs once, on the distinct states. K is solved out
-        at the ridge (None: the adaptive one of this lift), and the loss is
-        (||psi_out - psi_in K^T||^2 + ridge ||K||^2) / r. K minimises it, so
+        at the frozen ridge (on the first call, the adaptive one of this
+        lift), and the loss is (||psi_out - psi_in K^T||^2 + ridge ||K||^2)
+        / r. K minimises it, so
         by the envelope theorem its shape gradients are those of the residual
         term with K held fixed: the gradients _shape_grads_packed gives on
         the full data. Returns (loss, g_center, g_steepness, K, ridge);
@@ -404,21 +370,10 @@ def varpro_fit(dataset, family, n_members, max_iter=1000, seed=0):
     Raises TrainingDivergedError once an evaluation's loss or gradient is
     not finite.
     """
-    if dataset.mode != Mode.DISCRETE_PAIRS:
-        raise DomainError("varpro training needs a discrete-pairs dataset")
-    if n_members < 1:
-        raise DomainError("need n_members >= 1")
     if max_iter < 1:
         raise DomainError(f"need max_iter >= 1, got {max_iter}")
-    dataset.check_finite()
-    family = Family(family)
-    if family not in TRAINABLE_FAMILIES:
-        raise UnsupportedFamilyError(
-            f"varpro trains sill, augsill or summedrbf, not {family.value}; "
-            "fit fixed dictionaries with solver.fit_k"
-        )
-    rng = np.random.default_rng(seed)
-    centers, log_steep, rbf_mask = _init_shape_params(dataset, family, n_members, rng)
+    family, _, (centers, log_steep, rbf_mask) = _shaped_start(
+        "varpro", dataset, family, n_members, seed)
     history = []
 
     def on_iteration(theta):
@@ -426,7 +381,7 @@ def varpro_fit(dataset, family, n_members, max_iter=1000, seed=0):
 
     try:
         theta0 = np.concatenate([centers.T.ravel(), log_steep.T.ravel()])
-        objective = _VarproObjective(dataset, family, rbf_mask, None, theta0)
+        objective = _VarproObjective(dataset, family, rbf_mask, theta0)
         n = centers.size
         bounds = [(None, None)] * n + [(-VARPRO_LOG_STEEPNESS_BOUND,
                                         VARPRO_LOG_STEEPNESS_BOUND)] * n
@@ -481,10 +436,6 @@ class PursuitPool:
         kind, point, level = np.indices((len(self.kinds), len(lattice), len(levels))).reshape(3, -1)
         is_rbf = np.array([k == Kind.RBF for k in self.kinds])
         return lattice[point], np.repeat(levels[level, None], m, axis=1), is_rbf[kind]
-
-    def candidates(self):
-        """ConjunctiveFunction views of packed(), in its index order."""
-        return list(conjunctive_members(*self.packed()))
 
     @staticmethod
     def for_data(inputs, points_per_dim=9, steepness_levels=(1.0, 3.0, 10.0),

@@ -43,6 +43,15 @@ def test_usage_errors_exit_one(capsys):
     assert run("compare", "--epochs", "0", "--out", "x") == 1
     assert run("fit", "--data", "x", "--family", "sill", "--method", "sgd",
                "--epochs", "0", "--out", "x") == 1
+    for flag, value in (("--batch-size", "0"), ("--lr", "nan"), ("--lr", "0"),
+                        ("--n-members", "0")):
+        assert run("fit", "--data", "x", "--family", "sill", "--method", "sgd",
+                   flag, value, "--out", "x") == 1, (flag, value)
+    # Impossible closure sweeps: no configurations, centres not separated.
+    for flag, value in (("--configs", "0"), ("--configs", "-2"), ("--gap", "-0.5"),
+                        ("--gap", "0"), ("--gap", "inf")):
+        assert run("closure", "--theorems", "loglog", flag, value, "--out", "x") == 1, (
+            flag, value)
     capsys.readouterr()
 
 

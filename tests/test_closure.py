@@ -212,6 +212,15 @@ def test_sweep_rejects_negative_point_count():
     # Zero points is a valid request that the guard bands cannot serve.
     with pytest.raises(DataError):
         sweep_config(cfg, n_points=0)
+    # No configurations, or centres and guard bands not separated by a gap > 0.
+    for n in (0, -2):
+        with pytest.raises(ParameterDomainError):
+            theorem_suite(theorems=("loglog",), n_configs=n)
+    for gap in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(ParameterDomainError):
+            sample_theorem_config("loglog", 1, seed=0, gap=gap)
+        with pytest.raises(ParameterDomainError):
+            sweep_config(cfg, n_points=500, gap=gap)
 
 
 def test_small_suite_rates_and_tails():

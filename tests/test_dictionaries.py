@@ -24,6 +24,7 @@ from augsill.dictionaries import (
     member_sensitivities_packed,
     member_values_packed,
     param_gradients,
+    param_gradients_many,
     polynomial_multi_indices,
     product_limit_logistic,
     rbf_branch_survives,
@@ -502,6 +503,19 @@ def test_param_gradients_match_finite_differences():
                             assert abs(got - want) / abs(got) < 1e-5
                         else:
                             assert abs(want) < 1e-6
+    # The batch gradients carry the bits of the chain rule written out
+    # against the kernel's sensitivity factor S, laid out (m, r, N).
+    rng = np.random.default_rng(38)
+    for family in (Family.SILL, Family.AUGSILL, Family.SUMMED_RBF):
+        for m in (1, 2, 3, 9):
+            d = random_dictionary(family, m, 5, rng)
+            Y = rng.uniform(-1.5, 1.5, (7, m))
+            _, S = member_sensitivities_packed(family, d.centers, d.steepness, d.is_rbf, Y)
+            a, c = d.steepness.T[:, None, :], d.centers.T[:, None, :]
+            g = param_gradients_many(d, Y)
+            assert g.d_center.tobytes() == np.moveaxis(-a * S, 0, -1).tobytes(), (family, m)
+            assert g.d_steepness.tobytes() == np.moveaxis((Y.T[:, :, None] - c) * S, 0,
+                                                          -1).tobytes(), (family, m)
 
 
 def test_param_gradients_rejects_polynomials():

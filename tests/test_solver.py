@@ -23,7 +23,6 @@ from augsill.solver import (
     n_step_error,
     predict_n_steps,
     save_model,
-    state_residual,
 )
 from augsill.systems import Mode, SnapshotDataset, SystemSpec, Trajectory, integrate
 
@@ -131,13 +130,6 @@ def test_fit_rejects_nonfinite_and_bad_ridge():
     for ridge in (np.nan, np.inf):
         with pytest.raises(DomainError, match="ridge must be finite"):
             fit_k(ok, Dictionary.linear(2), ridge=ridge)
-
-
-def test_state_residual_subsets_frobenius():
-    A = np.array([[0.0, 1.0], [-0.5, -0.2]])
-    ds = linear_pairs(A, dt=0.1, n=60, seed=4)
-    model = fit_k(ds, small_dictionary(), ridge=1e-8)
-    assert 0.0 <= state_residual(model, ds) <= frobenius_residual(model, ds) + 1e-15
 
 
 # -- baseline --------------------------------------------------------------------
