@@ -120,8 +120,8 @@ def _items(text, parse):
     return items
 
 
-def _int_list(text):
-    return _items(text, int)
+def _count_list(text):
+    return _items(text, positive_int)
 
 
 def _float_list(text):
@@ -410,9 +410,9 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="integrate a benchmark system ensemble")
     p.add_argument("--system", required=True, choices=_SYSTEM_NAMES)
-    p.add_argument("--n-traj", type=int, default=10)
-    p.add_argument("--dt", type=float, default=0.05)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--n-traj", type=positive_int, default=10)
+    p.add_argument("--dt", type=positive_float, default=0.05)
+    p.add_argument("--steps", type=positive_int, default=200)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--derivatives", action="store_true", default=False,
                    help="include central-difference derivative columns")
@@ -436,7 +436,7 @@ def build_parser():
     p = sub.add_parser("evaluate", help="n-step prediction error of a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--n-steps", type=int, default=5)
+    p.add_argument("--n-steps", type=positive_int, default=5)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("closure", help="steep-limit sweeps, blow-up demo, bound checks")
@@ -446,7 +446,7 @@ def build_parser():
     p.add_argument("--gap", type=positive_float, default=0.2)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--alpha-scales", type=_float_list, default=DEFAULT_ALPHA_SCALES)
-    p.add_argument("--degrees", type=_int_list, default=(1, 2, 3))
+    p.add_argument("--degrees", type=_count_list, default=(1, 2, 3))
     p.add_argument("--explosion-y", type=_float_list,
                    default=(32.0, 64.0, 128.0, 256.0, 512.0))
     p.add_argument("--mc-samples", type=int, default=100_000)
@@ -463,14 +463,14 @@ def build_parser():
     p = sub.add_parser("compare", help="dictionary-comparison grid with a DMD baseline")
     p.add_argument("--systems", type=_str_list, default=("all",))
     p.add_argument("--families", type=_str_list, default=("all",))
-    p.add_argument("--dims", type=_int_list, default=(5, 10, 20))
+    p.add_argument("--dims", type=_count_list, default=(5, 10, 20))
     p.add_argument("--seeds", type=_seed_list, default=(0, 1, 2))
     p.add_argument("--epochs", type=positive_int, default=1000,
                    help="iteration cap of the variable-projection training")
-    p.add_argument("--n-traj", type=int, default=10)
-    p.add_argument("--dt", type=float, default=0.05)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--n-steps", type=int, default=5)
+    p.add_argument("--n-traj", type=positive_int, default=10)
+    p.add_argument("--dt", type=positive_float, default=0.05)
+    p.add_argument("--steps", type=positive_int, default=200)
+    p.add_argument("--n-steps", type=positive_int, default=5)
     p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(func=_cmd_compare)
 

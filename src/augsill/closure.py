@@ -24,13 +24,14 @@ from .dictionaries import (
     Dictionary,
     Family,
     Kind,
-    _conjunctive_values_and_weights,
+    _factors,
     _member_arrays,
     conjunctive_members,
     limit_logistic_packed,
     member_values_packed,
     rbf_branch_survives,
     stable_logistic,
+    stable_rbf,
 )
 from .errors import (
     DataError,
@@ -40,6 +41,7 @@ from .errors import (
     RateFitError,
     UnsupportedFamilyError,
 )
+from .solver import ridge_lstsq
 from .systems import write_csv
 
 # Below this floor a measured error is treated as underflow, not signal.
@@ -149,7 +151,7 @@ def convergence_rate(alphas, errors) -> RateFit:
         raise RateFitError("errors contain nonpositive or non-finite values")
     ln_e = np.log(floored)
     design = np.column_stack([np.ones_like(x), x])
-    coef, _, _, _ = np.linalg.lstsq(design, ln_e, rcond=None)
+    coef, _ = ridge_lstsq(design, ln_e, 0.0)
     resid = ln_e - design @ coef
     ss_res = float(resid @ resid)
     ss_tot = float(np.sum((ln_e - ln_e.mean()) ** 2))
@@ -387,8 +389,9 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
         )
 
     n_log = d.n_logistic
-    # vals (r, n); wts (m, r, n) is 1 - lam (logistic) or 1 - 2 lam (RBF).
-    vals, wts = _conjunctive_values_and_weights(c, a, rbf, pts)
+    # Factors and wts are (m, r, n); wts is 1 - lam (logistic) or 1 - 2 lam (RBF).
+    factors, wts = _factors(c, a, rbf, pts, weights=True)
+    vals = np.multiply.reduce(factors, axis=0)
     sens = wts * vals
     vals_rbf = vals[:, n_log:]
     field = vals @ w.T  # (r, m)
@@ -538,7 +541,7 @@ def polynomial_explosion_demo(degree, y_values) -> list:
         grid = np.linspace(1.0, y_max, 1024)
         design = np.vander(grid, degree + 1, increasing=True)
         target = degree * grid ** (degree + 1)
-        coef, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+        coef, _ = ridge_lstsq(design, target, 0.0)
         resid = target - design @ coef
         rows.append(ExplosionRow(y_max, float(abs(resid[-1])), float(np.abs(resid).max())))
     return rows
@@ -598,8 +601,7 @@ def expectation_bound_check(m, n_samples=100_000, seed=2, a=2.0) -> BoundCheck:
     al_k = rng.uniform(-a, a, size=(n_samples, m))
     lam = stable_logistic(al_l * (y - mu_l))
     big_l = lam.prod(axis=1)
-    lam_k = stable_logistic(al_k * (y - mu_k))
-    big_p = (lam_k * (1.0 - lam_k)).prod(axis=1)
+    big_p = stable_rbf(al_k * (y - mu_k)).prod(axis=1)
     survives = np.all(mu_k <= mu_l, axis=1)
     big_h = np.where(survives, big_p, 0.0)
     return BoundCheck(

@@ -60,9 +60,11 @@ def stable_logistic(t):
 
 
 def stable_rbf(t):
-    """exp(-t)/(1+exp(-t))^2, computed as lam*(1-lam) of the stable logistic."""
-    lam = stable_logistic(t)
-    return lam * (1.0 - lam)
+    """exp(-t)/(1+exp(-t))^2 for any finite t, to a few ulps and bitwise even
+    in t: the member kernel's RBF factor at center 0 and steepness 1."""
+    t = np.asarray(t, dtype=float)
+    f, _ = _factors(np.zeros((1, 1)), np.ones((1, 1)), [True], t.reshape(-1, 1))
+    return f.reshape(t.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -421,51 +423,48 @@ def member_values_packed(family, c, a, rbf, Y):
     Low-level core shared with the trainer's hot path; Y is (r, m), the
     result (r, N). RBF rows of rbf must follow every logistic row, the order
     Dictionary enforces: the kernel applies the RBF factor to the tail."""
-    lam = _factor_logistics(c, a, Y)
-    if family == Family.SUMMED_RBF:
-        return _sum_over_dims(lam * (1.0 - lam))
-    n_log = _n_logistic(rbf)
-    if n_log < len(rbf):
-        tail = lam[..., n_log:]
-        tail *= 1.0 - tail
-    return np.multiply.reduce(lam, axis=0)
+    f, _ = _factors(c, a, rbf, Y)
+    return _reduce_factors(family, f)[0]
 
 
-def _factor_logistics(c, a, Y):
-    """Scalar logistics lam of every (dimension, row, member) as a C-ordered
-    (m, r, N) array, so that the member axis, not the few dimensions, is
-    numpy's inner loop."""
-    aT, cT, Yt = np.ascontiguousarray(a.T), np.ascontiguousarray(c.T), np.ascontiguousarray(Y.T)
-    return stable_logistic(aT[:, None, :] * (Yt[:, :, None] - cT[:, None, :]))
+def _factors(c, a, rbf, Y, weights=False):
+    """Scalar factors f of every (dimension, row, member) and, if weights,
+    their weights w = d(log f)/dt (else None): C-ordered (m, r, N) arrays, so
+    that numpy's inner loop runs over the members. At t = a (y - c) a
+    logistic row gets lam(t) and 1 - lam(t); an RBF row, after every logistic
+    row, gets rho = lam(u) (1 - lam(u)) at u = -|t| <= 0, where nothing
+    cancels, and 1 - 2 lam(t) as (1 - lam(u)) - lam(u) with the sign of -t.
+    rho is bitwise even in t, its weight exactly odd."""
+    n_log = len(rbf) - np.count_nonzero(rbf)
+    Yt, cT = np.ascontiguousarray(Y.T), np.ascontiguousarray(c.T)
+    t = Yt[:, :, None] - cT[:, None, :]
+    tail = t[..., n_log:]
+    np.abs(tail, out=tail)
+    t *= np.where(rbf, -a.T, a.T)[:, None, :]  # -a |y - c| = -|t| on the RBF rows
+    f = stable_logistic(t)
+    f_rbf = f[..., n_log:]
+    lo = 0 if weights else n_log  # 1 - lam: every row's weight, or the RBF rows' rho
+    np.subtract(1.0, f[..., lo:], out=t[..., lo:])
+    odd = np.subtract(tail, f_rbf) if weights else None  # 1 - 2 lam(u)
+    f_rbf *= tail
+    if not weights:
+        return f, None
+    np.copysign(odd, cT[:, None, n_log:] - Yt[:, :, None], out=tail)  # a > 0: sign of -t
+    return f, t
 
 
-def _sum_over_dims(terms):
-    """Sum of (m, r, N) terms over axis 0 with the bits numpy gives a sum
-    over a contiguous axis, such as the last axis of an (r, N, m) array:
-    left to right below 8 terms, pairwise from 8 on. Products need no such
-    care: numpy multiplies left to right on any axis."""
-    if len(terms) < 8:
-        return np.add.reduce(terms, axis=0)
-    return np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=2)
-
-
-def _n_logistic(rbf):
-    return len(rbf) - np.count_nonzero(rbf)
-
-
-def _conjunctive_values_and_weights(c, a, rbf, Y):
-    """Conjunctive member values (r, N) and the per-factor weights w
-    (m, r, N): 1 - lam for logistic rows, 1 - 2 lam for the RBF rows, which
-    follow every logistic row."""
-    lam = _factor_logistics(c, a, Y)
-    w = 1.0 - lam
-    n_log = _n_logistic(rbf)
-    if n_log < len(rbf):
-        tail, w_tail = lam[..., n_log:], w[..., n_log:]
-        twice = 2.0 * tail
-        tail *= w_tail
-        np.subtract(1.0, twice, out=w_tail)
-    return np.multiply.reduce(lam, axis=0), w
+def _reduce_factors(family, f):
+    """Member values (r, N) from the (m, r, N) factors, and what each
+    factor's weight multiplies into S: summedrbf sums the factors, with the
+    bits of numpy's sum over the last axis of an (r, N, m) array (pairwise
+    from 8 terms on), and takes the factor itself; the conjunctive families
+    multiply them, left to right, and take the product."""
+    if family != Family.SUMMED_RBF:
+        vals = np.multiply.reduce(f, axis=0)
+        return vals, vals
+    if len(f) < 8:
+        return np.add.reduce(f, axis=0), f
+    return np.ascontiguousarray(np.moveaxis(f, 0, -1)).sum(axis=2), f
 
 
 def member_sensitivities_packed(family, c, a, rbf, Y):
@@ -476,17 +475,14 @@ def member_sensitivities_packed(family, c, a, rbf, Y):
         d(member_j)/dmu_ji    = -steepness[j,i] * S[i,t,j]
         d(member_j)/dalpha_ji = (y_i - center[j,i]) * S[i,t,j]
 
-    For conjunctive members S = w_i * value with w = (1-lam) (logistic) or
-    (1-2lam) (RBF); for summedrbf S_i = rho_i*(1-2lam_i). As in
+    S = w_i * value for conjunctive members and w_i * factor_i for summedrbf,
+    with w = (1-lam) (logistic) or (1-2lam) (RBF). As in
     member_values_packed, RBF rows must follow every logistic row.
     """
-    if family != Family.SUMMED_RBF:
-        vals, w = _conjunctive_values_and_weights(c, a, rbf, Y)
-        w *= vals
-        return vals, w
-    lam = _factor_logistics(c, a, Y)
-    rho = lam * (1.0 - lam)
-    return _sum_over_dims(rho), rho * (1.0 - 2.0 * lam)
+    f, w = _factors(c, a, rbf, Y, weights=True)
+    vals, scale = _reduce_factors(family, f)
+    w *= scale
+    return vals, w
 
 
 def _member_values(d, Y):

@@ -149,7 +149,7 @@ def dmd_baseline(dataset):
     if dataset.mode != Mode.DISCRETE_PAIRS:
         raise DomainError("dmd baseline needs a discrete-pairs dataset")
     dataset.check_finite()
-    at, _, _, _ = np.linalg.lstsq(dataset.inputs, dataset.targets, rcond=None)
+    at, _ = ridge_lstsq(dataset.inputs, dataset.targets, 0.0)
     m = dataset.m
     k = np.zeros((1 + m, 1 + m))
     k[0, 0] = 1.0

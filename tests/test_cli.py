@@ -32,7 +32,7 @@ def csv_files(root):
     return found
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert run() == 1
     assert run("frobnicate") == 1
     assert run("simulate", "--system", "vanderpol") == 1  # --out missing
@@ -47,12 +47,32 @@ def test_usage_errors_exit_one(capsys):
                         ("--n-members", "0")):
         assert run("fit", "--data", "x", "--family", "sill", "--method", "sgd",
                    flag, value, "--out", "x") == 1, (flag, value)
-    # Impossible closure sweeps: no configurations, centres not separated.
+    # Impossible closure runs: no configurations, centres not separated, a
+    # blow-up degree below 1.
     for flag, value in (("--configs", "0"), ("--configs", "-2"), ("--gap", "-0.5"),
-                        ("--gap", "0"), ("--gap", "inf")):
+                        ("--gap", "0"), ("--gap", "inf"), ("--degrees", "1,0")):
         assert run("closure", "--theorems", "loglog", flag, value, "--out", "x") == 1, (
             flag, value)
+    # Trajectory, step and dimension counts below 1; time steps not finite and > 0.
+    bad_values = {
+        "simulate": (("--n-traj", "0"), ("--steps", "0"), ("--dt", "nan"), ("--dt", "-1")),
+        "compare": (("--dims", "0"), ("--dims", "-2"), ("--dims", "5,0"), ("--n-traj", "0"),
+                    ("--steps", "0"), ("--n-steps", "0"), ("--dt", "0")),
+        "evaluate": (("--n-steps", "0"),),
+    }
+    required = {"simulate": ("--system", "vanderpol"), "compare": (),
+                "evaluate": ("--model", "x", "--data", "x")}
+    for command, cases in bad_values.items():
+        for flag, value in cases:
+            assert run(command, *required[command], flag, value, "--out", "x") == 1, (
+                command, flag, value)
+    # The same value from a config file is a data error that names the key.
+    config = tmp_path / "bad.ini"
+    config.write_text("[simulate]\nn-traj = 0\n")
     capsys.readouterr()
+    assert run("--config", str(config), "simulate", "--system", "vanderpol",
+               "--out", str(tmp_path / "x")) == 2
+    assert "n-traj" in capsys.readouterr().err
 
 
 def test_simulate_artifacts(tmp_path):

@@ -207,8 +207,8 @@ def test_sweep_rejects_negative_point_count():
     for n in (-1, -10_000):
         with pytest.raises(DomainError):
             sweep_config(cfg, n_points=n)
-        with pytest.raises(DomainError):
-            theorem_suite(theorems=("logrbf",), n_configs=1, n_points=n)
+        with pytest.raises(DomainError, match="n_points"):
+            theorem_suite(theorems=("loglog",), n_configs=1, n_points=n)
     # Zero points is a valid request that the guard bands cannot serve.
     with pytest.raises(DataError):
         sweep_config(cfg, n_points=0)

@@ -156,29 +156,61 @@ def test_conjunctive_kernel_matches_select_and_reduce():
     # factor applied to the tail of the members, products and sums taken
     # over the leading axis -- gives the bits of one select over the mask
     # followed by a reduction over the last axis of the (r, N, m) layout.
+    # The RBF and its weight are taken at u = -|t|, where neither cancels.
     # m = 9 covers the summed-RBF sums numpy takes pairwise.
     rng = np.random.default_rng(8)
     for m in (1, 2, 3, 5, 9):
         c = rng.uniform(-1.0, 1.0, (7, m))
         a = np.exp(rng.uniform(-1.0, 3.0, (7, m)))
         y = rng.uniform(-2.0, 2.0, (40, m))
-        lam = stable_logistic(a[None] * (y[:, None, :] - c[None]))
-        rho = lam * (1.0 - lam)
+        t = a[None] * (y[:, None, :] - c[None])
+        lam, lam_u = stable_logistic(t), stable_logistic(-np.abs(t))
+        rho = lam_u * (1.0 - lam_u)
+        odd = np.copysign((1.0 - lam_u) - lam_u, -t)
         cases = ((Family.SILL, np.zeros(7, bool)), (Family.AUGSILL, np.arange(7) >= 3),
                  (Family.SUMMED_RBF, np.ones(7, bool)))
         for family, rbf in cases:
             mask = rbf[None, :, None]
             if family == Family.SUMMED_RBF:
                 vals = rho.sum(axis=2)
-                s = rho * (1.0 - 2.0 * lam)
+                s = rho * odd
             else:
                 vals = np.where(mask, rho, lam).prod(axis=2)
-                s = np.where(mask, 1.0 - 2.0 * lam, 1.0 - lam) * vals[:, :, None]
+                s = np.where(mask, odd, 1.0 - lam) * vals[:, :, None]
             assert member_values_packed(family, c, a, rbf, y).tobytes() == vals.tobytes()
             got_vals, got_s = member_sensitivities_packed(family, c, a, rbf, y)
             assert got_vals.tobytes() == vals.tobytes()
             assert got_s.shape == (m, 40, 7)
             assert got_s.tobytes() == np.moveaxis(s, 2, 0).tobytes()
+
+
+def test_rbf_factor_is_accurate_and_even_far_out():
+    # exp(-|t|)/(1+exp(-|t|))^2 over t in [-700, 700]: stable_rbf and the RBF
+    # factor of the kernel (m = 1, center 0, steepness 1, for summedrbf and
+    # for the RBF member of an augsill pair) are accurate to a few ulps,
+    # bitwise even, and their sensitivity rho (1 - 2 lam) = -rho tanh(t/2)
+    # is exactly odd (at t = 0 it is +0.0 for either zero).
+    t = np.linspace(-700.0, 700.0, 1_400_001)
+    e = np.exp(-np.abs(t))
+    ref = e / (1.0 + e) ** 2
+    far = np.abs(t) >= 1.0
+    got = stable_rbf(t)
+    np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+    assert got.tobytes() == stable_rbf(-t).tobytes()
+    for family, rbf in ((Family.SUMMED_RBF, [True]), (Family.AUGSILL, [False, True])):
+        n = len(rbf)
+        c, a = np.zeros((n, 1)), np.ones((n, 1))
+        vals, s = member_sensitivities_packed(family, c, a, np.array(rbf), t[:, None])
+        vals_neg, s_neg = member_sensitivities_packed(family, c, a, np.array(rbf), -t[:, None])
+        np.testing.assert_allclose(vals[:, -1], ref, rtol=1e-15, atol=0)
+        assert vals[:, -1].tobytes() == vals_neg[:, -1].tobytes()
+        assert np.array_equal(s[0, :, -1], -s_neg[0, :, -1])
+        np.testing.assert_allclose(s[0, far, -1], -ref[far] * np.tanh(t[far] / 2.0),
+                                   rtol=2e-15, atol=0)
+        assert member_values_packed(family, c, a, np.array(rbf), t[:, None]).tobytes() \
+            == vals.tobytes()
+    # The logistic head of the augsill pair keeps the stable logistic's bits.
+    assert vals[:, 0].tobytes() == stable_logistic(t).tobytes()
 
 
 # -- conjunctive functions ---------------------------------------------------
