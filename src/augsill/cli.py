@@ -128,8 +128,20 @@ def _float_list(text):
     return _items(text, float)
 
 
-def _str_list(text):
-    return _items(text, str)
+def _positive_list(text):
+    return _items(text, positive_float)
+
+
+def _names_from(allowed):
+    """Parse type of a list of names from allowed, or of 'all' alone."""
+
+    def name_list(text):
+        names = _items(text, str)
+        if names != ("all",) and not set(names) <= set(allowed):
+            raise ValueError(f"{text!r} is not all or a list from {', '.join(allowed)}")
+        return names
+
+    return name_list
 
 
 def _seed_list(text):
@@ -257,9 +269,6 @@ def _cmd_evaluate(args):
 
 def _cmd_closure(args):
     theorems = THEOREM_NAMES if args.theorems == ("all",) else args.theorems
-    for t in theorems:
-        if t not in THEOREM_NAMES:
-            raise ConfigError(f"unknown theorem sweep {t!r}")
     _emit_config(args)
     reports = theorem_suite(
         theorems,
@@ -365,12 +374,6 @@ def _one_blas_thread():
 def _cmd_compare(args):
     systems = _SYSTEM_NAMES if args.systems == ("all",) else args.systems
     families = _FAMILY_NAMES if args.families == ("all",) else args.families
-    for s in systems:
-        if s not in _SYSTEM_NAMES:
-            raise ConfigError(f"unknown system {s!r}")
-    for f in families:
-        if f not in _FAMILY_NAMES:
-            raise ConfigError(f"unknown dictionary family {f!r}")
     _emit_config(args)
     # Each (system, seed) has a training ensemble at seed 2*seed and a holdout
     # ensemble at 2*seed+1, simulated once and shared by the system's cells.
@@ -430,7 +433,7 @@ def build_parser():
     p.add_argument("--lr", type=positive_float, default=1e-2)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--pool-points", type=positive_int, default=9)
-    p.add_argument("--pool-steepness", type=_float_list, default=(1.0, 3.0, 10.0))
+    p.add_argument("--pool-steepness", type=_positive_list, default=(1.0, 3.0, 10.0))
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("evaluate", help="n-step prediction error of a saved model")
@@ -440,29 +443,29 @@ def build_parser():
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("closure", help="steep-limit sweeps, blow-up demo, bound checks")
-    p.add_argument("--theorems", type=_str_list, default=("all",))
+    p.add_argument("--theorems", type=_names_from(THEOREM_NAMES), default=("all",))
     p.add_argument("--configs", type=positive_int, default=50)
     p.add_argument("--points", type=positive_int, default=10_000)
     p.add_argument("--gap", type=positive_float, default=0.2)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--alpha-scales", type=_float_list, default=DEFAULT_ALPHA_SCALES)
+    p.add_argument("--alpha-scales", type=_positive_list, default=DEFAULT_ALPHA_SCALES)
     p.add_argument("--degrees", type=_count_list, default=(1, 2, 3))
     p.add_argument("--explosion-y", type=_float_list,
                    default=(32.0, 64.0, 128.0, 256.0, 512.0))
-    p.add_argument("--mc-samples", type=int, default=100_000)
+    p.add_argument("--mc-samples", type=positive_int, default=100_000)
     p.add_argument("--mc-seed", type=_seed, default=2)
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("expectation", help="scalar-member expectation table")
-    p.add_argument("--a-values", type=_float_list, default=(0.5, 1.0, 2.0, 5.0))
-    p.add_argument("--quad-points", type=int, default=200)
-    p.add_argument("--mc-samples", type=int, default=100_000)
+    p.add_argument("--a-values", type=_positive_list, default=(0.5, 1.0, 2.0, 5.0))
+    p.add_argument("--quad-points", type=positive_int, default=200)
+    p.add_argument("--mc-samples", type=positive_int, default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_expectation)
 
     p = sub.add_parser("compare", help="dictionary-comparison grid with a DMD baseline")
-    p.add_argument("--systems", type=_str_list, default=("all",))
-    p.add_argument("--families", type=_str_list, default=("all",))
+    p.add_argument("--systems", type=_names_from(_SYSTEM_NAMES), default=("all",))
+    p.add_argument("--families", type=_names_from(_FAMILY_NAMES), default=("all",))
     p.add_argument("--dims", type=_count_list, default=(5, 10, 20))
     p.add_argument("--seeds", type=_seed_list, default=(0, 1, 2))
     p.add_argument("--epochs", type=positive_int, default=1000,

@@ -265,6 +265,9 @@ def sweep_config(cfg: TheoremConfig, alpha_scales=DEFAULT_ALPHA_SCALES,
         raise ParameterDomainError(f"n_points must be >= 0, got {n_points}")
     if not (math.isfinite(gap) and gap > 0):
         raise ParameterDomainError(f"gap must be finite and > 0, got {gap}")
+    scales = np.asarray(alpha_scales, dtype=float)
+    if not np.all(np.isfinite(scales) & (scales > 0)):
+        raise ParameterDomainError(f"alpha scales must be finite and > 0, got {alpha_scales}")
     c, a, rbf = _member_arrays(Family.AUGSILL, cfg.m, (cfg.theta_l, cfg.theta_other))
     pts = _filter_near_centers(_halton_points(cfg.m, n_points), c, gap)
     if pts.shape[0] < 100:
@@ -276,7 +279,6 @@ def sweep_config(cfg: TheoremConfig, alpha_scales=DEFAULT_ALPHA_SCALES,
         sups.append(float(errs.max()))
         means.append(float(errs.mean()))
         bounds.append(2.0 * cfg.m * math.exp(-s * a_min * gap))
-    scales = np.asarray(alpha_scales, dtype=float)
     sup_arr = np.asarray(sups)
     live = sup_arr > RATE_FLOOR
     # Underflowed sweep points carry no rate information; drop them, keeping
@@ -392,71 +394,48 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
     # Factors and wts are (m, r, n); wts is 1 - lam (logistic) or 1 - 2 lam (RBF).
     factors, wts = _factors(c, a, rbf, pts, weights=True)
     vals = np.multiply.reduce(factors, axis=0)
-    sens = wts * vals
-    vals_rbf = vals[:, n_log:]
     field = vals @ w.T  # (r, m)
 
     # Exact Lie derivative: gradient of each member contracted with the field.
-    exact = np.einsum("nm,mrn,rm->rn", a, sens, field)
+    exact = np.einsum("nm,mrn,rm->rn", a, wts * vals, field)
 
     # Products route: same contraction with the member value pulled outside.
     products = vals * np.einsum("rm,nm->rn", field, a)
 
+    # The limit target of each product of member p and field member q is
+    # own[r, p] * targets[r, p, q]. A logistic row owns 1 and holds the limit
+    # logistic of each logistic pair (one packed batch of n_log^2 members) and
+    # the RBF gated by the branch matrix. An RBF row owns the RBF itself, which
+    # is what survives its products with logistics, and holds that gate
+    # transposed; RBF-RBF products vanish.
     c_log, a_log = c[:n_log], a[:n_log]
-    # Limit member of every logistic-logistic pair, evaluated as one packed
-    # batch of n_log^2 logistic members.
     c_star, a_star = limit_logistic_packed(c_log[:, None], a_log[:, None],
                                            c_log[None], a_log[None])
-    limit_star = member_values_packed(
+    targets = np.zeros((len(pts), n, n))
+    targets[:, :n_log, :n_log] = member_values_packed(
         Family.SILL, c_star.reshape(-1, d.m), a_star.reshape(-1, d.m),
         np.zeros(n_log * n_log, dtype=bool), pts,
-    ).reshape(pts.shape[0], n_log, n_log)
+    ).reshape(len(pts), n_log, n_log)
     branch = rbf_branch_survives(c_log[:, None], c[None, n_log:])  # (n_log, n_rbf)
-    limit_h = vals_rbf[:, None, :] * branch[None, :, :]  # (r, n_log, n_rbf)
-    limit_targets = np.concatenate([limit_star, limit_h], axis=2)  # (r, n_log, n)
+    targets[:, :n_log, n_log:] = vals[:, None, n_log:] * branch
+    targets[:, n_log:, :n_log] = branch.T
+    own = np.where(rbf, vals, 1.0)
 
-    # Logistic members: stage (b) keeps the (1 - lambda) weights, stage (c)
-    # drops them.
-    coef_b_log = np.einsum("li,irl,iq->rlq", a_log, wts[..., :n_log], w)
-    coef_c_log = np.einsum("li,iq->lq", a_log, w)
-    stage_b_log = np.einsum("rlq,rlq->rl", coef_b_log, limit_targets)
-    stage_c_log = np.einsum("lq,rlq->rl", coef_c_log, limit_targets)
+    # Stage (b) keeps each member's weights (1 - lam or 1 - 2 lam) on its
+    # targets; stage (c) drops them.
+    coef_b = np.einsum("pi,irp,iq->rpq", a, wts, w)
+    stage_b = own * np.einsum("rpq,rpq->rp", coef_b, targets)
+    stage_c = own * np.einsum("pq,rpq->rp", np.einsum("pi,iq->pq", a, w), targets)
 
-    # RBF members: only logistic-target terms survive the limit; RBF-RBF
-    # products vanish. Stage (b) keeps the (1 - 2 lambda) weights. The limit
-    # target of the pair (logistic j, RBF k) is the RBF itself gated by the
-    # same branch matrix, transposed to (k, j).
-    a_r = a[n_log:]
-    coef_b_rbf = np.einsum("ki,irk,ij->rkj", a_r, wts[..., n_log:], w[:, :n_log])
-    coef_c_rbf = np.einsum("ki,ij->kj", a_r, w[:, :n_log])
-    gate = branch.T  # (n_rbf, n_log)
-    stage_b_rbf = vals_rbf * (coef_b_rbf * gate[None, :, :]).sum(axis=2)
-    stage_c_rbf = vals_rbf * (coef_c_rbf * gate).sum(axis=1)[None, :]
-
-    stage_b = np.concatenate([stage_b_log, stage_b_rbf], axis=1)
-    stage_c = np.concatenate([stage_c_log, stage_c_rbf], axis=1)
-
-    stats = []
-    for q in range(n):
-        ab = np.abs(exact[:, q] - stage_b[:, q])
-        bc = np.abs(stage_b[:, q] - stage_c[:, q])
-        ac = np.abs(exact[:, q] - stage_c[:, q])
-        ap = np.abs(exact[:, q] - products[:, q])
-        stats.append(
-            MemberClosureStats(
-                index=q,
-                kind=Kind.RBF if rbf[q] else Kind.LOGISTIC,
-                sup_exact_vs_limit=float(ab.max()),
-                mean_exact_vs_limit=float(ab.mean()),
-                sup_limit_vs_linear=float(bc.max()),
-                mean_limit_vs_linear=float(bc.mean()),
-                sup_exact_vs_linear=float(ac.max()),
-                mean_exact_vs_linear=float(ac.mean()),
-                sup_exact_vs_products=float(ap.max()),
-                mean_exact_vs_products=float(ap.mean()),
-            )
-        )
-    return stats
+    # |gap| per (member, stage pair, point), points last so that each mean is
+    # numpy's pairwise sum over one contiguous row.
+    err = np.abs(np.stack([exact - stage_b, stage_b - stage_c,
+                           exact - stage_c, exact - products]))
+    err = np.ascontiguousarray(err.transpose(2, 0, 1))
+    table = np.stack([err.max(axis=2), err.mean(axis=2)], axis=2)  # (n, 4, 2)
+    return [MemberClosureStats(q, Kind.RBF if rbf[q] else Kind.LOGISTIC,
+                               *table[q].ravel().tolist())
+            for q in range(n)]
 
 
 # -- closed-form expectation bounds ----------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -65,6 +66,10 @@ def stable_rbf(t):
     t = np.asarray(t, dtype=float)
     f, _ = _factors(np.zeros((1, 1)), np.ones((1, 1)), [True], t.reshape(-1, 1))
     return f.reshape(t.shape)[()]
+
+
+# The scalar function of each factor kind, at center 0 and steepness 1.
+_SCALAR_FORMS = {Kind.LOGISTIC: stable_logistic, Kind.RBF: stable_rbf}
 
 
 @dataclass(frozen=True)
@@ -115,12 +120,11 @@ def eval_scalar_basis(kind, y_i, p):
     """Evaluate one scalar factor. Logistic lands in (0,1), RBF in (0, 1/4]."""
     if not np.isfinite(y_i):
         raise ParameterDomainError(f"input must be finite, got {y_i}")
-    t = p.steepness * (y_i - p.center)
-    if kind == Kind.LOGISTIC:
-        return float(stable_logistic(t))
-    if kind == Kind.RBF:
-        return float(stable_rbf(t))
-    raise ParameterDomainError(f"unknown kind {kind!r}")
+    try:
+        form = _SCALAR_FORMS[Kind(kind)]
+    except ValueError:
+        raise ParameterDomainError(f"unknown kind {kind!r}") from None
+    return float(form(p.steepness * (y_i - p.center)))
 
 
 def eval_conjunctive(f, y):
@@ -242,8 +246,9 @@ class Dictionary:
     Sill, augsill and summedrbf store their N members as read-only arrays,
     ``centers`` and ``steepness`` (N, m) and ``is_rbf`` (N,), logistic rows
     first; ``members`` builds ConjunctiveFunction views (summedrbf: tuples of
-    ScalarBasisParams) on demand. Polynomial families keep multi-indices as
-    ``members`` and no arrays (None). Instances are immutable.
+    ScalarBasisParams) on demand. Polynomial families store their multi-indices
+    as one read-only (N, m) integer degree table, which ``members`` reads back
+    as tuples, and no arrays (None). Instances are immutable.
     """
 
     def __init__(self, family, m, members):
@@ -255,17 +260,20 @@ class Dictionary:
         if self.family not in POLYNOMIAL_FAMILIES:
             self._store(*_member_arrays(self.family, m, members))
             return
-        self._indices = members
         self.centers = self.steepness = self.is_rbf = None
         for idx in members:
             if len(idx) != m:
                 raise DimensionMismatchError(f"multi-index {idx} has length != m = {m}")
-            if any(int(k) != k or k < 0 for k in idx):
+            if any(not isinstance(k, numbers.Real) or not float(k).is_integer() or k < 0
+                   for k in idx):
                 raise ParameterDomainError(f"bad multi-index {idx}")
             if sum(idx) < 2:
                 raise ParameterDomainError(
                     f"multi-index {idx} duplicates the constant/linear rows"
                 )
+        self._degrees = np.array([[int(k) for k in idx] for idx in members],
+                                 dtype=np.int64).reshape(-1, m)
+        self._degrees.setflags(write=False)
 
     @staticmethod
     def from_packed(family, centers, steepness, is_rbf):
@@ -305,7 +313,7 @@ class Dictionary:
     def members(self):
         """Multi-indices (polynomial families) or member views of the rows."""
         if self.is_rbf is None:
-            return self._indices
+            return tuple(map(tuple, self._degrees.tolist()))
         views = conjunctive_members(self.centers, self.steepness, self.is_rbf)
         return tuple(f.params for f in views) if self.family == Family.SUMMED_RBF else views
 
@@ -343,7 +351,7 @@ class Dictionary:
 
     @property
     def n_members(self):
-        return len(self._indices) if self.is_rbf is None else len(self.is_rbf)
+        return len(self._degrees if self.is_rbf is None else self.is_rbf)
 
     @property
     def n_logistic(self):
@@ -412,9 +420,18 @@ def _poly_1d(family, x, max_deg):
     return vals, ders
 
 
-def _poly_tables(d, Y):
-    max_deg = max((max(idx) for idx in d.members), default=0)
-    return _poly_1d(d.family, Y, max_deg)
+def _poly_members(d, Y, jacobian=False):
+    """Polynomial member values (r, N), or with jacobian their state-Jacobians
+    (r, N, m): each factor is one gather of the 1-D ladders by the degree
+    table, multiplied over dimensions left to right."""
+    vals, ders = _poly_1d(d.family, Y, int(d._degrees.max(initial=0)))
+    dims, deg = np.arange(d.m)[:, None], d._degrees.T
+    fac = vals[:, dims, deg]  # (r, m, N)
+    if not jacobian:
+        return np.multiply.reduce(fac, axis=1)
+    dfac = ders[:, dims, deg]
+    return np.stack([dfac[:, i] * np.multiply.reduce(np.delete(fac, i, axis=1), axis=1)
+                     for i in range(d.m)], axis=-1)
 
 
 def member_values_packed(family, c, a, rbf, Y):
@@ -490,11 +507,7 @@ def _member_values(d, Y):
     if d.n_members == 0:
         return np.zeros((Y.shape[0], 0))
     if d.family in POLYNOMIAL_FAMILIES:
-        vals, _ = _poly_tables(d, Y)
-        cols = [
-            vals[:, np.arange(d.m), np.array(idx)].prod(axis=1) for idx in d.members
-        ]
-        return np.stack(cols, axis=1)
+        return _poly_members(d, Y)
     return member_values_packed(d.family, d.centers, d.steepness, d.is_rbf, Y)
 
 
@@ -531,14 +544,7 @@ def lift_jacobian_many(d, Y):
     if d.n_members == 0:
         return J
     if d.family in POLYNOMIAL_FAMILIES:
-        vals, ders = _poly_tables(d, Y)
-        dims = np.arange(d.m)
-        for j, idx in enumerate(d.members):
-            fac = vals[:, dims, np.array(idx)]  # (r, m)
-            dfac = ders[:, dims, np.array(idx)]
-            for i in range(d.m):
-                others = fac[:, [q for q in range(d.m) if q != i]].prod(axis=1)
-                J[:, 1 + d.m + j, i] = dfac[:, i] * others
+        J[:, 1 + d.m :, :] = _poly_members(d, Y, jacobian=True)
         return J
     _, S = member_sensitivities_packed(d.family, d.centers, d.steepness, d.is_rbf, Y)
     J[:, 1 + d.m :, :] = np.moveaxis(d.steepness.T[:, None, :] * S, 0, -1)
@@ -616,7 +622,7 @@ def dictionary_to_ini(d):
     for j in range(d.n_members):
         sec = f"member {j}"
         if d.family in POLYNOMIAL_FAMILIES:
-            cp[sec] = {"degrees": " ".join(str(k) for k in d.members[j])}
+            cp[sec] = {"degrees": " ".join(map(str, d._degrees[j].tolist()))}
         else:
             cp[sec] = {
                 "kind": (Kind.RBF if d.is_rbf[j] else Kind.LOGISTIC).value,

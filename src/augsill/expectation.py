@@ -17,14 +17,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .dictionaries import Kind, stable_logistic, stable_rbf
+from .dictionaries import _SCALAR_FORMS, Kind
 from .errors import IntegrationAccuracyError, ParameterDomainError
 from .systems import write_csv
-
-_SCALAR_FORMS = {
-    Kind.LOGISTIC: stable_logistic,
-    Kind.RBF: stable_rbf,
-}
 
 
 @dataclass(frozen=True)
@@ -101,8 +96,7 @@ class ExpectationResult(NamedTuple):
 
 def expected_value(kind, spec: SamplingSpec) -> ExpectationResult:
     """Mean and variance of a scalar member under the product-gap density."""
-    kind = Kind(kind)
-    form = _SCALAR_FORMS[kind]
+    form = _SCALAR_FORMS[Kind(kind)]
     mean = _expectation_of(lambda z: float(form(z)), spec)
     second = _expectation_of(lambda z: float(form(z)) ** 2, spec)
     return ExpectationResult(mean, second - mean * mean)
@@ -115,8 +109,7 @@ class MonteCarloResult(NamedTuple):
 
 def monte_carlo_expectation(kind, spec: SamplingSpec) -> MonteCarloResult:
     """Sample mean and standard error of the scalar member at X(Y - Z)."""
-    kind = Kind(kind)
-    form = _SCALAR_FORMS[kind]
+    form = _SCALAR_FORMS[Kind(kind)]
     rng = np.random.default_rng(spec.seed)
     x = rng.uniform(-spec.a, spec.a, size=spec.mc_samples)
     y = rng.uniform(-spec.a, spec.a, size=spec.mc_samples)

@@ -66,13 +66,37 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         for flag, value in cases:
             assert run(command, *required[command], flag, value, "--out", "x") == 1, (
                 command, flag, value)
+    # Unknown names in a list flag, counts below 1, and steepness scales or
+    # interval half-widths that are not finite and > 0.
+    for argv in (
+            ("compare", "--systems", "bogus"), ("compare", "--systems", "vanderpol,bogus"),
+            ("compare", "--systems", "all,vanderpol"), ("compare", "--families", "bogus"),
+            ("compare", "--families", "dmd"), ("closure", "--theorems", "bogus"),
+            ("closure", "--mc-samples", "0"), ("expectation", "--mc-samples", "0"),
+            ("expectation", "--quad-points", "0"), ("closure", "--alpha-scales=-1,1,2,5,10"),
+            ("closure", "--alpha-scales", "0,1,2,5,10"), ("closure", "--alpha-scales", "1,nan"),
+            ("expectation", "--a-values", "0"), ("expectation", "--a-values=-1"),
+            ("expectation", "--a-values", "1,inf")):
+        assert run(*argv, "--out", "x") == 1, argv
+    for value in ("0", "-1,3", "1,nan"):
+        assert run("fit", "--data", "x", "--family", "sill", "--method", "pursuit",
+                   "--pool-steepness", value, "--out", "x") == 1, value
+    # Counts >= 1 that the library's minimums turn down stay domain errors.
+    for flag in ("--quad-points", "--mc-samples"):
+        assert run("expectation", flag, "10", "--out", str(tmp_path / "e")) == 2, flag
     # The same value from a config file is a data error that names the key.
-    config = tmp_path / "bad.ini"
-    config.write_text("[simulate]\nn-traj = 0\n")
-    capsys.readouterr()
-    assert run("--config", str(config), "simulate", "--system", "vanderpol",
-               "--out", str(tmp_path / "x")) == 2
-    assert "n-traj" in capsys.readouterr().err
+    for command, line, key in (("simulate", "n-traj = 0", "n-traj"),
+                               ("compare", "systems = bogus", "systems"),
+                               ("closure", "theorems = all,bogus", "theorems"),
+                               ("closure", "alpha-scales = 0,1,2,5,10", "alpha-scales"),
+                               ("expectation", "quad-points = 0", "quad-points")):
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[{command}]\n{line}\n")
+        capsys.readouterr()
+        extra = ("--system", "vanderpol") if command == "simulate" else ()
+        assert run("--config", str(config), command, *extra,
+                   "--out", str(tmp_path / "x")) == 2, line
+        assert key in capsys.readouterr().err, line
 
 
 def test_simulate_artifacts(tmp_path):

@@ -25,9 +25,14 @@ from augsill.closure import (
 from augsill.dictionaries import (
     ConjunctiveFunction,
     Dictionary,
+    Family,
     Kind,
     ScalarBasisParams,
+    _factors,
     eval_conjunctive,
+    limit_logistic_packed,
+    member_values_packed,
+    rbf_branch_survives,
     stable_logistic,
 )
 from augsill.errors import (
@@ -221,6 +226,13 @@ def test_sweep_rejects_negative_point_count():
             sample_theorem_config("loglog", 1, seed=0, gap=gap)
         with pytest.raises(ParameterDomainError):
             sweep_config(cfg, n_points=500, gap=gap)
+    # Steepness scales that are not finite and > 0.
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ParameterDomainError, match="alpha scales"):
+            sweep_config(cfg, (bad, 1.0, 2.0, 5.0, 10.0), n_points=500)
+        with pytest.raises(ParameterDomainError, match="alpha scales"):
+            theorem_suite(theorems=("loglog",), n_configs=1, n_points=500,
+                          alpha_scales=(1.0, 2.0, 5.0, 10.0, bad))
 
 
 def test_small_suite_rates_and_tails():
@@ -293,6 +305,73 @@ def _augsill_fixture():
     centers = np.array([f.centers for f in members])
     keep = np.all(np.abs(pts[:, None, :] - centers[None]) > 0.2, axis=(1, 2))
     return d, w, pts[keep]
+
+
+def two_block_staging(d, w, pts):
+    """Reference for lie_closure_error: its eight stats as an (n, 8) array,
+    with the logistic and RBF members staged in two separate blocks."""
+    c, a, rbf, n_log = d.centers, d.steepness, d.is_rbf, d.n_logistic
+    factors, wts = _factors(c, a, rbf, pts, weights=True)
+    vals = np.multiply.reduce(factors, axis=0)
+    vals_rbf = vals[:, n_log:]
+    field = vals @ w.T
+    exact = np.einsum("nm,mrn,rm->rn", a, wts * vals, field)
+    products = vals * np.einsum("rm,nm->rn", field, a)
+    c_log, a_log = c[:n_log], a[:n_log]
+    c_star, a_star = limit_logistic_packed(c_log[:, None], a_log[:, None],
+                                           c_log[None], a_log[None])
+    limit_star = member_values_packed(
+        Family.SILL, c_star.reshape(-1, d.m), a_star.reshape(-1, d.m),
+        np.zeros(n_log * n_log, dtype=bool), pts).reshape(len(pts), n_log, n_log)
+    branch = rbf_branch_survives(c_log[:, None], c[None, n_log:])
+    targets = np.concatenate([limit_star, vals_rbf[:, None, :] * branch[None]], axis=2)
+    # Logistic block: the targets of each logistic member's products.
+    coef_b_log = np.einsum("li,irl,iq->rlq", a_log, wts[..., :n_log], w)
+    coef_c_log = np.einsum("li,iq->lq", a_log, w)
+    stage_b_log = np.einsum("rlq,rlq->rl", coef_b_log, targets)
+    stage_c_log = np.einsum("lq,rlq->rl", coef_c_log, targets)
+    # RBF block: the RBF itself, gated by the transposed branch matrix.
+    a_r = a[n_log:]
+    coef_b_rbf = np.einsum("ki,irk,ij->rkj", a_r, wts[..., n_log:], w[:, :n_log])
+    coef_c_rbf = np.einsum("ki,ij->kj", a_r, w[:, :n_log])
+    stage_b_rbf = vals_rbf * (coef_b_rbf * branch.T[None]).sum(axis=2)
+    stage_c_rbf = vals_rbf * (coef_c_rbf * branch.T).sum(axis=1)[None, :]
+    stage_b = np.concatenate([stage_b_log, stage_b_rbf], axis=1)
+    stage_c = np.concatenate([stage_c_log, stage_c_rbf], axis=1)
+    out = []
+    for q in range(d.n_members):
+        for x, y in ((exact, stage_b), (stage_b, stage_c), (exact, stage_c),
+                     (exact, products)):
+            gap = np.abs(x[:, q] - y[:, q])
+            out += [gap.max(), gap.mean()]
+    return np.reshape(out, (d.n_members, 8))
+
+
+def stats_array(stats):
+    return np.array([[s.sup_exact_vs_limit, s.mean_exact_vs_limit,
+                      s.sup_limit_vs_linear, s.mean_limit_vs_linear,
+                      s.sup_exact_vs_linear, s.mean_exact_vs_linear,
+                      s.sup_exact_vs_products, s.mean_exact_vs_products] for s in stats])
+
+
+def test_lie_closure_matches_two_block_staging():
+    d, w, pts = _augsill_fixture()
+    cases = [(d.with_scaled_steepness(s), w, pts) for s in (1.0, 20.0, 100.0)]
+    rng = np.random.default_rng(61)
+    for k in range(24):
+        family, m, n = (Family.SILL, Family.AUGSILL)[k % 2], k % 3 + 1, 1 + k % 7
+        n_log = n if family == Family.SILL else int(rng.integers(0, n + 1))
+        centers = rng.uniform(-1.5, 1.5, (n, m))
+        steeps = rng.uniform(0.5, 3.0, (n, m)) * rng.choice([1.0, 10.0])
+        pts = rng.uniform(-2.5, 2.5, (400, m))
+        keep = np.all(np.abs(pts[:, None, :] - centers[None]) > 1e-2, axis=(1, 2))
+        cases.append((Dictionary.from_packed(family, centers, steeps, np.arange(n) >= n_log),
+                      rng.normal(0, 1, (m, n)), pts[keep]))
+    for d, w, pts in cases:
+        stats = lie_closure_error(d, w, pts)
+        assert [s.kind == Kind.RBF for s in stats] == d.is_rbf.tolist()
+        np.testing.assert_allclose(stats_array(stats), two_block_staging(d, w, pts),
+                                   rtol=1e-12, atol=0)
 
 
 def test_lie_closure_doubling_steepness_tightens_limit():

@@ -5,6 +5,7 @@ import pytest
 
 from augsill.dictionaries import (
     ConjunctiveFunction,
+    _poly_1d,
     Dictionary,
     Family,
     Kind,
@@ -395,6 +396,52 @@ def test_lift_legendre_values():
     d = Dictionary.legendre(1, 2)
     got = lift(d, np.array([0.5]))
     np.testing.assert_allclose(got, [1.0, 0.5, -0.125, -0.4375], atol=1e-14)
+
+
+def per_member_polynomials(d, Y):
+    """Reference for polynomial dictionaries: member values (r, N) and
+    state-Jacobians (r, N, m), gathered and multiplied one member at a time."""
+    vals, ders = _poly_1d(d.family, Y, max(max(idx) for idx in d.members))
+    dims = np.arange(d.m)
+    V = np.stack([vals[:, dims, np.array(idx)].prod(axis=1) for idx in d.members], axis=1)
+    J = np.zeros((len(Y), d.n_members, d.m))
+    for j, idx in enumerate(d.members):
+        fac = vals[:, dims, np.array(idx)]  # (r, m)
+        dfac = ders[:, dims, np.array(idx)]
+        for i in range(d.m):
+            others = fac[:, [q for q in range(d.m) if q != i]].prod(axis=1)
+            J[:, j, i] = dfac[:, i] * others
+    return V, J
+
+
+@pytest.mark.parametrize("family", [Family.LEGENDRE, Family.HERMITE])
+def test_polynomial_members_match_per_member_reference(family):
+    rng = np.random.default_rng(47)
+    for m in (1, 2, 3, 4):
+        for n in (1, 5, 20):
+            d = Dictionary(family, m, polynomial_multi_indices(m, n))
+            Y = rng.uniform(-1.5, 1.5, (13, m))
+            V, J = per_member_polynomials(d, Y)
+            assert lift_many(d, Y)[:, 1 + m :].tobytes() == V.tobytes(), (m, n)
+            assert lift_jacobian_many(d, Y)[:, 1 + m :].tobytes() == J.tobytes(), (m, n)
+
+
+@pytest.mark.parametrize("family", [Family.LEGENDRE, Family.HERMITE])
+def test_integral_float_degrees_lift_like_ints(family):
+    d = Dictionary(family, 2, [(2.0, 0.0), (1, 1.0), (0, 3)])
+    ref = Dictionary(family, 2, [(2, 0), (1, 1), (0, 3)])
+    assert d.members == ref.members
+    assert all(type(k) is int for idx in d.members for k in idx)
+    Y = np.random.default_rng(53).uniform(-1, 1, (6, 2))
+    assert lift_many(d, Y).tobytes() == lift_many(ref, Y).tobytes()
+    assert lift_jacobian_many(d, Y).tobytes() == lift_jacobian_many(ref, Y).tobytes()
+    assert dictionary_to_text(d) == dictionary_to_text(ref)
+    one = Dictionary(family, 1, [(2.0,)])
+    assert lift(one, np.array([0.5])).tobytes() == lift(
+        Dictionary(family, 1, [(2,)]), np.array([0.5])).tobytes()
+    for bad in ((2.5,), (-1,), (1,), (np.nan,), (np.inf,), ("2",)):
+        with pytest.raises(ParameterDomainError):
+            Dictionary(family, 1, [bad])
 
 
 def test_lift_structure_all_families():
