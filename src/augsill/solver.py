@@ -1,10 +1,13 @@
 """Closed-form fitting of the lifted transition matrix K, plus evaluation.
 
 Fitting is plain (optionally ridge-regularized) least squares: stack lifted
-inputs row-wise and solve for K columnwise via numpy's SVD-backed lstsq, which
-is rank-revealing and returns the minimum-norm solution on rank-deficient
-data. Continuous-mode targets are lifted-derivative rows obtained by the chain
-rule through the dictionary Jacobian.
+inputs row-wise and solve for K columnwise. A ridge that keeps the normal
+equations well conditioned (every default fit) is solved by a Cholesky factor
+of the Gram matrix; ridge 0, or a ridge too small to bound the conditioning,
+goes through numpy's SVD-backed lstsq, which is rank-revealing and returns the
+minimum-norm solution on rank-deficient data. Continuous-mode targets are
+lifted-derivative rows obtained by the chain rule through the dictionary
+Jacobian.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, expm
 
 from .dictionaries import (
     Dictionary,
@@ -39,6 +42,10 @@ from .errors import (
 from .systems import Mode
 
 DEFAULT_RIDGE_FACTOR = 1e-8  # default ridge = this times sigma_max^2
+# ridge_lstsq solves by Cholesky when (trace(a^T a) + ridge) / ridge, an upper
+# bound on cond(a^T a + ridge I), is at most this. The default ridge passes
+# for lifts of up to 100 columns.
+GRAM_COND_LIMIT = 1e10
 
 
 @dataclass
@@ -87,13 +94,29 @@ def _lifted_pair(dataset, d):
 
 def ridge_lstsq(a, b, ridge):
     """Minimizer w of ||a w - b||^2 + ridge ||w||^2 and the rank of the
-    stacked system, by SVD-backed lstsq over a with sqrt(ridge) I rows
-    appended (none at ridge 0, giving the minimum-norm solution). A ridge
-    that is not finite and >= 0 raises DomainError."""
+    stacked system [a; sqrt(ridge) I], which is full at ridge > 0.
+
+    A ridge > 0 that bounds cond(a^T a + ridge I) by GRAM_COND_LIMIT (see
+    there) is solved from the normal equations (a^T a + ridge I) w = a^T b by
+    a Cholesky factor; there the normal equations lose no more accuracy than
+    the conditioning allows (Bjorck 1996). Otherwise, or if the factorization
+    fails, SVD-backed lstsq solves the stacked system; at ridge 0 that is
+    lstsq over a alone, giving the minimum-norm solution and the numerical
+    rank. A ridge that is not finite and >= 0 raises DomainError."""
     if not 0 <= ridge < np.inf:
         raise DomainError(f"ridge must be finite and >= 0, got {ridge}")
     if ridge > 0:
         n = a.shape[1]
+        gram = a.T @ a
+        # Python floats: a ridge too small for the bound overflows to inf
+        # without a warning and fails it.
+        if float(np.trace(gram)) + float(ridge) <= GRAM_COND_LIMIT * float(ridge):
+            gram[np.diag_indices(n)] += ridge
+            try:
+                factor = cho_factor(gram, overwrite_a=True, check_finite=False)
+                return cho_solve(factor, a.T @ b, overwrite_b=True, check_finite=False), n
+            except LinAlgError:
+                pass
         a = np.vstack([a, np.sqrt(ridge) * np.eye(n)])
         b = np.vstack([b, np.zeros((n, b.shape[1]))])
     w, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
