@@ -330,9 +330,14 @@ class _VarproObjective:
         # input lift. Summing both over the rows of each state weights its
         # sensitivities.
         w = self.scatter @ np.vstack([-(res @ k)[:, 1 + m :], res[:, 1 + m :]])
-        d_par = _param_sensitivities(c, a, self.states.rows.T, s)
-        g = (2.0 / r) * np.einsum("sj,isj->ij", w, d_par)
-        return loss, g[:m], g[m:], k, ridge
+        # The parameter sensitivities are -a S and (y - c) S (see
+        # member_sensitivities_packed), so both gradients contract the one
+        # weighted factor ws = S w, formed in S's buffer, over the states.
+        ws = np.multiply(s, w, out=s)
+        q = ws.sum(axis=1)
+        g_c = (-2.0 / r) * a * q
+        g_a = (2.0 / r) * (np.einsum("is,isj->ij", self.states.rows.T, ws) - c * q)
+        return loss, g_c, g_a, k, ridge
 
     def evaluate(self, theta):
         """{loss, grad, k, c, a, ridge} at theta, unnormalised."""
