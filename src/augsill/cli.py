@@ -18,7 +18,7 @@ import functools
 import glob
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy
 import scipy
@@ -51,6 +51,7 @@ from .systems import (
     build_snapshot_dataset,
     read_ensemble,
     simulate_ensemble,
+    simulate_ensembles,
     write_csv,
     write_ensemble,
 )
@@ -371,21 +372,33 @@ def _one_blas_thread():
                     setter(1)
 
 
+def _run_now(fn, *args):
+    """A finished Future holding fn(*args): ProcessPoolExecutor.submit for a
+    single worker, which is the calling process."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
 def _cmd_compare(args):
     systems = _SYSTEM_NAMES if args.systems == ("all",) else args.systems
     families = _FAMILY_NAMES if args.families == ("all",) else args.families
     _emit_config(args)
     # Each (system, seed) has a training ensemble at seed 2*seed and a holdout
     # ensemble at 2*seed+1, simulated once and shared by the system's cells.
-    sims = [(SystemSpec(SystemId(system)), args.n_traj, args.dt, args.steps, s)
-            for system in systems for seed in args.seeds for s in (2 * seed, 2 * seed + 1)]
+    # A system's ensembles are one RK4 batch, and its cells are submitted as
+    # soon as that batch returns, so they train while later systems simulate.
+    ens_seeds = [s for seed in args.seeds for s in (2 * seed, 2 * seed + 1)]
     pool = (ProcessPoolExecutor(max_workers=args.workers, initializer=_one_blas_thread)
             if args.workers > 1 else None)
-    pmap = pool.map if pool is not None else map
+    submit = pool.submit if pool is not None else _run_now
+    cell = functools.partial(_compare_cell, args.epochs, args.n_steps)
     with pool or contextlib.nullcontext():
-        ensembles = pmap(simulate_ensemble, *zip(*sims))
+        sims = [submit(simulate_ensembles, SystemSpec(SystemId(system)), args.n_traj,
+                       args.dt, args.steps, ens_seeds) for system in systems]
         cells = []
-        for system in systems:
+        for system, sim in zip(systems, sims):
+            ensembles = iter(sim.result())
             data = {}  # seed -> (training pairs, holdout trajectories)
             for seed in args.seeds:
                 train, holdout = next(ensembles), next(ensembles)
@@ -393,10 +406,11 @@ def _cmd_compare(args):
             for n_members in args.dims:
                 for family in families:
                     for seed in args.seeds:
-                        cells.append((system, family, n_members, seed, *data[seed]))
+                        cells.append(submit(cell, (system, family, n_members, seed,
+                                                   *data[seed])))
             for seed in args.seeds:
-                cells.append((system, "dmd", 0, seed, *data[seed]))
-        rows = list(pmap(functools.partial(_compare_cell, args.epochs, args.n_steps), cells))
+                cells.append(submit(cell, (system, "dmd", 0, seed, *data[seed])))
+        rows = [c.result() for c in cells]
     path = os.path.join(args.out, "summary.csv")
     write_csv(path, ["system", "dictionary", "N", "n_steps", "error", "seed"], rows)
     print(f"compare: wrote {len(rows)} rows to {path}")

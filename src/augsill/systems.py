@@ -133,12 +133,14 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def _rk4_batch(s, X0, dt, steps, max_substep):
+def _rk4_batch(s, X0, dt, steps, max_substep, row_name=None):
     """RK4 on a batch of initial states; returns (steps+1, r, 2).
 
     Each substep is x + (h/6)(k1 + 2 k2 + 2 k3 + k4) with the stages at
     x + (h/2) k1, x + (h/2) k2 and x + h k3, evaluated in that operation
-    order in preallocated state and stage buffers."""
+    order in preallocated state and stage buffers. A state leaving
+    DIVERGENCE_LIMIT raises DivergenceError naming the system, the step and,
+    when row_name is given, row_name(i) of the first row i out of bounds."""
     n_sub = max(1, math.ceil(dt / max_substep - 1e-12))
     h = dt / n_sub
     out = np.empty((steps + 1,) + X0.shape)
@@ -161,9 +163,11 @@ def _rk4_batch(s, X0, dt, steps, max_substep):
             k2 += k4
             k2 *= h / 6.0
             x += k2
-        if not (np.abs(x) <= DIVERGENCE_LIMIT).all():
+        ok = (np.abs(x) <= DIVERGENCE_LIMIT).all(axis=1)
+        if not ok.all():
+            what = "state" if row_name is None else row_name(int(np.argmin(ok)))
             raise DivergenceError(
-                f"{s.id.value} state exceeded {DIVERGENCE_LIMIT:g} at step {step + 1}",
+                f"{s.id.value} {what} exceeded {DIVERGENCE_LIMIT:g} at step {step + 1}",
                 step_index=step + 1,
             )
         out[step + 1] = x
@@ -197,18 +201,36 @@ def sample_initial_conditions(s, n, seed):
     )
 
 
-def simulate_ensemble(s, n_trajectories, dt, steps, seed, max_substep=DEFAULT_SUBSTEP):
-    """Integrate an ensemble from seeded uniform initial conditions."""
+def simulate_ensembles(s, n_trajectories, dt, steps, seeds, max_substep=DEFAULT_SUBSTEP):
+    """One ensemble per seed, in seeds' order, each from the seeded uniform
+    initial conditions simulate_ensemble draws. All of them go through one
+    RK4 batch; RK4 works row by row, so every path carries the bits of its
+    own ensemble integrated alone. A divergence names the seed and the
+    trajectory of the first row that left the bound."""
     if n_trajectories < 1:
         raise DomainError("need at least one trajectory")
-    x0 = sample_initial_conditions(s, n_trajectories, seed)
+    seeds = tuple(seeds)
+    if not seeds:
+        raise DomainError("need at least one seed")
+    x0 = np.vstack([sample_initial_conditions(s, n_trajectories, seed) for seed in seeds])
     if not (np.isfinite(dt) and dt > 0) or steps < 1:
         raise DomainError(f"dt must be finite and > 0 and steps >= 1, got {dt}, {steps}")
-    paths = _rk4_batch(s, x0, dt, steps, max_substep)
+
+    def row_name(i):
+        return f"trajectory {i % n_trajectories} of seed {seeds[i // n_trajectories]}"
+
+    paths = _rk4_batch(s, x0, dt, steps, max_substep, row_name)
     return [
-        Trajectory(dt=dt, states=paths[:, i, :], system=s, seed_provenance=seed)
-        for i in range(n_trajectories)
+        [Trajectory(dt=dt, states=paths[:, e * n_trajectories + i, :], system=s,
+                    seed_provenance=seed)
+         for i in range(n_trajectories)]
+        for e, seed in enumerate(seeds)
     ]
+
+
+def simulate_ensemble(s, n_trajectories, dt, steps, seed, max_substep=DEFAULT_SUBSTEP):
+    """Integrate an ensemble from seeded uniform initial conditions."""
+    return simulate_ensembles(s, n_trajectories, dt, steps, (seed,), max_substep)[0]
 
 
 class Mode(str, Enum):
