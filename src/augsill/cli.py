@@ -33,7 +33,14 @@ from .closure import (
     write_closure_csv,
     write_rate_csv,
 )
-from .errors import ConfigError, DomainError, NumericalError, positive_float, positive_int
+from .errors import (
+    ConfigError,
+    DomainError,
+    NumericalError,
+    nonnegative_float,
+    positive_float,
+    positive_int,
+)
 from .expectation import expectation_table, write_expectation_csv
 from .dictionaries import POLYNOMIAL_FAMILIES, TRAINABLE_FAMILIES, Family, Kind
 from .solver import (
@@ -441,7 +448,7 @@ def build_parser():
     p.add_argument("--n-members", type=positive_int, default=10)
     p.add_argument("--mode", choices=[m.value for m in Mode], default="discrete")
     p.add_argument("--method", choices=("lstsq", "sgd", "pursuit"), default="lstsq")
-    p.add_argument("--ridge", type=float, default=None)
+    p.add_argument("--ridge", type=nonnegative_float, default=None)
     p.add_argument("--epochs", type=positive_int, default=1000)
     p.add_argument("--batch-size", type=positive_int, default=32)
     p.add_argument("--lr", type=positive_float, default=1e-2)

@@ -128,6 +128,14 @@ def positive_float(text):
     return value
 
 
+def nonnegative_float(text):
+    """One finite number >= 0; ValueError otherwise."""
+    (value,) = finite_floats(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is not >= 0")
+    return value
+
+
 def positive_int(text):
     """One integer >= 1; ValueError otherwise."""
     value = int(text)

@@ -81,6 +81,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     for value in ("0", "-1,3", "1,nan"):
         assert run("fit", "--data", "x", "--family", "sill", "--method", "pursuit",
                    "--pool-steepness", value, "--out", "x") == 1, value
+    # A ridge that is not finite and >= 0, for every method that reads it.
+    for value in ("-1", "-1e-300", "nan", "inf", "-inf", "1,2"):
+        for method in ("lstsq", "sgd", "pursuit"):
+            assert run("fit", "--data", "x", "--family", "sill", "--method", method,
+                       "--ridge", value, "--out", "x") == 1, (method, value)
     # Counts >= 1 that the library's minimums turn down stay domain errors.
     for flag in ("--quad-points", "--mc-samples"):
         assert run("expectation", flag, "10", "--out", str(tmp_path / "e")) == 2, flag
@@ -89,7 +94,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                                ("compare", "systems = bogus", "systems"),
                                ("closure", "theorems = all,bogus", "theorems"),
                                ("closure", "alpha-scales = 0,1,2,5,10", "alpha-scales"),
-                               ("expectation", "quad-points = 0", "quad-points")):
+                               ("expectation", "quad-points = 0", "quad-points"),
+                               ("fit", "ridge = -1", "ridge"),
+                               ("fit", "ridge = nan", "ridge")):
         config = tmp_path / "bad.ini"
         config.write_text(f"[{command}]\n{line}\n")
         capsys.readouterr()
@@ -579,7 +586,7 @@ def test_compare_grid_row_count(tmp_path):
     def compare(workers):
         out = tmp_path / f"cmp{workers}"
         assert run(
-            "compare", "--systems", "vanderpol", "--families", "sill,legendre",
+            "compare", "--systems", "vanderpol,duffing", "--families", "sill,legendre",
             "--dims", "3", "--seeds", "0,1", "--epochs", "3", "--n-traj", "2",
             "--steps", "20", "--workers", workers, "--out", str(out)
         ) == 0
@@ -588,10 +595,14 @@ def test_compare_grid_row_count(tmp_path):
     summary = compare("1")
     lines = summary.decode().splitlines()
     assert lines[0] == "system,dictionary,N,n_steps,error,seed"
-    # 1 system x 1 dim x 2 families x 2 seeds, plus 2 dmd rows
-    assert len(lines) == 1 + 4 + 2
-    assert sum(1 for r in lines[1:] if r.split(",")[1] == "dmd") == 2
-    # With a pool, the workers simulate the ensembles and run the cells.
+    # Per system: 1 dim x 2 families x 2 seeds, plus 2 dmd rows, systems in
+    # the order given.
+    assert len(lines) == 1 + 2 * (4 + 2)
+    cells = [r.split(",")[:2] for r in lines[1:]]
+    assert [c[0] for c in cells] == ["vanderpol"] * 6 + ["duffing"] * 6
+    assert [c[1] for c in cells[:6]] == ["sill"] * 2 + ["legendre"] * 2 + ["dmd"] * 2
+    # With a pool, the workers simulate each system's ensembles in one batch
+    # and train its cells while the next system simulates.
     assert compare("2") == summary
 
 

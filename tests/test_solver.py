@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import LinAlgError, expm
+
+from augsill import solver
 
 from augsill.dictionaries import (
     ConjunctiveFunction,
@@ -15,16 +17,28 @@ from augsill.errors import (
     IllConditionedWarning,
 )
 from augsill.solver import (
+    GRAM_COND_LIMIT,
     KoopmanModel,
+    adaptive_ridge,
     dmd_baseline,
     fit_k,
     frobenius_residual,
     load_model,
     n_step_error,
     predict_n_steps,
+    ridge_lstsq,
     save_model,
 )
-from augsill.systems import Mode, SnapshotDataset, SystemSpec, Trajectory, integrate
+from augsill.systems import (
+    Mode,
+    SnapshotDataset,
+    SystemSpec,
+    Trajectory,
+    build_snapshot_dataset,
+    integrate,
+    simulate_ensemble,
+)
+from augsill.trainer import initial_dictionary, varpro_fit
 
 
 def linear_pairs(A, dt, n=200, seed=0, scale=1.0):
@@ -130,6 +144,78 @@ def test_fit_rejects_nonfinite_and_bad_ridge():
     for ridge in (np.nan, np.inf):
         with pytest.raises(DomainError, match="ridge must be finite"):
             fit_k(ok, Dictionary.linear(2), ridge=ridge)
+
+
+# -- the ridge solve -----------------------------------------------------------------
+
+
+def stacked_ridge_lstsq(a, b, ridge):
+    """Reference ridge solve: SVD-backed lstsq over a with sqrt(ridge) I rows
+    appended."""
+    n = a.shape[1]
+    a = np.vstack([a, np.sqrt(ridge) * np.eye(n)])
+    b = np.vstack([b, np.zeros((n, b.shape[1]))])
+    w, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    return w, rank
+
+
+def relative_gap(w, ref):
+    return np.linalg.norm(w - ref) / np.linalg.norm(ref)
+
+
+def test_gram_solve_matches_stacked_svd_on_random_lifts():
+    # Column scales over twelve decades and a nearly repeated column: at the
+    # adaptive ridge the Gram path runs and agrees with the reference.
+    rng = np.random.default_rng(11)
+    for r, n in ((40, 3), (300, 12), (2000, 23), (500, 100)):
+        a = rng.standard_normal((r, n)) * np.logspace(-6, 6, n)
+        a[:, -1] = a[:, 0] + 1e-9 * rng.standard_normal(r)
+        b = rng.standard_normal((r, 4))
+        ridge = adaptive_ridge(a)
+        assert (np.trace(a.T @ a) + ridge) / ridge <= GRAM_COND_LIMIT
+        w, rank = ridge_lstsq(a, b, ridge)
+        ref, ref_rank = stacked_ridge_lstsq(a, b, ridge)
+        assert rank == ref_rank == n
+        assert relative_gap(w, ref) <= 1e-6, (r, n)
+
+
+def test_gram_solve_matches_stacked_svd_on_trained_lifts():
+    # The vanderpol augsill cell of the benchmark grid (N = 20), on its
+    # initial dictionary and after 200 variable-projection iterations.
+    trs = simulate_ensemble(SystemSpec.default("vanderpol"), 10, 0.05, 200, seed=0)
+    ds = build_snapshot_dataset(trs, Mode.DISCRETE_PAIRS)
+    trained, _ = varpro_fit(ds, "augsill", 20, 200, seed=0)
+    for d in (initial_dictionary(ds, "augsill", 20), trained.dictionary):
+        psi_in, psi_out = solver._lifted_pair(ds, d)
+        ridge = adaptive_ridge(psi_in)
+        w, rank = ridge_lstsq(psi_in, psi_out, ridge)
+        ref, _ = stacked_ridge_lstsq(psi_in, psi_out, ridge)
+        assert rank == psi_in.shape[1]
+        assert relative_gap(w, ref) <= 1e-6
+
+
+def test_ridge_below_the_guard_keeps_the_stacked_svd_bits():
+    # Rank-deficient lifts, at a ridge too small to bound the conditioning.
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 6))
+    b = rng.standard_normal((30, 2))
+    for ridge in (1e-300, 1e-30):
+        assert (np.trace(a.T @ a) + ridge) / ridge > GRAM_COND_LIMIT
+        w, rank = ridge_lstsq(a, b, ridge)
+        ref, ref_rank = stacked_ridge_lstsq(a, b, ridge)
+        assert w.tobytes() == ref.tobytes() and rank == ref_rank
+
+
+def test_failed_cholesky_falls_back_to_the_stacked_svd(monkeypatch):
+    def fail(*args, **kwargs):
+        raise LinAlgError("not positive definite")
+
+    monkeypatch.setattr(solver, "cho_factor", fail)
+    rng = np.random.default_rng(13)
+    a, b = rng.standard_normal((50, 5)), rng.standard_normal((50, 5))
+    w, rank = ridge_lstsq(a, b, 1e-3)
+    ref, ref_rank = stacked_ridge_lstsq(a, b, 1e-3)
+    assert w.tobytes() == ref.tobytes() and rank == ref_rank
 
 
 # -- baseline --------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from augsill.systems import (
     read_ensemble,
     sample_initial_conditions,
     simulate_ensemble,
+    simulate_ensembles,
     system_rhs,
     trajectory_from_csv,
     trajectory_to_csv,
@@ -172,6 +174,53 @@ def test_simulate_ensemble_deterministic():
         np.testing.assert_array_equal(ta.states, tb.states)
     c = simulate_ensemble(VDP, 3, dt=0.1, steps=5, seed=8)
     assert not np.array_equal(a[0].states, c[0].states)
+
+
+def test_batched_ensembles_match_one_seed_calls_bitwise():
+    # One RK4 batch over several seeds is row-wise arithmetic, so each seed's
+    # paths carry the bits of its ensemble simulated alone.
+    seeds = (0, 1, 6, 7)
+    for s in (VDP, DUF, PP, TS):
+        batch = simulate_ensembles(s, 3, dt=0.05, steps=30, seeds=seeds)
+        assert len(batch) == len(seeds)
+        for seed, ensemble in zip(seeds, batch):
+            alone = simulate_ensemble(s, 3, dt=0.05, steps=30, seed=seed)
+            assert len(ensemble) == len(alone) == 3
+            for a, b in zip(ensemble, alone):
+                assert a.states.tobytes() == b.states.tobytes(), (s.id, seed)
+                assert a.seed_provenance == b.seed_provenance == seed
+
+
+def test_batched_ensembles_validate_arguments():
+    for bad in ({"n_trajectories": 0}, {"seeds": ()}, {"dt": 0.0}, {"steps": 0}):
+        kwargs = {"n_trajectories": 2, "dt": 0.1, "steps": 3, "seeds": (0, 1), **bad}
+        with pytest.raises(DomainError):
+            simulate_ensembles(VDP, **kwargs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batched_divergence_names_its_ensemble():
+    # Inverted duffing (xddot = x + x^3) blows up from every start; in this
+    # batch the first row out of bounds is trajectory 1 of the second seed.
+    s = SystemSpec(SystemId.DUFFING, (0.0, -1.0, -1.0))
+    seeds, n, dt, steps = (1, 2), 3, 0.1, 80
+    with pytest.raises(DivergenceError) as ei:
+        simulate_ensembles(s, n, dt, steps, seeds)
+    step = ei.value.step_index
+    found = re.search(r"^duffing trajectory (\d+) of seed (\d+) exceeded .* at step (\d+)$",
+                      str(ei.value))
+    assert found is not None, str(ei.value)
+    i, seed = int(found[1]), int(found[2])
+    assert (i, seed) == (1, 2) and int(found[3]) == step
+    # Alone, the named trajectory leaves the bound at that step; the rows
+    # before it in the batch stay within it up to that step.
+    x0 = [x for sd in seeds for x in sample_initial_conditions(s, n, sd)]
+    row = seeds.index(seed) * n + i
+    with pytest.raises(DivergenceError) as solo:
+        integrate(s, x0[row], dt, steps)
+    assert solo.value.step_index == step
+    for earlier in x0[:row]:
+        integrate(s, earlier, dt, step)
 
 
 def test_ensemble_matches_single_integration():
