@@ -4,10 +4,11 @@ shapes, and greedy matching pursuit over a fixed candidate pool.
 Both shape trainers take the shaped families (sill, augsill, summedrbf) on
 discrete snapshot pairs, start from the same seeded placement, and pass the
 same entry checks. Steepness is parameterized as exp(u) with u
-unconstrained; gradients chain through the exponential. The chain rule
-through the member kernel's sensitivities lives in dictionaries. Polynomial
-families have no shapes to train: fit them with solver.fit_k, which also
-serves continuous mode.
+unconstrained; gradients chain through the exponential. SGD takes the
+chain rule through the member kernel's sensitivities from dictionaries;
+variable projection weights the kernel's factor first and contracts that one
+product into both shape gradients. Polynomial families have no shapes to
+train: fit them with solver.fit_k, which also serves continuous mode.
 
 Variable projection (Golub & Pereyra 1973), the trainer of compare, removes
 K exactly: K is linear given the shapes, so each evaluation solves it in
