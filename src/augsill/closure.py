@@ -17,7 +17,6 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .dictionaries import (
     ConjunctiveFunction,
@@ -236,9 +235,24 @@ def sample_theorem_config(theorem, config_id, seed=0, gap=0.2) -> TheoremConfig:
 
 @functools.lru_cache(maxsize=8)
 def _halton_points(m, n_points, lo=-2.5, hi=2.5):
-    """Unscrambled Halton points on the box; cached, so read-only."""
-    sampler = qmc.Halton(d=m, scramble=False)
-    pts = lo + (hi - lo) * sampler.random(n_points)
+    """Unscrambled Halton points on the box; cached, so read-only.
+
+    Dimension j is the radical inverse of 0..n_points-1 in the j-th prime base,
+    summed digit by digit in scipy's order and laid out dimension-major as it is.
+    """
+    bases, k = [], 2
+    while len(bases) < m:
+        if all(k % p for p in bases):
+            bases.append(k)
+        k += 1
+    cols = np.zeros((m, n_points))
+    for col, base in zip(cols, bases):
+        q, b2r = np.arange(n_points), 1.0 / base
+        while q.any():
+            col += (q % base) * b2r  # a finished row adds 0.0: its bits stay
+            b2r /= base
+            q //= base
+    pts = lo + (hi - lo) * cols.T
     pts.setflags(write=False)
     return pts
 
@@ -256,10 +270,11 @@ def sweep_config(cfg: TheoremConfig, alpha_scales=DEFAULT_ALPHA_SCALES,
 
     Points come from an unscrambled Halton sequence on the data box with a
     per-dimension guard band of ``gap`` around both centers, so the whole
-    report is bitwise reproducible. The bound column is the hypothesis-gap
-    envelope 2 m exp(-scale * a_min * gap): every per-dimension factor of the
-    product is within exp(-a_min * scale * gap) of its limit on the filtered
-    set, and at most 2 m factors differ.
+    report is bitwise reproducible; an in-module generator gives the bits of
+    scipy's ``qmc.Halton``, so no command imports ``scipy.stats``. The bound
+    column is the hypothesis-gap envelope 2 m exp(-scale * a_min * gap): every
+    per-dimension factor of the product is within exp(-a_min * scale * gap) of
+    its limit on the filtered set, and at most 2 m factors differ.
     """
     if n_points < 0:
         raise ParameterDomainError(f"n_points must be >= 0, got {n_points}")

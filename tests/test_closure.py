@@ -9,6 +9,7 @@ from augsill.closure import (
     ErrorBoundParams,
     PairKind,
     THEOREM_NAMES,
+    _halton_points,
     convergence_rate,
     error_bound,
     expectation_bound_check,
@@ -205,6 +206,19 @@ def test_sweep_config_report():
     tail = [s for a, s in zip(rep.alpha_scales, rep.sup_errors) if a >= 5.0]
     assert all(b <= a for a, b in zip(tail, tail[1:]))
     assert rep.slope < 0
+
+
+def test_halton_points_match_scipy_bitwise():
+    # scipy's sampler is the reference here only; the package never imports it.
+    from scipy.stats import qmc
+
+    for d in range(1, 9):
+        for n in (1, 2, 7, 10_000):
+            ref = -2.5 + 5.0 * qmc.Halton(d=d, scramble=False).random(n)
+            pts = _halton_points(d, n)
+            assert pts.shape == ref.shape == (n, d)
+            assert pts.tobytes() == ref.tobytes(), (d, n)
+            assert pts.flags.f_contiguous and not pts.flags.writeable, (d, n)
 
 
 def test_sweep_rejects_negative_point_count():
