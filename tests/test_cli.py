@@ -1,6 +1,9 @@
 import filecmp
 import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -495,6 +498,17 @@ def test_option_value_fuzz_exits_cleanly(tmp_path, capsys, monkeypatch):
                     err = capsys.readouterr().err
                     assert code in (0, 1, 2, 3) and "Traceback" not in err, (
                         argv, f"[{section}] {key} = {value}", code, err)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # No command needs scipy.stats, once the largest share of the CLI's start-up.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    check = ("import augsill.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_missing_data_dir_exits_two(tmp_path, capsys):
