@@ -18,6 +18,7 @@ import functools
 import glob
 import os
 import sys
+import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy
@@ -587,20 +588,23 @@ def _reject_foreign_fit_options(args, given):
 
 def main(argv=None):
     parser, sub_map = build_parser()
-    try:
-        args, given = _resolve(parser, sub_map, argv)
-        if args.command == "fit":
-            _reject_foreign_fit_options(args, given)
-        return args.func(args) or 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        # One line per warning: the message, not the file and source line.
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            args, given = _resolve(parser, sub_map, argv)
+            if args.command == "fit":
+                _reject_foreign_fit_options(args, given)
+            return args.func(args) or 0
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except (DomainError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except NumericalError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

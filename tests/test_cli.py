@@ -4,11 +4,13 @@ import pathlib
 import random
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from augsill.cli import main
 from augsill.dictionaries import Family
+from augsill.errors import IllConditionedWarning
 from augsill.solver import load_model
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -498,6 +500,22 @@ def test_option_value_fuzz_exits_cleanly(tmp_path, capsys, monkeypatch):
                     err = capsys.readouterr().err
                     assert code in (0, 1, 2, 3) and "Traceback" not in err, (
                         argv, f"[{section}] {key} = {value}", code, err)
+
+
+def test_warning_prints_one_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert simulate_small(data) == 0
+    capsys.readouterr()
+    # 403 lifted columns from 90 snapshot pairs: an underdetermined fit. The
+    # module's ignore::UserWarning mark outranks a function mark, so the test
+    # shows the warning with a filter of its own.
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", IllConditionedWarning)
+        assert run("fit", "--data", str(data), "--family", "legendre", "--n-members", "400",
+                   "--method", "lstsq", "--out", str(tmp_path / "fit")) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "warning: only 90 rows for a 403-dimensional lift; fit is underdetermined"]
 
 
 def test_import_leaves_scipy_stats_unloaded():
