@@ -216,7 +216,7 @@ def n_step_error(model, eval_trajectories, n):
         starts.append(tr.states[:-n])
         targets.append(tr.states[n:])
     if not starts:
-        raise EvaluationWindowError(f"no trajectory offers an {n}-step window")
+        raise EvaluationWindowError(f"no trajectory offers a window of {n} steps")
     x0 = np.vstack(starts)
     xt = np.vstack(targets)
     z = lift_many(model.dictionary, x0)

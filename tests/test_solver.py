@@ -296,7 +296,7 @@ def test_n_step_error_windows():
     model = KoopmanModel(d, np.eye(3), Mode.DISCRETE_PAIRS, 0.1)
     short = Trajectory(dt=0.1, states=np.zeros((3, 2)),
                        system=SystemSpec.default("vanderpol"))
-    with pytest.raises(EvaluationWindowError):
+    with pytest.raises(EvaluationWindowError, match="^no trajectory offers a window of 5 steps$"):
         n_step_error(model, [short], 5)
     with pytest.raises(DomainError):
         n_step_error(model, [short], 0)
