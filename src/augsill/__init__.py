@@ -72,7 +72,6 @@ from .closure import (
     BoundRow,
     ClosureReport,
     ErrorBoundParams,
-    PairKind,
     convergence_rate,
     error_bound,
     expectation_bound_check,

@@ -53,32 +53,14 @@ CLOSURE_GAP_MIN = 1e-3
 DEFAULT_ALPHA_SCALES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 
 
-class PairKind(str, Enum):
-    LOG_LOG = "loglog"
-    LOG_RBF = "logrbf"
-    RBF_RBF = "rbfrbf"
-
-
 # -- pairwise product errors ----------------------------------------------------
 
 
-def _check_pair_kinds(pair, theta_l, theta_other):
-    want = {
-        PairKind.LOG_LOG: (Kind.LOGISTIC, Kind.LOGISTIC),
-        PairKind.LOG_RBF: (Kind.LOGISTIC, Kind.RBF),
-        PairKind.RBF_RBF: (Kind.RBF, Kind.RBF),
-    }[pair]
-    if (theta_l.kind, theta_other.kind) != want:
-        raise ParameterDomainError(
-            f"{pair.value} pair expects member kinds {want[0].value}/{want[1].value}"
-        )
-    if theta_l.m != theta_other.m:
-        raise DimensionMismatchError("members have mismatched dimension")
-
-
-def _pair_errors_batch(pair, c, a, rbf, pts, alpha_scale):
+def _pair_errors_batch(c, a, rbf, pts, alpha_scale):
     """|product - steep-limit target| at every row of pts for the packed
-    (2, m) pair (c, a, rbf), row 0 theta_l and row 1 theta_other.
+    (2, m) pair (c, a, rbf), a logistic row before an RBF row, so the kinds
+    alone pick the target: the limit logistic of two logistics, the branch
+    rule of a logistic and an RBF, zero for two RBFs.
 
     Callers must have verified the center-avoidance hypothesis already; this
     core assumes it and vectorizes freely.
@@ -87,29 +69,30 @@ def _pair_errors_batch(pair, c, a, rbf, pts, alpha_scale):
     # One member per kernel call: batching the pair into one call is slower.
     v_l, v_o = (member_values_packed(Family.AUGSILL, c[i:i + 1], a[i:i + 1],
                                      rbf[i:i + 1], pts)[:, 0] for i in (0, 1))
-    if pair == PairKind.LOG_LOG:
+    if not rbf[1]:
         # Scaling both members by the same factor commutes with the limit
         # parameters, so the target is the scaled limit member.
         c_star, a_star = limit_logistic_packed(c[0], a[0], c[1], a[1])
         target = member_values_packed(Family.SILL, c_star[None], a_star[None],
                                       np.zeros(1, dtype=bool), pts)[:, 0]
-    elif pair == PairKind.LOG_RBF and rbf_branch_survives(c[0], c[1]):
+    elif not rbf[0] and rbf_branch_survives(c[0], c[1]):
         target = v_o
     else:
         target = 0.0
     return np.abs(v_l * v_o - target)
 
 
-def product_error(pair, y, theta_l, theta_other, alpha_scale=1.0):
+def product_error(y, theta_l, theta_other, alpha_scale=1.0):
     """Gap between a pairwise member product and its steep-limit target.
 
-    The target is the limit logistic for logistic-logistic pairs, the branch
-    function (the RBF itself, or zero) for logistic-RBF pairs, and zero for
-    RBF-RBF pairs. ``alpha_scale`` multiplies every stored steepness before
+    The members' kinds pick the target: the limit logistic for two logistics,
+    the branch function (the RBF itself, or zero) for a logistic and an RBF,
+    and zero for two RBFs. The product commutes, so the members may come in
+    either order. ``alpha_scale`` multiplies every stored steepness before
     evaluation, so sweeping it traces the convergence toward the limit.
     """
-    pair = PairKind(pair)
-    _check_pair_kinds(pair, theta_l, theta_other)
+    if theta_l.kind == Kind.RBF:
+        theta_l, theta_other = theta_other, theta_l
     if not np.isfinite(alpha_scale) or alpha_scale <= 0:
         raise ParameterDomainError(f"alpha_scale must be finite and > 0: {alpha_scale}")
     y = np.asarray(y, dtype=float)
@@ -123,7 +106,7 @@ def product_error(pair, y, theta_l, theta_other, alpha_scale=1.0):
             "evaluation point sits on a member center, which the limit "
             "statements exclude"
         )
-    return float(_pair_errors_batch(pair, c, a, rbf, y[None, :], alpha_scale)[0])
+    return float(_pair_errors_batch(c, a, rbf, y[None, :], alpha_scale)[0])
 
 
 class RateFit(NamedTuple):
@@ -162,13 +145,6 @@ def convergence_rate(alphas, errors) -> RateFit:
 
 THEOREM_NAMES = ("loglog", "logrbf_overlap", "logrbf_disjoint", "rbfrbf")
 
-_THEOREM_PAIR = {
-    "loglog": PairKind.LOG_LOG,
-    "logrbf_overlap": PairKind.LOG_RBF,
-    "logrbf_disjoint": PairKind.LOG_RBF,
-    "rbfrbf": PairKind.RBF_RBF,
-}
-
 
 @dataclass(frozen=True)
 class TheoremConfig:
@@ -177,10 +153,6 @@ class TheoremConfig:
     config_id: int
     theta_l: ConjunctiveFunction
     theta_other: ConjunctiveFunction
-
-    @property
-    def pair(self) -> PairKind:
-        return _THEOREM_PAIR[self.theorem]
 
 
 @dataclass(frozen=True)
@@ -234,8 +206,8 @@ def sample_theorem_config(theorem, config_id, seed=0, gap=0.2) -> TheoremConfig:
 
 
 @functools.lru_cache(maxsize=8)
-def _halton_points(m, n_points, lo=-2.5, hi=2.5):
-    """Unscrambled Halton points on the box; cached, so read-only.
+def _halton_points(m, n_points):
+    """Unscrambled Halton points on the box [-2.5, 2.5]^m; cached, so read-only.
 
     Dimension j is the radical inverse of 0..n_points-1 in the j-th prime base,
     summed digit by digit in scipy's order and laid out dimension-major as it is.
@@ -252,7 +224,7 @@ def _halton_points(m, n_points, lo=-2.5, hi=2.5):
             col += (q % base) * b2r  # a finished row adds 0.0: its bits stay
             b2r /= base
             q //= base
-    pts = lo + (hi - lo) * cols.T
+    pts = -2.5 + 5.0 * cols.T
     pts.setflags(write=False)
     return pts
 
@@ -290,7 +262,7 @@ def sweep_config(cfg: TheoremConfig, alpha_scales=DEFAULT_ALPHA_SCALES,
     a_min = float(a.min())
     sups, means, bounds = [], [], []
     for s in alpha_scales:
-        errs = _pair_errors_batch(cfg.pair, c, a, rbf, pts, s)
+        errs = _pair_errors_batch(c, a, rbf, pts, s)
         sups.append(float(errs.max()))
         means.append(float(errs.mean()))
         bounds.append(2.0 * cfg.m * math.exp(-s * a_min * gap))

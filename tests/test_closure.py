@@ -7,7 +7,6 @@ from augsill.closure import (
     BoundCheck,
     BoundRow,
     ErrorBoundParams,
-    PairKind,
     THEOREM_NAMES,
     _halton_points,
     convergence_rate,
@@ -38,6 +37,7 @@ from augsill.dictionaries import (
 )
 from augsill.errors import (
     DataError,
+    DimensionMismatchError,
     DomainError,
     HypothesisViolationError,
     ParameterDomainError,
@@ -58,14 +58,14 @@ def conj(kind, centers, steeps):
 def test_loglog_error_vanishes_at_high_steepness():
     fl = conj(Kind.LOGISTIC, [0.0], [1.0])
     fj = conj(Kind.LOGISTIC, [1.0], [1.0])
-    err = product_error(PairKind.LOG_LOG, np.array([2.0]), fl, fj, alpha_scale=100.0)
+    err = product_error(np.array([2.0]), fl, fj, alpha_scale=100.0)
     assert err < 1e-8
 
 
 def test_rbfrbf_error_vanishes():
     fl = conj(Kind.RBF, [0.0, 0.0], [1.0, 1.0])
     fk = conj(Kind.RBF, [1.0, 1.0], [1.0, 1.0])
-    err = product_error(PairKind.RBF_RBF, np.array([0.5, 0.5]), fl, fk,
+    err = product_error(np.array([0.5, 0.5]), fl, fk,
                         alpha_scale=50.0)
     assert err < 1e-4
 
@@ -77,7 +77,7 @@ def test_logrbf_disjoint_branch_is_plain_product():
     fk = conj(Kind.RBF, [0.0, 0.0], [1.0, 1.1])
     for scale in (1.0, 3.0, 10.0):
         y = np.array([0.4, -0.3])
-        got = product_error(PairKind.LOG_RBF, y, fl, fk, alpha_scale=scale)
+        got = product_error(y, fl, fk, alpha_scale=scale)
         sl = fl if scale == 1.0 else conj(Kind.LOGISTIC, [1.0, 1.0],
                                           [1.2 * scale, 0.9 * scale])
         sk = fk if scale == 1.0 else conj(Kind.RBF, [0.0, 0.0],
@@ -89,7 +89,7 @@ def test_logrbf_disjoint_branch_is_plain_product():
 def test_logrbf_overlap_branch_converges():
     fl = conj(Kind.LOGISTIC, [0.0, 0.5], [1.0, 1.0])
     fk = conj(Kind.RBF, [1.0, -0.5], [1.0, 1.0])  # above in dim 0
-    err = product_error(PairKind.LOG_RBF, np.array([2.0, 1.5]), fl, fk,
+    err = product_error(np.array([2.0, 1.5]), fl, fk,
                         alpha_scale=100.0)
     assert err < 1e-6
 
@@ -98,7 +98,7 @@ def test_product_error_decreases_along_sweep():
     fl = conj(Kind.LOGISTIC, [0.0], [1.0])
     fj = conj(Kind.LOGISTIC, [0.7], [1.0])
     y = np.array([1.4])
-    errs = [product_error(PairKind.LOG_LOG, y, fl, fj, alpha_scale=s)
+    errs = [product_error(y, fl, fj, alpha_scale=s)
             for s in (5.0, 10.0, 20.0, 50.0, 100.0)]
     assert all(b <= a for a, b in zip(errs, errs[1:]))
 
@@ -107,16 +107,29 @@ def test_product_error_rejects_center_hits():
     fl = conj(Kind.LOGISTIC, [0.0], [1.0])
     fj = conj(Kind.LOGISTIC, [1.0], [1.0])
     with pytest.raises(HypothesisViolationError):
-        product_error(PairKind.LOG_LOG, np.array([1.0 + 1e-12]), fl, fj)
+        product_error(np.array([1.0 + 1e-12]), fl, fj)
 
 
-def test_product_error_validates_kinds_and_scale():
+def test_product_error_validates_dimensions_and_scale():
     fl = conj(Kind.LOGISTIC, [0.0], [1.0])
     fk = conj(Kind.RBF, [1.0], [1.0])
+    with pytest.raises(DimensionMismatchError):
+        product_error(np.array([2.0]), fl, conj(Kind.RBF, [1.0, 1.0], [1.0, 1.0]))
     with pytest.raises(ParameterDomainError):
-        product_error(PairKind.LOG_LOG, np.array([2.0]), fl, fk)
-    with pytest.raises(ParameterDomainError):
-        product_error(PairKind.LOG_RBF, np.array([2.0]), fl, fk, alpha_scale=0.0)
+        product_error(np.array([2.0]), fl, fk, alpha_scale=0.0)
+
+
+def test_product_error_takes_the_members_in_either_order():
+    # The kinds pick the target and the product commutes, so swapping the
+    # logistic and the RBF leaves every bit of the gap alone.
+    fl = conj(Kind.LOGISTIC, [0.0, 0.5], [1.0, 1.2])
+    y = np.array([2.0, 1.5])
+    for fk in (conj(Kind.RBF, [1.0, -0.5], [1.0, 0.9]),   # overlap: the RBF survives
+               conj(Kind.RBF, [-1.0, -0.5], [1.0, 0.9])):  # disjoint: the limit is 0
+        for scale in (1.0, 10.0):
+            want = product_error(y, fl, fk, alpha_scale=scale)
+            got = product_error(y, fk, fl, alpha_scale=scale)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (fk, scale)
 
 
 # -- rate fitting -----------------------------------------------------------------
@@ -157,7 +170,7 @@ def test_theorem1_sweep_rate():
     y = np.array([2.0])
     # past scale ~16 the gap underflows to exactly zero, so fit below that
     alphas = np.arange(1.0, 15.0)
-    errs = [product_error(PairKind.LOG_LOG, y, fl, fj, alpha_scale=s) for s in alphas]
+    errs = [product_error(y, fl, fj, alpha_scale=s) for s in alphas]
     fit = convergence_rate(alphas, errs)
     assert fit.slope < -0.5
     assert fit.r_squared > 0.99
