@@ -122,10 +122,14 @@ def _seed(text):
 
 
 def _items(text, parse):
-    """parse() of each comma-separated entry; a list with none is a ValueError."""
+    """parse() of each comma-separated entry; a list with none, or with one
+    parsed value twice, is a ValueError."""
     items = tuple(parse(v.strip()) for v in str(text).split(",") if v.strip())
     if not items:
         raise ValueError(f"{text!r} lists no values")
+    repeats = [v for i, v in enumerate(items) if v in items[:i]]
+    if repeats:
+        raise ValueError(f"{text!r} lists {repeats[0]!r} twice")
     return items
 
 
@@ -324,9 +328,7 @@ def _cmd_closure(args):
 
 def _cmd_expectation(args):
     _emit_config(args)
-    rows = expectation_table(
-        args.a_values, args.quad_points, args.mc_samples, args.seed
-    )
+    rows = expectation_table(args.a_values, args.mc_samples, args.seed)
     path = os.path.join(args.out, "expectation.csv")
     write_expectation_csv(rows, path)
     print(f"expectation: wrote {len(rows)} rows to {path}")
@@ -449,7 +451,10 @@ def build_parser():
     p.add_argument("--n-members", type=positive_int, default=10)
     p.add_argument("--mode", choices=[m.value for m in Mode], default="discrete")
     p.add_argument("--method", choices=("lstsq", "sgd", "pursuit"), default="lstsq")
-    p.add_argument("--ridge", type=nonnegative_float, default=None)
+    p.add_argument("--ridge", type=nonnegative_float, default=None,
+                   help="ridge of the K solves; by default the adaptive "
+                        "1e-8 * sigma_max^2 of the lifted inputs for lstsq and "
+                        "sgd, and 0 for pursuit")
     p.add_argument("--epochs", type=positive_int, default=1000)
     p.add_argument("--batch-size", type=positive_int, default=32)
     p.add_argument("--lr", type=positive_float, default=1e-2)
@@ -480,7 +485,6 @@ def build_parser():
 
     p = sub.add_parser("expectation", help="scalar-member expectation table")
     p.add_argument("--a-values", type=_positive_list, default=(0.5, 1.0, 2.0, 5.0))
-    p.add_argument("--quad-points", type=positive_int, default=200)
     p.add_argument("--mc-samples", type=positive_int, default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_expectation)

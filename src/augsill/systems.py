@@ -11,7 +11,7 @@ import configparser
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -32,6 +32,8 @@ from .errors import (
 
 DIVERGENCE_LIMIT = 1e9
 DEFAULT_SUBSTEP = 1e-3
+# Every vector field and the trajectory CSV (t, x1, x2) are planar.
+STATE_DIM = 2
 
 
 class SystemId(str, Enum):
@@ -62,7 +64,6 @@ DEFAULT_IC_BOX = {
 class SystemSpec:
     id: SystemId
     constants: tuple = None
-    state_dim: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "id", SystemId(self.id))
@@ -115,8 +116,8 @@ def _rhs_batch(s, X, out=None):
 def system_rhs(s, x):
     """Vector field at one state."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (s.state_dim,):
-        raise DomainError(f"expected state of shape ({s.state_dim},), got {x.shape}")
+    if x.shape != (STATE_DIM,):
+        raise DomainError(f"expected state of shape ({STATE_DIM},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DataError(f"non-finite state {x}")
     return _rhs_batch(s, x[None, :])[0]
@@ -125,7 +126,7 @@ def system_rhs(s, x):
 @dataclass
 class Trajectory:
     dt: float
-    states: np.ndarray  # (steps+1, state_dim)
+    states: np.ndarray  # (steps+1, STATE_DIM)
     system: SystemSpec
     seed_provenance: int = -1
 
@@ -181,8 +182,8 @@ def integrate(s, x0, dt, steps, max_substep=DEFAULT_SUBSTEP):
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (s.state_dim,):
-        raise DomainError(f"expected x0 of shape ({s.state_dim},), got {x0.shape}")
+    if x0.shape != (STATE_DIM,):
+        raise DomainError(f"expected x0 of shape ({STATE_DIM},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise DataError(f"non-finite initial state {x0}")
     path = _rk4_batch(s, x0[None, :], dt, steps, max_substep)

@@ -13,8 +13,6 @@ from augsill.dictionaries import Family
 from augsill.errors import IllConditionedWarning
 from augsill.solver import load_model
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 
 def run(*argv):
     return main(list(argv))
@@ -71,19 +69,24 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         for flag, value in cases:
             assert run(command, *required[command], flag, value, "--out", "x") == 1, (
                 command, flag, value)
-    # Unknown names in a list flag, counts below 1, and steepness scales or
-    # interval half-widths that are not finite and > 0.
+    # Unknown names in a list flag, counts below 1, steepness scales or
+    # interval half-widths that are not finite and > 0, and a list that names
+    # one parsed value twice (it would repeat the work and the rows).
     for argv in (
             ("compare", "--systems", "bogus"), ("compare", "--systems", "vanderpol,bogus"),
             ("compare", "--systems", "all,vanderpol"), ("compare", "--families", "bogus"),
             ("compare", "--families", "dmd"), ("closure", "--theorems", "bogus"),
             ("closure", "--mc-samples", "0"), ("expectation", "--mc-samples", "0"),
-            ("expectation", "--quad-points", "0"), ("closure", "--alpha-scales=-1,1,2,5,10"),
+            ("closure", "--alpha-scales=-1,1,2,5,10"),
             ("closure", "--alpha-scales", "0,1,2,5,10"), ("closure", "--alpha-scales", "1,nan"),
             ("expectation", "--a-values", "0"), ("expectation", "--a-values=-1"),
-            ("expectation", "--a-values", "1,inf")):
+            ("expectation", "--a-values", "1,inf"),
+            ("compare", "--systems", "duffing,duffing"), ("compare", "--seeds", "0,0"),
+            ("compare", "--families", "sill,augsill,sill"), ("compare", "--dims", "5,10,5"),
+            ("closure", "--theorems", "loglog,loglog"), ("closure", "--degrees", "1,1"),
+            ("closure", "--alpha-scales", "1,2,5,10,1.0"), ("expectation", "--a-values", "1,1")):
         assert run(*argv, "--out", "x") == 1, argv
-    for value in ("0", "-1,3", "1,nan"):
+    for value in ("0", "-1,3", "1,nan", "3,1,3"):
         assert run("fit", "--data", "x", "--family", "sill", "--method", "pursuit",
                    "--pool-steepness", value, "--out", "x") == 1, value
     # A ridge that is not finite and >= 0, for every method that reads it.
@@ -92,14 +95,15 @@ def test_usage_errors_exit_one(tmp_path, capsys):
             assert run("fit", "--data", "x", "--family", "sill", "--method", method,
                        "--ridge", value, "--out", "x") == 1, (method, value)
     # Counts >= 1 that the library's minimums turn down stay domain errors.
-    for flag in ("--quad-points", "--mc-samples"):
-        assert run("expectation", flag, "10", "--out", str(tmp_path / "e")) == 2, flag
+    assert run("expectation", "--mc-samples", "10", "--out", str(tmp_path / "e")) == 2
     # The same value from a config file is a data error that names the key.
     for command, line, key in (("simulate", "n-traj = 0", "n-traj"),
                                ("compare", "systems = bogus", "systems"),
                                ("closure", "theorems = all,bogus", "theorems"),
                                ("closure", "alpha-scales = 0,1,2,5,10", "alpha-scales"),
-                               ("expectation", "quad-points = 0", "quad-points"),
+                               ("compare", "seeds = 0,0", "seeds"),
+                               ("closure", "theorems = loglog,loglog", "theorems"),
+                               ("expectation", "a-values = 1,1.0", "a-values"),
                                ("fit", "ridge = -1", "ridge"),
                                ("fit", "ridge = nan", "ridge")):
         config = tmp_path / "bad.ini"
@@ -475,8 +479,7 @@ def test_option_value_fuzz_exits_cleanly(tmp_path, capsys, monkeypatch):
                      "seed": "0", "alpha-scales": "1,2,5,10,20", "degrees": "1",
                      "explosion-y": "32,64,128,256,512", "mc-samples": "1000",
                      "mc-seed": "2"}),
-        ("expectation", {"a-values": "1", "quad-points": "64", "mc-samples": "1000",
-                         "seed": "0"}),
+        ("expectation", {"a-values": "1", "mc-samples": "1000", "seed": "0"}),
         ("compare", {"systems": "vanderpol", "families": "sill", "dims": "2", "seeds": "0",
                      "epochs": "1", "n-traj": "2", "steps": "10", "dt": "0.05",
                      "n-steps": "2", "workers": "1"}),
@@ -582,6 +585,12 @@ def test_config_file_overlay(tmp_path, capsys):
     shared.write_text("[DEFAULT]\nepochs = 5\n[simulate]\nsystem = duffing\nsteps = 25\n")
     assert run("--config", str(shared), "simulate", "--n-traj", "2",
                "--out", str(tmp_path / "d")) == 0
+    # The quadrature cap is a constant, so a quad-points key is an unknown option.
+    quad = tmp_path / "quad.ini"
+    quad.write_text("[expectation]\nquad-points = 200\n")
+    capsys.readouterr()
+    assert run("--config", str(quad), "expectation", "--out", str(tmp_path / "q")) == 2
+    assert "unknown option quad-points" in capsys.readouterr().err
     # argparse's abbreviation of --config reads the file as well
     out3 = tmp_path / "e"
     assert run("--conf", str(cfg), "simulate", "--system", "duffing", "--out", str(out3)) == 0

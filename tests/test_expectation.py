@@ -105,8 +105,6 @@ def test_sampling_spec_validation():
     with pytest.raises(ParameterDomainError):
         SamplingSpec(float("nan"))
     with pytest.raises(ParameterDomainError):
-        SamplingSpec(1.0, quadrature_points=32)
-    with pytest.raises(ParameterDomainError):
         SamplingSpec(1.0, mc_samples=10)
 
 
