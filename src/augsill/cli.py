@@ -41,6 +41,7 @@ from .errors import (
     nonnegative_float,
     positive_float,
     positive_int,
+    read_text,
 )
 from .expectation import expectation_table, write_expectation_csv
 from .dictionaries import POLYNOMIAL_FAMILIES, TRAINABLE_FAMILIES, Family, Kind
@@ -92,19 +93,22 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError (exit 1) where argparse would exit 2.
 
-    argparse sees every option as optional and without a default, so a parse
-    puts into the namespace exactly the dests that argv sets; _resolve fills
-    in the rest from .options, dest -> (action, built-in default, required).
+    argparse only splits argv: the namespace holds the text of just the dests
+    argv sets. _resolve parses that text, and a config key's, with .options,
+    dest -> (flag, parse, built-in default, required); parse checks choices.
     """
 
     def __init__(self, **kwargs):
         self.options = {}
         super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
 
-    def add_argument(self, *args, default=None, required=False, **kwargs):
+    def add_argument(self, *args, parse=str, choices=None, default=None, required=False, **kwargs):
+        if choices is not None:
+            kwargs["metavar"] = "{" + ",".join(choices) + "}"
+            parse = functools.partial(_choice, choices)
         action = super().add_argument(*args, **kwargs)
         if default is not argparse.SUPPRESS:  # --help sets no dest
-            self.options[action.dest] = (action, default, required)
+            self.options[action.dest] = (action.option_strings[0], parse, default, required)
         return action
 
     def error(self, message):
@@ -121,44 +125,34 @@ def _seed(text):
     return value
 
 
-def _items(text, parse):
-    """parse() of each comma-separated entry; a list with none, or with one
-    parsed value twice, is a ValueError."""
-    items = tuple(parse(v.strip()) for v in str(text).split(",") if v.strip())
-    if not items:
-        raise ValueError(f"{text!r} lists no values")
-    repeats = [v for i, v in enumerate(items) if v in items[:i]]
-    if repeats:
-        raise ValueError(f"{text!r} lists {repeats[0]!r} twice")
-    return items
+def _choice(choices, text):
+    if text not in choices:
+        raise ValueError(f"{text!r} is not one of {', '.join(choices)}")
+    return text
 
 
-def _count_list(text):
-    return _items(text, positive_int)
+def _boolean(text):
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"{text!r} is not a boolean")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
-def _float_list(text):
-    return _items(text, float)
+def _list_of(parse, names=None):
+    """Parse function of a comma-separated list of parse() values, one at
+    least and none twice; with names given, of names from it or 'all' alone."""
 
+    def parse_list(text):
+        items = tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+        if not items:
+            raise ValueError(f"{text!r} lists no values")
+        repeats = [v for i, v in enumerate(items) if v in items[:i]]
+        if repeats:
+            raise ValueError(f"{text!r} lists {repeats[0]!r} twice")
+        if names is not None and items != ("all",) and not set(items) <= set(names):
+            raise ValueError(f"{text!r} is not all or a list from {', '.join(names)}")
+        return items
 
-def _positive_list(text):
-    return _items(text, positive_float)
-
-
-def _names_from(allowed):
-    """Parse type of a list of names from allowed, or of 'all' alone."""
-
-    def name_list(text):
-        names = _items(text, str)
-        if names != ("all",) and not set(names) <= set(allowed):
-            raise ValueError(f"{text!r} is not all or a list from {', '.join(allowed)}")
-        return names
-
-    return name_list
-
-
-def _seed_list(text):
-    return _items(text, _seed)
+    return parse_list
 
 
 def _fmt_value(v):
@@ -399,8 +393,11 @@ def _cmd_compare(args):
     # A system's ensembles are one RK4 batch, and its cells are submitted as
     # soon as that batch returns, so they train while later systems simulate.
     ens_seeds = [s for seed in args.seeds for s in (2 * seed, 2 * seed + 1)]
-    pool = (ProcessPoolExecutor(max_workers=args.workers, initializer=_one_blas_thread)
-            if args.workers > 1 else None)
+    # A forked pool starts all its workers at once: no more than there are tasks.
+    tasks = len(systems) * (1 + (len(args.dims) * len(families) + 1) * len(args.seeds))
+    workers = min(args.workers, tasks)
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+            if workers > 1 else None)
     submit = pool.submit if pool is not None else _run_now
     cell = functools.partial(_compare_cell, args.epochs, args.n_steps)
     with pool or contextlib.nullcontext():
@@ -437,70 +434,70 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="integrate a benchmark system ensemble")
     p.add_argument("--system", required=True, choices=_SYSTEM_NAMES)
-    p.add_argument("--n-traj", type=positive_int, default=10)
-    p.add_argument("--dt", type=positive_float, default=0.05)
-    p.add_argument("--steps", type=positive_int, default=200)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--derivatives", action="store_true", default=False,
-                   help="include central-difference derivative columns")
+    p.add_argument("--n-traj", parse=positive_int, default=10)
+    p.add_argument("--dt", parse=positive_float, default=0.05)
+    p.add_argument("--steps", parse=positive_int, default=200)
+    p.add_argument("--seed", parse=_seed, default=0)
+    p.add_argument("--derivatives", action="store_const", const="true", parse=_boolean,
+                   default=False, help="include central-difference derivative columns")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a lifted linear model to simulated data")
     p.add_argument("--data", required=True, help="directory written by simulate")
     p.add_argument("--family", required=True, choices=_FAMILY_NAMES)
-    p.add_argument("--n-members", type=positive_int, default=10)
+    p.add_argument("--n-members", parse=positive_int, default=10)
     p.add_argument("--mode", choices=[m.value for m in Mode], default="discrete")
     p.add_argument("--method", choices=("lstsq", "sgd", "pursuit"), default="lstsq")
-    p.add_argument("--ridge", type=nonnegative_float, default=None,
+    p.add_argument("--ridge", parse=nonnegative_float, default=None,
                    help="ridge of the K solves; by default the adaptive "
                         "1e-8 * sigma_max^2 of the lifted inputs for lstsq and "
                         "sgd, and 0 for pursuit")
-    p.add_argument("--epochs", type=positive_int, default=1000)
-    p.add_argument("--batch-size", type=positive_int, default=32)
-    p.add_argument("--lr", type=positive_float, default=1e-2)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--pool-points", type=positive_int, default=9)
-    p.add_argument("--pool-steepness", type=_positive_list, default=(1.0, 3.0, 10.0))
+    p.add_argument("--epochs", parse=positive_int, default=1000)
+    p.add_argument("--batch-size", parse=positive_int, default=32)
+    p.add_argument("--lr", parse=positive_float, default=1e-2)
+    p.add_argument("--seed", parse=_seed, default=0)
+    p.add_argument("--pool-points", parse=positive_int, default=9)
+    p.add_argument("--pool-steepness", parse=_list_of(positive_float), default=(1.0, 3.0, 10.0))
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("evaluate", help="n-step prediction error of a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--n-steps", type=positive_int, default=5)
+    p.add_argument("--n-steps", parse=positive_int, default=5)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("closure", help="steep-limit sweeps, blow-up demo, bound checks")
-    p.add_argument("--theorems", type=_names_from(THEOREM_NAMES), default=("all",))
-    p.add_argument("--configs", type=positive_int, default=50)
-    p.add_argument("--points", type=positive_int, default=10_000)
-    p.add_argument("--gap", type=positive_float, default=0.2)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--alpha-scales", type=_positive_list, default=DEFAULT_ALPHA_SCALES)
-    p.add_argument("--degrees", type=_count_list, default=(1, 2, 3))
-    p.add_argument("--explosion-y", type=_float_list,
+    p.add_argument("--theorems", parse=_list_of(str, THEOREM_NAMES), default=("all",))
+    p.add_argument("--configs", parse=positive_int, default=50)
+    p.add_argument("--points", parse=positive_int, default=10_000)
+    p.add_argument("--gap", parse=positive_float, default=0.2)
+    p.add_argument("--seed", parse=_seed, default=0)
+    p.add_argument("--alpha-scales", parse=_list_of(positive_float), default=DEFAULT_ALPHA_SCALES)
+    p.add_argument("--degrees", parse=_list_of(positive_int), default=(1, 2, 3))
+    p.add_argument("--explosion-y", parse=_list_of(float),
                    default=(32.0, 64.0, 128.0, 256.0, 512.0))
-    p.add_argument("--mc-samples", type=positive_int, default=100_000)
-    p.add_argument("--mc-seed", type=_seed, default=2)
+    p.add_argument("--mc-samples", parse=positive_int, default=100_000)
+    p.add_argument("--mc-seed", parse=_seed, default=2)
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("expectation", help="scalar-member expectation table")
-    p.add_argument("--a-values", type=_positive_list, default=(0.5, 1.0, 2.0, 5.0))
-    p.add_argument("--mc-samples", type=positive_int, default=100_000)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--a-values", parse=_list_of(positive_float), default=(0.5, 1.0, 2.0, 5.0))
+    p.add_argument("--mc-samples", parse=positive_int, default=100_000)
+    p.add_argument("--seed", parse=_seed, default=0)
     p.set_defaults(func=_cmd_expectation)
 
     p = sub.add_parser("compare", help="dictionary-comparison grid with a DMD baseline")
-    p.add_argument("--systems", type=_names_from(_SYSTEM_NAMES), default=("all",))
-    p.add_argument("--families", type=_names_from(_FAMILY_NAMES), default=("all",))
-    p.add_argument("--dims", type=_count_list, default=(5, 10, 20))
-    p.add_argument("--seeds", type=_seed_list, default=(0, 1, 2))
-    p.add_argument("--epochs", type=positive_int, default=1000,
+    p.add_argument("--systems", parse=_list_of(str, _SYSTEM_NAMES), default=("all",))
+    p.add_argument("--families", parse=_list_of(str, _FAMILY_NAMES), default=("all",))
+    p.add_argument("--dims", parse=_list_of(positive_int), default=(5, 10, 20))
+    p.add_argument("--seeds", parse=_list_of(_seed), default=(0, 1, 2))
+    p.add_argument("--epochs", parse=positive_int, default=1000,
                    help="iteration cap of the variable-projection training")
-    p.add_argument("--n-traj", type=positive_int, default=10)
-    p.add_argument("--dt", type=positive_float, default=0.05)
-    p.add_argument("--steps", type=positive_int, default=200)
-    p.add_argument("--n-steps", type=positive_int, default=5)
-    p.add_argument("--workers", type=positive_int, default=1)
+    p.add_argument("--n-traj", parse=positive_int, default=10)
+    p.add_argument("--dt", parse=positive_float, default=0.05)
+    p.add_argument("--steps", parse=positive_int, default=200)
+    p.add_argument("--n-steps", parse=positive_int, default=5)
+    p.add_argument("--workers", parse=positive_int, default=1)
     p.set_defaults(func=_cmd_compare)
 
     for p in sub.choices.values():
@@ -514,28 +511,10 @@ def _read_config(path, command):
     only the keys written under its header."""
     cp = configparser.ConfigParser(default_section="")
     try:
-        if not cp.read(path, encoding="utf-8"):
-            raise ConfigError(f"cannot read config file {path}")
+        cp.read_string(read_text(path), path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: not a valid INI file: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     return [cp[name] for name in (command, "DEFAULT") if cp.has_section(name)]
-
-
-def _config_value(path, section, key, action):
-    """One config key, parsed and checked as its option parses a flag."""
-    try:
-        if isinstance(action, argparse._StoreTrueAction):
-            value = section.getboolean(key)
-        else:
-            value = action.type(section[key]) if action.type else section[key]
-    except (ValueError, configparser.Error) as exc:
-        raise ConfigError(f"{path}: malformed [{section.name}] {key}: {exc}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ConfigError(f"{path}: [{section.name}] {key} must be one of "
-                          f"{', '.join(map(str, action.choices))}")
-    return value
 
 
 def _resolve(parser, sub_map, argv):
@@ -552,6 +531,12 @@ def _resolve(parser, sub_map, argv):
         raise UsageError("a subcommand is required (see --help)")
     options = sub_map[args.command].options
     given = set(options) & set(vars(args))
+    for dest, (flag, parse, _, _) in options.items():
+        if dest in given:
+            try:
+                setattr(args, dest, parse(getattr(args, dest)))
+            except ValueError as exc:
+                raise UsageError(f"argument {flag}: {exc}") from None
     path = getattr(args, "config", None)
     for section in [] if path is None else _read_config(path, args.command):
         own = section.name == args.command
@@ -561,14 +546,17 @@ def _resolve(parser, sub_map, argv):
                 if own:
                     raise ConfigError(f"{path}: [{args.command}] sets unknown option {key}")
             elif not hasattr(args, dest):
-                setattr(args, dest, _config_value(path, section, key, options[dest][0]))
+                try:
+                    setattr(args, dest, options[dest][1](section[key]))
+                except (ValueError, configparser.Error) as exc:
+                    raise ConfigError(f"{path}: malformed [{section.name}] {key}: {exc}") from None
                 if own:
                     given.add(dest)
     missing = []
-    for dest, (action, default, required) in options.items():
+    for dest, (flag, _, default, required) in options.items():
         if not hasattr(args, dest):
             if required:
-                missing.append(action.option_strings[0])
+                missing.append(flag)
             setattr(args, dest, default)
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import itertools
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -657,7 +658,11 @@ def dictionary_from_ini(cp, source):
     m, n = field("dictionary", "m", int), field("dictionary", "n_members", int)
     if m < 1 or n < 0:
         raise DataError(f"{source}: [dictionary] needs m >= 1 and n_members >= 0")
-    sections = [f"member {j}" for j in range(n)]
+    # Names stop at the first missing section, so a huge count fails at once.
+    sections = list(itertools.takewhile(cp.has_section, (f"member {j}" for j in range(n))))
+    if len(sections) < n:
+        raise DataError(f"{source}: [dictionary] n_members = {n}, but [member {len(sections)}] "
+                        "is missing")
     if family in POLYNOMIAL_FAMILIES:
         d = Dictionary(family, m, [
             field(sec, "degrees", lambda v: tuple(int(k) for k in v.split()))

@@ -2,12 +2,14 @@ import filecmp
 import os
 import pathlib
 import random
+import shlex
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+from augsill import cli
 from augsill.cli import main
 from augsill.dictionaries import Family
 from augsill.errors import IllConditionedWarning
@@ -113,6 +115,46 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert run("--config", str(config), command, *extra,
                    "--out", str(tmp_path / "x")) == 2, line
         assert key in capsys.readouterr().err, line
+
+
+@pytest.mark.parametrize("command, flag, value, reason", [
+    ("compare", "--seeds", "0,0", "'0,0' lists 0 twice"),
+    ("closure", "--alpha-scales", "1,nan", "'nan' is not finite"),
+    ("compare", "--dims", "3,x", "invalid literal for int() with base 10: 'x'"),
+    ("closure", "--theorems", "loglog,nope",
+     "'loglog,nope' is not all or a list from loglog, logrbf_overlap, logrbf_disjoint, rbfrbf"),
+    ("simulate", "--system", "nosuch",
+     "'nosuch' is not one of vanderpol, duffing, predatorprey, toggleswitch"),
+], ids=("seeds", "alpha-scales", "dims", "theorems", "system"))
+def test_flag_and_config_key_give_one_reason(tmp_path, capsys, command, flag, value, reason):
+    """A bad value gives the parser's own reason whether a flag or a config
+    key holds it: exit 1 for the flag, exit 2 naming the file and key."""
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert run(command, flag, value, "--out", out) == 1
+    assert capsys.readouterr().err == f"usage error: argument {flag}: {reason}\n"
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[{command}]\n{flag[2:]} = {value}\n")
+    assert run("--config", str(config), command, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: malformed [{command}] {flag[2:]}: {reason}\n")
+
+
+def test_readme_command_examples_parse():
+    """Every augsill line of README's command-line block resolves, so a
+    renamed or removed option fails here rather than leaving the docs stale."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("augsill ")]
+    parser, sub_map = cli.build_parser()
+    commands = set()
+    for argv in examples:
+        args, given = cli._resolve(parser, sub_map, argv)
+        if args.command == "fit":
+            cli._reject_foreign_fit_options(args, given)
+        commands.add(args.command)
+    assert commands == set(sub_map)
 
 
 def test_simulate_artifacts(tmp_path):
@@ -313,6 +355,7 @@ def _prepend_stray_line(path):
     ("model_k_entry", "model.k.csv"),
     ("model_header", "model.ini"),
     ("model_n_members", "[member 2]"),
+    ("model_huge_n_members", "n_members"),
     ("model_kind", "kind"),
 ])
 def test_malformed_data_files_exit_two(tmp_path, capsys, case, named):
@@ -344,6 +387,9 @@ def test_malformed_data_files_exit_two(tmp_path, capsys, case, named):
         _prepend_stray_line(fit / "model.ini")
     elif case == "model_n_members":
         _replace_line(fit / "model.ini", "n_members", "n_members = 5")
+    elif case == "model_huge_n_members":
+        # Fails on the missing [member 2], before 10^12 section names are built.
+        _replace_line(fit / "model.ini", "n_members", "n_members = 1000000000000")
     elif case == "model_kind":
         _replace_line(fit / "model.ini", "kind", "kind = cubic")
     else:
@@ -645,6 +691,33 @@ def test_compare_grid_row_count(tmp_path):
     # With a pool, the workers simulate each system's ensembles in one batch
     # and train its cells while the next system simulates.
     assert compare("2") == summary
+
+
+def test_compare_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records its size and runs each task in the calling process."""
+
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            return cli._run_now(fn, *args)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # One simulation, one sill cell and one DMD cell: three tasks.
+    argv = ("compare", "--systems", "vanderpol", "--families", "sill", "--dims", "3",
+            "--seeds", "0", "--epochs", "3", "--n-traj", "2", "--steps", "20")
+    for workers in ("64", "2"):
+        assert run(*argv, "--workers", workers, "--out", str(tmp_path / workers)) == 0
+    assert sizes == [3, 2]
 
 
 def test_reruns_are_bitwise_identical(tmp_path):
