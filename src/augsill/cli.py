@@ -171,8 +171,8 @@ def _emit_config(args, unused=()):
     os.makedirs(args.out, exist_ok=True)
     cp = configparser.ConfigParser()
     skip = {"func", "config", "command", *unused}
-    cp[args.command] = {
-        k: _fmt_value(v)
+    cp[args.command] = {  # % doubled: _read_config reads it back interpolated
+        k: _fmt_value(v).replace("%", "%%")
         for k, v in sorted(vars(args).items())
         if k not in skip and v is not None
     }

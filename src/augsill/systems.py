@@ -2,7 +2,9 @@
 
 Four two-state vector fields with fixed literature constants, a classical RK4
 integrator with a fixed internal substep (deterministic, no adaptivity), and
-helpers that assemble (input, target) snapshot matrices for the solver.
+helpers that assemble (input, target) snapshot matrices for the solver. Each
+field is evaluated by one kernel per system, built once per batch by _field
+on component-major (2, r) states; the integrator and system_rhs share it.
 """
 
 from __future__ import annotations
@@ -81,36 +83,59 @@ class SystemSpec:
         return SystemSpec(SystemId(system_id))
 
 
-def _rhs_batch(s, X, out=None):
-    """Vector field on a batch of states, shape (r, 2) -> (r, 2), written to
-    out when given (it must not overlap X).
-
-    Uses elementwise numpy ops only, so one row's arithmetic is identical
-    whether integrated alone or inside any batch (bitwise determinism).
-    """
-    x1, x2 = X[:, 0], X[:, 1]
-    out = np.empty_like(X) if out is None else out
+def _field(s, r):
+    """The vector field of s as a kernel f(x, k) on r component-major states:
+    x and k are (2, r) arrays of rows x1, x2, and f writes the field at x into
+    k (not overlapping x) and returns k. Built once per batch with its
+    constants and scratch rows, a call runs only positional-out ufuncs, nested
+    as in the textbook expression and in its association (c4 * x1 * x1 is
+    (c4 * x1) * x1); all are elementwise, so a state's bits do not depend on
+    its batch."""
+    mul, add, sub = np.multiply, np.add, np.subtract
+    t, u = np.empty(r), np.empty((2, r))
     if s.id == SystemId.VAN_DER_POL:
         (c1,) = s.constants
-        out[:, 0] = x2
-        out[:, 1] = c1 * (1.0 - x1 * x1) * x2 - x1
+
+        def f(x, k):  # x2, c1 * (1 - x1 * x1) * x2 - x1
+            x1 = x[0]
+            sub(mul(mul(c1, sub(1.0, mul(x1, x1, t), t), t), x[1], t), x1, k[1])
+            k[0] = x[1]
+            return k
     elif s.id == SystemId.DUFFING:
         c2, c3, c4 = s.constants
-        out[:, 0] = x2
-        out[:, 1] = -c2 * x2 - x1 * (c3 + c4 * x1 * x1)
+        coef, (u0, u1) = np.array([[c4], [-c2]]), u
+
+        def f(x, k):  # x2, -c2 * x2 - x1 * (c3 + c4 * x1 * x1)
+            x1 = x[0]
+            mul(coef, x, u)  # c4 * x1, -c2 * x2
+            sub(u1, mul(x1, add(c3, mul(u0, x1, t), t), t), k[1])
+            k[0] = x[1]
+            return k
     elif s.id == SystemId.PREDATOR_PREY:
         c5, c6, c7, c8 = s.constants
-        out[:, 0] = c5 * x1 - c6 * x1 * x2
-        out[:, 1] = c7 * x1 * x2 - c8 * x2
+        coef3, coef2 = np.array([[c6], [c7]]), np.array([[c5], [c8]])
+        w = np.empty((4, r))  # c6 x1 x2, c7 x1 x2, c5 x1, c8 x2: rows 2, 1 minus 0, 3
+        three, two, lead, lag = w[:2], w[2:], w[2:0:-1], w[::3]
+
+        def f(x, k):  # c5 * x1 - c6 * x1 * x2, c7 * x1 * x2 - c8 * x2
+            mul(mul(coef3, x[0], three), x[1], three)
+            mul(coef2, x, two)
+            return sub(lead, lag, k)
     else:
-        if (X < 0).any():
-            raise DomainError(
-                "toggleswitch state must be nonnegative (non-integer Hill powers)"
-            )
         c9, c10, c11, c12, c13 = s.constants
-        out[:, 0] = c9 / (1.0 + x2**c11) - c13 * x1
-        out[:, 1] = c10 / (1.0 + x1**c12) - c13 * x2
-    return out
+        coef, (u0, u1) = np.array([[c9], [c10]]), u
+
+        def f(x, k):  # c9 / (1 + x2 ** c11) - c13 * x1, c10 / (1 + x1 ** c12) - c13 * x2
+            if x.min() < 0.0:  # like (x < 0).any(): False on NaN and -0.0
+                raise DomainError(
+                    "toggleswitch state must be nonnegative (non-integer Hill powers)"
+                )
+            # A power per row with a scalar exponent, as in x2 ** c11: numpy picks its
+            # pow loop by layout, and a (2, 1) exponent changes a lone state's bits.
+            np.power(x[1], c11, u0), np.power(x[0], c12, u1)
+            np.divide(coef, add(1.0, u, u), u)
+            return sub(u, mul(c13, x, k), k)
+    return f
 
 
 def system_rhs(s, x):
@@ -120,7 +145,7 @@ def system_rhs(s, x):
         raise DomainError(f"expected state of shape ({STATE_DIM},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DataError(f"non-finite state {x}")
-    return _rhs_batch(s, x[None, :])[0]
+    return _field(s, 1)(x[:, None], np.empty((STATE_DIM, 1)))[:, 0]
 
 
 @dataclass
@@ -135,43 +160,37 @@ class Trajectory:
 
 
 def _rk4_batch(s, X0, dt, steps, max_substep, row_name=None):
-    """RK4 on a batch of initial states; returns (steps+1, r, 2).
+    """RK4 on a batch of initial states X0, (r, 2); returns (steps+1, r, 2).
 
     Each substep is x + (h/6)(k1 + 2 k2 + 2 k3 + k4) with the stages at
     x + (h/2) k1, x + (h/2) k2 and x + h k3, evaluated in that operation
-    order in preallocated state and stage buffers. A state leaving
-    DIVERGENCE_LIMIT raises DivergenceError naming the system, the step and,
-    when row_name is given, row_name(i) of the first row i out of bounds."""
+    order on component-major (2, r) state and stage buffers by the one field
+    kernel _field builds for the batch. A state leaving DIVERGENCE_LIMIT raises
+    DivergenceError naming the system, the step and, when row_name is given,
+    row_name(i) of the first row i out of bounds."""
     n_sub = max(1, math.ceil(dt / max_substep - 1e-12))
     h = dt / n_sub
     out = np.empty((steps + 1,) + X0.shape)
     out[0] = X0
-    x = X0.copy()
-    k1, k2, k3, k4, stage = (np.empty_like(x) for _ in range(5))
+    x = X0.T.copy()  # a copy, never a view: the caller's X0 stays as it was
+    k, stage = np.empty((4,) + x.shape), np.empty_like(x)
+    (k1, k2, k3, k4), k23 = k, k[1:3]
+    f, mul, add, total = _field(s, x.shape[1]), np.multiply, np.add, np.add.reduce
     for step in range(steps):
         for _ in range(n_sub):
-            _rhs_batch(s, x, k1)
-            np.multiply(k1, 0.5 * h, out=stage)
-            _rhs_batch(s, np.add(x, stage, out=stage), k2)
-            np.multiply(k2, 0.5 * h, out=stage)
-            _rhs_batch(s, np.add(x, stage, out=stage), k3)
-            np.multiply(k3, h, out=stage)
-            _rhs_batch(s, np.add(x, stage, out=stage), k4)
-            k2 *= 2.0
-            k2 += k1
-            k3 *= 2.0
-            k2 += k3
-            k2 += k4
-            k2 *= h / 6.0
-            x += k2
-        ok = (np.abs(x) <= DIVERGENCE_LIMIT).all(axis=1)
+            f(add(x, mul(f(x, k1), 0.5 * h, stage), stage), k2)
+            f(add(x, mul(k2, 0.5 * h, stage), stage), k3)
+            f(add(x, mul(k3, h, stage), stage), k4)
+            mul(k23, 2.0, k23)  # total sums in order: ((k1 + 2 k2) + 2 k3) + k4
+            add(x, mul(total(k, 0, None, stage), h / 6.0, stage), x)
+        ok = (np.abs(x) <= DIVERGENCE_LIMIT).all(axis=0)
         if not ok.all():
             what = "state" if row_name is None else row_name(int(np.argmin(ok)))
             raise DivergenceError(
                 f"{s.id.value} {what} exceeded {DIVERGENCE_LIMIT:g} at step {step + 1}",
                 step_index=step + 1,
             )
-        out[step + 1] = x
+        out[step + 1] = x.T
     return out
 
 
@@ -194,12 +213,8 @@ def sample_initial_conditions(s, n, seed):
     """n uniform initial conditions over the system's DEFAULT_IC_BOX;
     trajectory i draws from the stream seeded by (seed, i), so any subset
     reproduces identically."""
-    box = DEFAULT_IC_BOX[s.id]
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    return np.array(
-        [np.random.default_rng((seed, i)).uniform(lo, hi) for i in range(n)]
-    )
+    lo, hi = np.array(DEFAULT_IC_BOX[s.id]).T
+    return np.array([np.random.default_rng((seed, i)).uniform(lo, hi) for i in range(n)])
 
 
 def simulate_ensembles(s, n_trajectories, dt, steps, seeds, max_substep=DEFAULT_SUBSTEP):

@@ -314,6 +314,22 @@ def test_fit_rejects_options_of_other_methods(tmp_path, capsys):
     assert filecmp.cmp(out / "model.k.csv", tmp_path / "rerun" / "model.k.csv", shallow=False)
 
 
+def test_percent_in_option_value_round_trips(tmp_path, monkeypatch):
+    # The echo doubles %, so the interpolating config reader gives back the
+    # value the run used, and a rerun from the echo resolves the same out.
+    monkeypatch.chdir(tmp_path)
+    assert simulate_small("d%1") == 0
+    fit = ("fit", "--data", "d%1", "--family", "sill", "--n-members", "3",
+           "--method", "lstsq")
+    assert run(*fit, "--out", "fit%1") == 0
+    echo = os.path.join("fit%1", "effective_config.ini")
+    parser, sub_map = cli.build_parser()
+    args, _ = cli._resolve(parser, sub_map, ["--config", echo, "fit"])
+    assert (args.out, args.data) == ("fit%1", "d%1")
+    assert run("--config", echo, "fit") == 0
+    assert os.path.exists(os.path.join("fit%1", "model.ini"))
+
+
 def _drop_line(path, prefix):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(ln for ln in lines if not ln.startswith(prefix)))

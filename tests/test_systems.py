@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from augsill.systems import (
     SystemId,
     SystemSpec,
     Trajectory,
-    _rhs_batch,
+    _field,
     _rk4_batch,
     build_snapshot_dataset,
     integrate,
@@ -75,6 +76,64 @@ def test_rhs_rejects_nonfinite():
         system_rhs(VDP, np.array([np.nan, 0.0]))
 
 
+def textbook_field(s, X):
+    """The four vector fields as written in their papers, on (r, 2) states."""
+    x1, x2 = X[:, 0], X[:, 1]
+    if s.id == SystemId.VAN_DER_POL:
+        (c1,) = s.constants
+        dx = (x2, c1 * (1.0 - x1 * x1) * x2 - x1)
+    elif s.id == SystemId.DUFFING:
+        c2, c3, c4 = s.constants
+        dx = (x2, -c2 * x2 - x1 * (c3 + c4 * x1 * x1))
+    elif s.id == SystemId.PREDATOR_PREY:
+        c5, c6, c7, c8 = s.constants
+        dx = (c5 * x1 - c6 * x1 * x2, c7 * x1 * x2 - c8 * x2)
+    else:
+        c9, c10, c11, c12, c13 = s.constants
+        dx = (c9 / (1.0 + x2**c11) - c13 * x1, c10 / (1.0 + x1**c12) - c13 * x2)
+    return np.stack(dx, axis=1)
+
+
+CUSTOM_CONSTANTS = {
+    SystemId.VAN_DER_POL: (2.5,),
+    SystemId.DUFFING: (0.3, 0.7, -0.2),
+    SystemId.PREDATOR_PREY: (0.7, 0.3, 0.9, 1.4),
+    # Hill powers 2 and 0.5 are the ones x ** c evaluates as square and sqrt.
+    SystemId.TOGGLE_SWITCH: (3.0, 2.0, 2.0, 0.5, 0.1),
+}
+
+
+def test_field_kernels_match_textbook_bitwise():
+    # numpy picks its SIMD loops (pow above all) by stride and batch length,
+    # so each kernel is pinned on lone states and on batches, in the layout
+    # the integrator uses and through system_rhs.
+    rng = np.random.default_rng(11)
+    for sid, custom in CUSTOM_CONSTANTS.items():
+        low = 0.0 if sid == SystemId.TOGGLE_SWITCH else -3.0
+        for s in (SystemSpec.default(sid), SystemSpec(sid, custom)):
+            for r in (2, 7, 8, 9, 20, 64):
+                X = rng.uniform(low, 3.0, (r, 2))
+                k = _field(s, r)(X.T.copy(), np.empty((2, r)))
+                assert k.T.tobytes() == textbook_field(s, X).tobytes(), (s, r)
+            # A lone state takes other loops, and a wrong one differs in a few
+            # percent of states, so many are checked.
+            for x in rng.uniform(low, 3.0, (200, 2)):
+                want = textbook_field(s, x[None, :])
+                k = _field(s, 1)(x[:, None].copy(), np.empty((2, 1)))
+                assert k.T.tobytes() == want.tobytes(), (s, x)
+                assert system_rhs(s, x).tobytes() == want[0].tobytes(), (s, x)
+
+
+def test_toggle_switch_rejects_negative_stage_state():
+    # The start is nonnegative but a strong decay rate drives the first
+    # stage state x + (h/2) k1 below 0: the kernel raises before any power.
+    s = SystemSpec(SystemId.TOGGLE_SWITCH, (2.5, 1.5, 1.4, 1.1, 100.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            integrate(s, np.array([1.0, 1.0]), dt=0.1, steps=1, max_substep=0.1)
+
+
 # -- integration ---------------------------------------------------------------
 
 
@@ -128,8 +187,9 @@ def test_divergence_reports_step():
 
 
 def test_rk4_buffers_match_formula_bitwise():
-    # The buffered integrator keeps the operation order of the textbook
-    # formula written with temporaries, so every path carries its bits.
+    # The buffered component-major integrator keeps the operation order of
+    # the textbook formula written with temporaries on the textbook fields,
+    # so every path carries its bits.
     def reference(s, X0, dt, steps, max_substep):
         n_sub = max(1, math.ceil(dt / max_substep - 1e-12))
         h = dt / n_sub
@@ -137,19 +197,20 @@ def test_rk4_buffers_match_formula_bitwise():
         x = X0.copy()
         for _ in range(steps):
             for _ in range(n_sub):
-                k1 = _rhs_batch(s, x)
-                k2 = _rhs_batch(s, x + (0.5 * h) * k1)
-                k3 = _rhs_batch(s, x + (0.5 * h) * k2)
-                k4 = _rhs_batch(s, x + h * k3)
+                k1 = textbook_field(s, x)
+                k2 = textbook_field(s, x + (0.5 * h) * k1)
+                k3 = textbook_field(s, x + (0.5 * h) * k2)
+                k4 = textbook_field(s, x + h * k3)
                 x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             out.append(x)
         return np.stack(out)
 
     for s in (VDP, DUF, PP, TS):
-        x0 = sample_initial_conditions(s, 5, seed=2)
-        for dt, max_substep in ((0.05, 0.01), (0.1, 0.1), (0.03, 0.007)):
-            got = _rk4_batch(s, x0, dt, 20, max_substep)
-            assert got.tobytes() == reference(s, x0, dt, 20, max_substep).tobytes(), s.id
+        for r in (1, 5):
+            x0 = sample_initial_conditions(s, r, seed=2)
+            for dt, max_substep in ((0.05, 0.01), (0.1, 0.1), (0.03, 0.007)):
+                got = _rk4_batch(s, x0, dt, 20, max_substep)
+                assert got.tobytes() == reference(s, x0, dt, 20, max_substep).tobytes(), s.id
 
 
 # -- seeded ensembles ------------------------------------------------------------
@@ -221,6 +282,20 @@ def test_batched_divergence_names_its_ensemble():
     assert solo.value.step_index == step
     for earlier in x0[:row]:
         integrate(s, earlier, dt, step)
+
+
+def test_integration_leaves_initial_states_untouched():
+    # The integrator copies the initial states into its component-major
+    # buffer; for one row, X0.T is a contiguous view of the caller's array.
+    x0 = np.array([0.7, -0.3])
+    before = x0.tobytes()
+    integrate(VDP, x0, dt=0.1, steps=3)
+    assert x0.tobytes() == before
+    for r in (1, 4):
+        X0 = sample_initial_conditions(TS, r, seed=3)
+        before = X0.tobytes()
+        _rk4_batch(TS, X0, 0.1, 3, 0.01)  # the batch simulate_ensembles runs
+        assert X0.tobytes() == before, r
 
 
 def test_ensemble_matches_single_integration():
