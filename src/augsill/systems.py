@@ -86,11 +86,10 @@ class SystemSpec:
 def _field(s, r):
     """The vector field of s as a kernel f(x, k) on r component-major states:
     x and k are (2, r) arrays of rows x1, x2, and f writes the field at x into
-    k (not overlapping x) and returns k. Built once per batch with its
-    constants and scratch rows, a call runs only positional-out ufuncs, nested
-    as in the textbook expression and in its association (c4 * x1 * x1 is
-    (c4 * x1) * x1); all are elementwise, so a state's bits do not depend on
-    its batch."""
+    k (not overlapping x) and returns k. Built once per batch with constants
+    and scratch rows, a call runs only positional-out ufuncs, nested as in the
+    textbook expression and in its association (c4 * x1 * x1 is (c4 * x1) * x1);
+    all are elementwise, so a state's bits do not depend on its batch."""
     mul, add, sub = np.multiply, np.add, np.subtract
     t, u = np.empty(r), np.empty((2, r))
     if s.id == SystemId.VAN_DER_POL:
@@ -132,7 +131,8 @@ def _field(s, r):
                 )
             # A power per row with a scalar exponent, as in x2 ** c11: numpy picks its
             # pow loop by layout, and a (2, 1) exponent changes a lone state's bits.
-            np.power(x[1], c11, u0), np.power(x[0], c12, u1)
+            np.power(x[1], c11, u0)
+            np.power(x[0], c12, u1)
             np.divide(coef, add(1.0, u, u), u)
             return sub(u, mul(c13, x, k), k)
     return f
