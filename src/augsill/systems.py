@@ -5,6 +5,12 @@ integrator with a fixed internal substep (deterministic, no adaptivity), and
 helpers that assemble (input, target) snapshot matrices for the solver. Each
 field is evaluated by one kernel per system, built once per batch by _field
 on component-major (2, r) states; the integrator and system_rhs share it.
+
+The default substep, DEFAULT_SUBSTEP = 1e-2 (5 substeps per 0.05 recorded
+step), keeps each system's default ensemble (20 trajectories, 200 steps of
+0.05, seed 0) within 1e-6 of the same ensemble at a 40x finer substep, in
+max |got - ref| / max |ref|; the largest deviation measured is 1.1e-7
+(duffing).
 """
 
 from __future__ import annotations
@@ -33,7 +39,11 @@ from .errors import (
 )
 
 DIVERGENCE_LIMIT = 1e9
-DEFAULT_SUBSTEP = 1e-3
+# The RK4 substep bound, set by its accuracy budget: each system's default
+# ensemble stays within 1e-6, norm-relative, of the same ensemble at a 40x finer
+# substep (see the module docstring). Measured: vanderpol 2.0e-8, duffing 1.1e-7,
+# predatorprey 3.7e-11, toggleswitch 2.2e-12.
+DEFAULT_SUBSTEP = 1e-2
 # Every vector field and the trajectory CSV (t, x1, x2) are planar.
 STATE_DIM = 2
 
@@ -167,7 +177,11 @@ def _rk4_batch(s, X0, dt, steps, max_substep, row_name=None):
     order on component-major (2, r) state and stage buffers by the one field
     kernel _field builds for the batch. A state leaving DIVERGENCE_LIMIT raises
     DivergenceError naming the system, the step and, when row_name is given,
-    row_name(i) of the first row i out of bounds."""
+    row_name(i) of the first row i out of bounds. Overflow inside a step is
+    silent: the inf or nan it leaves fails the bound at that step's check.
+    max_substep must be finite and > 0 (DomainError otherwise)."""
+    if not (math.isfinite(max_substep) and max_substep > 0):
+        raise DomainError(f"max_substep must be finite and > 0, got {max_substep}")
     n_sub = max(1, math.ceil(dt / max_substep - 1e-12))
     h = dt / n_sub
     out = np.empty((steps + 1,) + X0.shape)
@@ -177,12 +191,13 @@ def _rk4_batch(s, X0, dt, steps, max_substep, row_name=None):
     (k1, k2, k3, k4), k23 = k, k[1:3]
     f, mul, add, total = _field(s, x.shape[1]), np.multiply, np.add, np.add.reduce
     for step in range(steps):
-        for _ in range(n_sub):
-            f(add(x, mul(f(x, k1), 0.5 * h, stage), stage), k2)
-            f(add(x, mul(k2, 0.5 * h, stage), stage), k3)
-            f(add(x, mul(k3, h, stage), stage), k4)
-            mul(k23, 2.0, k23)  # total sums in order: ((k1 + 2 k2) + 2 k3) + k4
-            add(x, mul(total(k, 0, None, stage), h / 6.0, stage), x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(n_sub):
+                f(add(x, mul(f(x, k1), 0.5 * h, stage), stage), k2)
+                f(add(x, mul(k2, 0.5 * h, stage), stage), k3)
+                f(add(x, mul(k3, h, stage), stage), k4)
+                mul(k23, 2.0, k23)  # total sums in order: ((k1 + 2 k2) + 2 k3) + k4
+                add(x, mul(total(k, 0, None, stage), h / 6.0, stage), x)
         ok = (np.abs(x) <= DIVERGENCE_LIMIT).all(axis=0)
         if not ok.all():
             what = "state" if row_name is None else row_name(int(np.argmin(ok)))

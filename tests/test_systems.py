@@ -8,6 +8,7 @@ import pytest
 from augsill.errors import ConfigError, DataError, DivergenceError, DomainError
 from augsill.systems import (
     DEFAULT_CONSTANTS,
+    DEFAULT_SUBSTEP,
     Mode,
     SnapshotDataset,
     SystemId,
@@ -177,13 +178,34 @@ def test_rk4_observed_order():
     assert orders.min() >= 3.8
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_reports_step():
-    # duffing with inverted potential blows up from far out
+    # duffing with inverted potential blows up from far out, overflowing inside
+    # a step; the overflow stays silent and the bound check names the step
     s = SystemSpec(SystemId.DUFFING, (0.0, -1.0, -1.0))
-    with pytest.raises(DivergenceError) as ei:
-        integrate(s, np.array([3.0, 0.0]), dt=1.0, steps=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as ei:
+            integrate(s, np.array([3.0, 0.0]), dt=1.0, steps=50)
     assert ei.value.step_index >= 1
+
+
+def test_integrate_rejects_bad_substep():
+    for bad in (0.0, -0.01, math.nan, math.inf):
+        with pytest.raises(DomainError, match="max_substep"):
+            integrate(VDP, np.zeros(2), dt=0.1, steps=5, max_substep=bad)
+        with pytest.raises(DomainError, match="max_substep"):
+            simulate_ensemble(VDP, 2, dt=0.1, steps=5, seed=0, max_substep=bad)
+
+
+def test_default_substep_meets_its_budget():
+    # Each system's default ensemble at DEFAULT_SUBSTEP stays within 1e-6,
+    # norm-relative, of the same ensemble at a 40x finer substep.
+    for s in (VDP, DUF, PP, TS):
+        got, ref = (
+            np.stack([tr.states for tr in simulate_ensemble(s, 20, 0.05, 200, 0, h)])
+            for h in (DEFAULT_SUBSTEP, DEFAULT_SUBSTEP / 40)
+        )
+        assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max(), s.id
 
 
 def test_rk4_buffers_match_formula_bitwise():
@@ -259,7 +281,6 @@ def test_batched_ensembles_validate_arguments():
             simulate_ensembles(VDP, **kwargs)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_batched_divergence_names_its_ensemble():
     # Inverted duffing (xddot = x + x^3) blows up from every start; in this
     # batch the first row out of bounds is trajectory 1 of the second seed.
