@@ -7,10 +7,9 @@ field is evaluated by one kernel per system, built once per batch by _field
 on component-major (2, r) states; the integrator and system_rhs share it.
 
 The default substep, DEFAULT_SUBSTEP = 1e-2 (5 substeps per 0.05 recorded
-step), keeps each system's default ensemble (20 trajectories, 200 steps of
-0.05, seed 0) within 1e-6 of the same ensemble at a 40x finer substep, in
-max |got - ref| / max |ref|; the largest deviation measured is 1.1e-7
-(duffing).
+step), is held to an error budget: each system's default ensemble (20
+trajectories, 200 steps of 0.05, seed 0) stays within 1e-6 of the same
+ensemble at a 40x finer substep, in max |got - ref| / max |ref|.
 """
 
 from __future__ import annotations
@@ -39,10 +38,9 @@ from .errors import (
 )
 
 DIVERGENCE_LIMIT = 1e9
-# The RK4 substep bound, set by its accuracy budget: each system's default
-# ensemble stays within 1e-6, norm-relative, of the same ensemble at a 40x finer
-# substep (see the module docstring). Measured: vanderpol 2.0e-8, duffing 1.1e-7,
-# predatorprey 3.7e-11, toggleswitch 2.2e-12.
+# The RK4 substep bound, set by the module docstring's 1e-6 error budget.
+# Measured against it: vanderpol 2.0e-8, duffing 1.1e-7, predatorprey 3.7e-11,
+# toggleswitch 2.2e-12 (1e-3 gave at most 9.7e-12 at 10x the substeps).
 DEFAULT_SUBSTEP = 1e-2
 # Every vector field and the trajectory CSV (t, x1, x2) are planar.
 STATE_DIM = 2
