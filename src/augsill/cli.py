@@ -64,16 +64,7 @@ from .systems import (
     write_csv,
     write_ensemble,
 )
-from .trainer import (
-    PursuitPool,
-    TrainConfig,
-    initial_dictionary,
-    matching_pursuit_fit,
-    sgd_fit,
-    varpro_fit,
-)
-
-FIVE_STEP_LOG_CADENCE = 50
+from .trainer import PursuitPool, initial_dictionary, matching_pursuit_fit, varpro_fit
 
 _FAMILY_NAMES = tuple(f.value for f in Family)
 # Candidate kinds matching pursuit draws from, per dictionary family.
@@ -82,7 +73,7 @@ _PURSUIT_KINDS = {
     Family.AUGSILL: (Kind.LOGISTIC, Kind.RBF),
 }
 # Families each fit method can train; lstsq fits every family.
-_METHOD_FAMILIES = {"sgd": TRAINABLE_FAMILIES, "pursuit": tuple(_PURSUIT_KINDS)}
+_METHOD_FAMILIES = {"varpro": TRAINABLE_FAMILIES, "pursuit": tuple(_PURSUIT_KINDS)}
 _SYSTEM_NAMES = tuple(s.value for s in SystemId)
 
 
@@ -219,25 +210,14 @@ def _cmd_fit(args):
         loss = frobenius_residual(model, dataset) / dataset.n_rows
         write_csv(log_path, ["epoch", "loss", "five_step_error"],
                   [["0", _r(loss), _r(n_step_error(model, trajs, 5))]])
-    elif args.method == "sgd":
-        cfg = TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.lr,
-            seed=args.seed,
-            ridge=args.ridge,
-        )
-        rows = []
-
-        def log(epoch, loss, snapshot):
-            # 5-step error is sampled on a fixed cadence; loss every epoch.
-            if (epoch + 1) % FIVE_STEP_LOG_CADENCE == 0:
-                rows.append([str(epoch), _r(loss),
-                             _r(n_step_error(snapshot, trajs, 5))])
-            else:
-                rows.append([str(epoch), _r(loss), ""])
-
-        model, _ = sgd_fit(dataset, family, args.n_members, cfg, epoch_callback=log)
+    elif args.method == "varpro":
+        model, losses = varpro_fit(dataset, family, args.n_members, args.epochs,
+                                   args.seed, args.ridge)
+        # Row i holds the loss after L-BFGS iteration i, and the last row
+        # also scores the returned model. A run that stops before its first
+        # iteration returns the starting dictionary: one row 0, loss empty.
+        rows = [[str(i), _r(v), ""] for i, v in enumerate(losses, 1)] or [["0", "", ""]]
+        rows[-1][2] = _r(n_step_error(model, trajs, 5))
         write_csv(log_path, ["epoch", "loss", "five_step_error"], rows)
     else:  # pursuit
         pool = PursuitPool.for_data(
@@ -447,14 +427,13 @@ def build_parser():
     p.add_argument("--family", required=True, choices=_FAMILY_NAMES)
     p.add_argument("--n-members", parse=positive_int, default=10)
     p.add_argument("--mode", choices=[m.value for m in Mode], default="discrete")
-    p.add_argument("--method", choices=("lstsq", "sgd", "pursuit"), default="lstsq")
+    p.add_argument("--method", choices=("lstsq", "varpro", "pursuit"), default="lstsq")
     p.add_argument("--ridge", parse=nonnegative_float, default=None,
-                   help="ridge of the K solves; by default the adaptive "
-                        "1e-8 * sigma_max^2 of the lifted inputs for lstsq and "
-                        "sgd, and 0 for pursuit")
-    p.add_argument("--epochs", parse=positive_int, default=1000)
-    p.add_argument("--batch-size", parse=positive_int, default=32)
-    p.add_argument("--lr", parse=positive_float, default=1e-2)
+                   help="ridge of the K solves, frozen for all of a varpro run; by "
+                        "default the adaptive 1e-8 * sigma_max^2 of the (initial) "
+                        "lifted inputs for lstsq and varpro, and 0 for pursuit")
+    p.add_argument("--epochs", parse=positive_int, default=1000,
+                   help="iteration cap of the variable-projection training")
     p.add_argument("--seed", parse=_seed, default=0)
     p.add_argument("--pool-points", parse=positive_int, default=9)
     p.add_argument("--pool-steepness", parse=_list_of(positive_float), default=(1.0, 3.0, 10.0))
@@ -565,8 +544,7 @@ def _resolve(parser, sub_map, argv):
 
 def _foreign_fit_options(method):
     """{dest: method} of the fit options that only another method reads."""
-    owners = {"epochs": "sgd", "batch_size": "sgd", "lr": "sgd",
-              "pool_points": "pursuit", "pool_steepness": "pursuit"}
+    owners = {"epochs": "varpro", "pool_points": "pursuit", "pool_steepness": "pursuit"}
     return {dest: owner for dest, owner in owners.items() if owner != method}
 
 

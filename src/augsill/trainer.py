@@ -10,18 +10,20 @@ variable projection weights the kernel's factor first and contracts that one
 product into both shape gradients. Polynomial families have no shapes to
 train: fit them with solver.fit_k, which also serves continuous mode.
 
-Variable projection (Golub & Pereyra 1973), the trainer of compare, removes
-K exactly: K is linear given the shapes, so each evaluation solves it in
-closed form at a ridge frozen at the initial lift, and L-BFGS-B moves only
+Variable projection (Golub & Pereyra 1973), the trainer of compare and of
+fit --method varpro, removes K exactly: K is linear given the shapes, so
+each evaluation solves it in closed form at a ridge frozen for the run (by
+default the adaptive one of the initial lift), and L-BFGS-B moves only
 the centers and log-steepnesses along the exact gradient the envelope
 theorem gives. Each evaluation runs the member kernel once on the distinct
 states of the data (a trajectory ensemble's targets are mostly its inputs
 one step on).
 
-SGD, the trainer of fit --method sgd, alternates as EDMD with dictionary
-learning does. Minibatch gradient steps move the shapes, with one
-member-kernel call per minibatch on its inputs and targets stacked; every
-REFIT_K_EVERY epochs K is replaced by the closed-form solve. Each epoch
+SGD alternates as EDMD with dictionary learning does. No command runs it;
+it stays while perfbench/tracing.py binds sgd_fit and TrainConfig.
+Minibatch gradient steps move the shapes, with one member-kernel call per
+minibatch on its inputs and targets stacked; every REFIT_K_EVERY epochs K is
+replaced by the closed-form solve. Each epoch
 lifts the distinct states once, for the refit and for the epoch loss.
 Shapes and minibatches are held dimension-major, (m, N) and (m, 2b), the
 layout of the kernel's sensitivities, with every RBF member after the
@@ -282,13 +284,13 @@ class _VarproObjective:
     theta is the flat vector [centers, log-steepness], each (m, N)
     dimension-major. Calling the objective gives lifted_objective's loss and
     gradient at theta, chained through the exponential and divided by the
-    loss at theta0; the ridge is frozen at the adaptive one of theta0's
-    lift. The latest evaluation is kept: L-BFGS-B ends each iteration
-    on its new iterate, so the iteration callback reads it without a second
-    evaluation.
+    loss at theta0; the ridge is the given one or, when None, frozen at the
+    adaptive one of theta0's lift. The latest evaluation is kept: L-BFGS-B
+    ends each iteration on its new iterate, so the iteration callback reads
+    it without a second evaluation.
     """
 
-    def __init__(self, dataset, family, rbf, theta0):
+    def __init__(self, dataset, family, rbf, theta0, ridge=None):
         self.family, self.rbf = family, rbf
         self.shape = (2, dataset.m, len(rbf))
         self.states = _DistinctStates(dataset.inputs, dataset.targets)
@@ -296,7 +298,7 @@ class _VarproObjective:
         n = len(self.states.where)
         self.scatter = csr_array((np.ones(n), (self.states.where, np.arange(n))),
                                  shape=(len(self.states.rows), n))
-        self.ridge, self.last = None, None
+        self.ridge, self.last = ridge, None
         first = self.evaluate(theta0)
         self.ridge = first["ridge"]
         self.scale = first["loss"] if first["loss"] > 0 else 1.0
@@ -306,8 +308,8 @@ class _VarproObjective:
         the dimension-major (m, N) centers c and steepnesses a.
 
         The member kernel runs once, on the distinct states. K is solved out
-        at the frozen ridge (on the first call, the adaptive one of this
-        lift), and the loss is (||psi_out - psi_in K^T||^2 + ridge ||K||^2)
+        at the frozen ridge (on a first call without one, the adaptive one of
+        this lift), and the loss is (||psi_out - psi_in K^T||^2 + ridge ||K||^2)
         / r. K minimises it, so
         by the envelope theorem its shape gradients are those of the residual
         term with K held fixed: the gradients _shape_grads_packed gives on
@@ -358,13 +360,14 @@ class _VarproObjective:
         return e["loss"] / self.scale, e["grad"] / self.scale
 
 
-def varpro_fit(dataset, family, n_members, max_iter=1000, seed=0):
+def varpro_fit(dataset, family, n_members, max_iter=1000, seed=0, ridge=None):
     """Learn dictionary shapes by variable projection (Golub & Pereyra 1973).
 
     K is linear given the shapes, so every evaluation solves it out exactly
     and L-BFGS-B moves only the centers and log-steepnesses, from the seeded
-    placement sgd_fit starts from. The ridge is frozen for the whole run at
-    the adaptive 1e-8 * sigma_max(psi_in)^2 of the initial lift, so the loss
+    placement initial_dictionary gives. The ridge is frozen for the whole
+    run: the given one, or for None the adaptive 1e-8 * sigma_max(psi_in)^2
+    of the initial lift, so the loss
     (see _VarproObjective.lifted_objective) has an exact gradient. Loss and
     gradient are divided by the initial loss. Training stops after max_iter
     iterations, or once an iteration lowers the normalised loss by at most
@@ -387,7 +390,7 @@ def varpro_fit(dataset, family, n_members, max_iter=1000, seed=0):
 
     try:
         theta0 = np.concatenate([centers.T.ravel(), log_steep.T.ravel()])
-        objective = _VarproObjective(dataset, family, rbf_mask, theta0)
+        objective = _VarproObjective(dataset, family, rbf_mask, theta0, ridge)
         n = centers.size
         bounds = [(None, None)] * n + [(-VARPRO_LOG_STEEPNESS_BOUND,
                                         VARPRO_LOG_STEEPNESS_BOUND)] * n

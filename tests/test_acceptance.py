@@ -326,7 +326,7 @@ def test_criterion_10_command_determinism(tmp_path):
                          "--steps", "30", "--seed", "5", "--derivatives",
                          "--out", str(data)]) == 0
         assert cli_main(["fit", "--data", str(data), "--family", "augsill",
-                         "--n-members", "3", "--method", "sgd", "--epochs", "6",
+                         "--n-members", "3", "--method", "varpro", "--epochs", "6",
                          "--seed", "2", "--out", str(fit)]) == 0
         assert cli_main(["evaluate", "--model", str(fit / "model.ini"),
                          "--data", str(data), "--out", str(root / "eval")]) == 0

@@ -13,7 +13,8 @@ from augsill import cli
 from augsill.cli import main
 from augsill.dictionaries import Family
 from augsill.errors import IllConditionedWarning
-from augsill.solver import load_model
+from augsill.solver import fit_k, load_model
+from augsill.systems import Mode, build_snapshot_dataset, read_ensemble
 
 
 def run(*argv):
@@ -25,6 +26,15 @@ def simulate_small(out, system="vanderpol", seed=0, extra=()):
         "simulate", "--system", system, "--n-traj", "3", "--dt", "0.05",
         "--steps", "30", "--seed", str(seed), "--out", str(out), *extra
     )
+
+
+def scale_states(data, factor):
+    """Multiply the states of every trajectory CSV under data by factor."""
+    for path in data.glob("traj_*.csv"):
+        header, *rows = path.read_text().splitlines()
+        cells = (row.split(",") for row in rows)
+        path.write_text("\n".join([header, *(",".join([t, *(repr(float(v) * factor) for v in x)])
+                                            for t, *x in cells)]) + "\n")
 
 
 def csv_files(root):
@@ -46,12 +56,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     for value in ("-1", "0"):
         assert run("compare", "--workers", value, "--out", "x") == 1
     assert run("compare", "--epochs", "0", "--out", "x") == 1
-    assert run("fit", "--data", "x", "--family", "sill", "--method", "sgd",
-               "--epochs", "0", "--out", "x") == 1
-    for flag, value in (("--batch-size", "0"), ("--lr", "nan"), ("--lr", "0"),
-                        ("--n-members", "0")):
-        assert run("fit", "--data", "x", "--family", "sill", "--method", "sgd",
+    for flag, value in (("--epochs", "0"), ("--n-members", "0")):
+        assert run("fit", "--data", "x", "--family", "sill", "--method", "varpro",
                    flag, value, "--out", "x") == 1, (flag, value)
+    # fit trains by variable projection: SGD and its options are gone.
+    for argv in (("--method", "sgd"), ("--method", "varpro", "--lr", "0.1"),
+                 ("--method", "varpro", "--batch-size", "32")):
+        assert run("fit", "--data", "x", "--family", "sill", *argv, "--out", "x") == 1, argv
     # Impossible closure runs: no configurations, centres not separated, a
     # blow-up degree below 1.
     for flag, value in (("--configs", "0"), ("--configs", "-2"), ("--gap", "-0.5"),
@@ -93,7 +104,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                    "--pool-steepness", value, "--out", "x") == 1, value
     # A ridge that is not finite and >= 0, for every method that reads it.
     for value in ("-1", "-1e-300", "nan", "inf", "-inf", "1,2"):
-        for method in ("lstsq", "sgd", "pursuit"):
+        for method in ("lstsq", "varpro", "pursuit"):
             assert run("fit", "--data", "x", "--family", "sill", "--method", method,
                        "--ridge", value, "--out", "x") == 1, (method, value)
     # Counts >= 1 that the library's minimums turn down stay domain errors.
@@ -107,7 +118,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                                ("closure", "theorems = loglog,loglog", "theorems"),
                                ("expectation", "a-values = 1,1.0", "a-values"),
                                ("fit", "ridge = -1", "ridge"),
-                               ("fit", "ridge = nan", "ridge")):
+                               ("fit", "ridge = nan", "ridge"),
+                               ("fit", "method = sgd", "method"),
+                               ("fit", "lr = 0.1", "lr"),
+                               ("fit", "batch-size = 32", "batch-size")):
         config = tmp_path / "bad.ini"
         config.write_text(f"[{command}]\n{line}\n")
         capsys.readouterr()
@@ -200,18 +214,41 @@ def test_fit_and_evaluate_roundtrip(tmp_path):
     assert float(row[4]) >= 0.0
 
 
-def test_fit_sgd_logs_every_epoch(tmp_path):
+def test_fit_varpro_logs_every_iteration(tmp_path):
     data = tmp_path / "data"
     fit = tmp_path / "fit"
     assert simulate_small(data, system="toggleswitch") == 0
     assert run(
         "fit", "--data", str(data), "--family", "augsill", "--n-members", "4",
-        "--method", "sgd", "--epochs", "12", "--seed", "1", "--out", str(fit)
+        "--method", "varpro", "--epochs", "12", "--seed", "1", "--ridge", "1e-6",
+        "--out", str(fit)
     ) == 0
-    log = (fit / "training_log.csv").read_text().strip().split("\n")
-    assert len(log) == 13
-    last = log[-1].split(",")
-    assert float(last[1]) > 0
+    log = [r.split(",") for r in (fit / "training_log.csv").read_text().splitlines()]
+    assert log[0] == ["epoch", "loss", "five_step_error"]
+    # Row i: the loss after L-BFGS iteration i; the last row scores the model.
+    assert 2 <= len(log) <= 13
+    assert [r[0] for r in log[1:]] == [str(i) for i in range(1, len(log))]
+    losses = [float(r[1]) for r in log[1:]]
+    assert all(b <= a for a, b in zip(losses, losses[1:])) and losses[-1] > 0
+    assert all(r[2] == "" for r in log[1:-1]) and float(log[-1][2]) >= 0
+    # --ridge is the ridge frozen for the run: K is the closed-form fit over
+    # the trained dictionary at that ridge.
+    model = load_model(str(fit / "model.ini"))
+    dataset = build_snapshot_dataset(read_ensemble(str(data)), Mode.DISCRETE_PAIRS)
+    assert model.K.tobytes() == fit_k(dataset, model.dictionary, 1e-6).K.tobytes()
+
+
+def test_fit_varpro_that_stops_at_once_logs_its_start(tmp_path):
+    # Trajectories resting at vanderpol's equilibrium: L-BFGS-B stops before
+    # its first iteration and fit returns the starting dictionary, logged as
+    # row 0 with no loss and the model's 5-step error.
+    data = tmp_path / "data"
+    assert simulate_small(data) == 0
+    scale_states(data, 0.0)
+    fit = tmp_path / "fit"
+    assert run("fit", "--data", str(data), "--family", "sill", "--n-members", "3",
+               "--method", "varpro", "--out", str(fit)) == 0
+    assert (fit / "training_log.csv").read_text() == "epoch,loss,five_step_error\n0,,0.0\n"
 
 
 def test_fit_pursuit_writes_objective_trace(tmp_path):
@@ -257,16 +294,16 @@ def test_fit_pursuit_follows_family(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_fit_sgd_rejects_polynomial_families(tmp_path, capsys):
-    # Polynomial dictionaries have no shapes for SGD to train; --method lstsq
-    # fits them.
+def test_fit_varpro_rejects_polynomial_families(tmp_path, capsys):
+    # Polynomial dictionaries have no shapes for varpro to train; --method
+    # lstsq fits them.
     data = tmp_path / "data"
     assert simulate_small(data) == 0
     for family in ("legendre", "hermite"):
         out = tmp_path / family
         capsys.readouterr()
         assert run("fit", "--data", str(data), "--family", family, "--n-members", "3",
-                   "--method", "sgd", "--epochs", "2", "--out", str(out)) == 1
+                   "--method", "varpro", "--epochs", "2", "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and "Traceback" not in err
         assert not (out / "model.ini").exists()
@@ -276,10 +313,9 @@ def test_fit_rejects_options_of_other_methods(tmp_path, capsys):
     data = tmp_path / "data"
     assert simulate_small(data) == 0
     fit = ("fit", "--data", str(data), "--family", "sill", "--n-members", "2")
-    cases = (("lstsq", "--epochs", "5"), ("lstsq", "--batch-size", "8"),
-             ("lstsq", "--lr", "0.1"), ("pursuit", "--epochs", "5"),
-             ("pursuit", "--lr", "0.1"), ("lstsq", "--pool-points", "3"),
-             ("sgd", "--pool-steepness", "1,5"))
+    cases = (("lstsq", "--epochs", "5"), ("pursuit", "--epochs", "5"),
+             ("lstsq", "--pool-points", "3"), ("varpro", "--pool-points", "3"),
+             ("varpro", "--pool-steepness", "1,5"))
     for i, (method, flag, value) in enumerate(cases):
         key = flag[2:]
         config = tmp_path / f"run{i}.ini"
@@ -534,7 +570,7 @@ def test_option_value_fuzz_exits_cleanly(tmp_path, capsys, monkeypatch):
         ("simulate", {"system": "vanderpol", "n-traj": "2", "steps": "5", "dt": "0.05",
                       "seed": "0"}),
         ("fit", {**fit, "mode": "discrete", "method": "lstsq"}),
-        ("fit", {**fit, "method": "sgd", "epochs": "2", "batch-size": "8", "lr": "0.01"}),
+        ("fit", {**fit, "method": "varpro", "epochs": "2"}),
         ("fit", {**fit, "method": "pursuit", "pool-points": "2", "pool-steepness": "1,5"}),
         ("evaluate", {"model": "fit/model.ini", "data": "data", "n-steps": "2"}),
         ("closure", {"theorems": "loglog", "configs": "1", "points": "500", "gap": "0.2",
@@ -601,17 +637,21 @@ def test_missing_data_dir_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_diverging_fit_exits_three(tmp_path, capsys):
-    # Unregularized summedrbf training on the default toggle-switch data
-    # drives a steepness to 0.0 by epoch 20: a numerical failure.
+    # States near 1e155, whose squares overflow (numpy warns as it goes): at a
+    # fixed ridge the first loss of the training is not finite, a numerical
+    # failure. (The adaptive ridge would be inf, a domain error.)
     data = tmp_path / "data"
-    assert run("simulate", "--system", "toggleswitch", "--out", str(data)) == 0
-    code = run("fit", "--data", str(data), "--family", "summedrbf", "--n-members", "20",
-               "--method", "sgd", "--ridge", "0", "--epochs", "25",
+    assert simulate_small(data) == 0
+    scale_states(data, 1e155)
+    code = run("fit", "--data", str(data), "--family", "summedrbf", "--n-members", "3",
+               "--method", "varpro", "--ridge", "1", "--epochs", "25",
                "--out", str(tmp_path / "fit"))
     err = capsys.readouterr().err
     assert code == 3
     assert "numerical failure" in err and "Traceback" not in err
+    assert "loss became non-finite" in err
 
 
 def test_config_file_overlay(tmp_path, capsys):
@@ -743,7 +783,7 @@ def test_reruns_are_bitwise_identical(tmp_path):
         assert simulate_small(data, system="toggleswitch", seed=3,
                               extra=("--derivatives",)) == 0
         assert run("fit", "--data", str(data), "--family", "augsill",
-                   "--n-members", "3", "--method", "sgd", "--epochs", "6",
+                   "--n-members", "3", "--method", "varpro", "--epochs", "6",
                    "--seed", "2", "--out", str(fit)) == 0
         assert run("evaluate", "--model", str(fit / "model.ini"),
                    "--data", str(data), "--out", str(root / "eval")) == 0
