@@ -572,6 +572,9 @@ def main(argv=None):
         except (DomainError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except MemoryError as exc:  # a size too large for this machine
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         except NumericalError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 3

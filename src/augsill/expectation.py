@@ -36,6 +36,8 @@ class SamplingSpec:
     def __post_init__(self):
         if not math.isfinite(self.a) or self.a <= 0:
             raise ParameterDomainError(f"a must be finite and > 0: {self.a}")
+        if not math.isfinite(2.0 * self.a * self.a):
+            raise ParameterDomainError(f"a = {self.a} has a support 2a^2 that is not finite")
         if self.mc_samples < 1000:
             raise ParameterDomainError("mc_samples must be >= 1000")
 
@@ -81,7 +83,7 @@ def _expectation_of(fn, spec: SamplingSpec):
         v, e = _half_line_integral(lambda z: fn(sign * z), spec.a)
         total += v
         err += e
-    if err > 1e-8 * max(abs(total), 1.0):
+    if not err <= 1e-8 * max(abs(total), 1.0):  # fails closed on nan
         raise IntegrationAccuracyError(
             f"quadrature error estimate {err:.3e} too large for value {total:.3e}"
         )

@@ -102,7 +102,8 @@ def ridge_lstsq(a, b, ridge):
     the conditioning allows (Bjorck 1996). Otherwise, or if the factorization
     fails, SVD-backed lstsq solves the stacked system; at ridge 0 that is
     lstsq over a alone, giving the minimum-norm solution and the numerical
-    rank. A ridge that is not finite and >= 0 raises DomainError."""
+    rank. A ridge that is not finite and >= 0 raises DomainError, and an
+    SVD that fails to converge NumericalError."""
     if not 0 <= ridge < np.inf:
         raise DomainError(f"ridge must be finite and >= 0, got {ridge}")
     if ridge > 0:
@@ -119,7 +120,10 @@ def ridge_lstsq(a, b, ridge):
                 pass
         a = np.vstack([a, np.sqrt(ridge) * np.eye(n)])
         b = np.vstack([b, np.zeros((n, b.shape[1]))])
-    w, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    try:
+        w, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    except LinAlgError as exc:  # e.g. an overflowing design: SVD did not converge
+        raise NumericalError(f"least-squares solve failed: {exc}") from None
     return w, rank
 
 

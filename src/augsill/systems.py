@@ -42,6 +42,10 @@ DIVERGENCE_LIMIT = 1e9
 # Measured against it: vanderpol 2.0e-8, duffing 1.1e-7, predatorprey 3.7e-11,
 # toggleswitch 2.2e-12 (1e-3 gave at most 9.7e-12 at 10x the substeps).
 DEFAULT_SUBSTEP = 1e-2
+# The most substeps one recorded step may take. A step needing more is a
+# mistaken dt, not a simulation anyone waits for: at about 24 us a substep
+# (one Xeon core), 10^6 substeps already take 24 s per recorded step.
+MAX_SUBSTEPS_PER_STEP = 10**6
 # Every vector field and the trajectory CSV (t, x1, x2) are planar.
 STATE_DIM = 2
 
@@ -177,10 +181,15 @@ def _rk4_batch(s, X0, dt, steps, max_substep, row_name=None):
     DivergenceError naming the system, the step and, when row_name is given,
     row_name(i) of the first row i out of bounds. Overflow inside a step is
     silent: the inf or nan it leaves fails the bound at that step's check.
-    max_substep must be finite and > 0 (DomainError otherwise)."""
+    max_substep must be finite and > 0, and dt may need at most
+    MAX_SUBSTEPS_PER_STEP substeps of it (DomainError otherwise)."""
     if not (math.isfinite(max_substep) and max_substep > 0):
         raise DomainError(f"max_substep must be finite and > 0, got {max_substep}")
-    n_sub = max(1, math.ceil(dt / max_substep - 1e-12))
+    ratio = dt / max_substep - 1e-12
+    if not ratio <= MAX_SUBSTEPS_PER_STEP:
+        raise DomainError(f"dt {dt} needs more than {MAX_SUBSTEPS_PER_STEP} RK4 substeps "
+                          f"of at most {max_substep} per step")
+    n_sub = max(1, math.ceil(ratio))
     h = dt / n_sub
     out = np.empty((steps + 1,) + X0.shape)
     out[0] = X0

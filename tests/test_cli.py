@@ -654,6 +654,55 @@ def test_diverging_fit_exits_three(tmp_path, capsys):
     assert "loss became non-finite" in err
 
 
+def test_huge_dt_exits_two_at_once(tmp_path):
+    # A step needing more RK4 substeps than systems.MAX_SUBSTEPS_PER_STEP is
+    # refused before any work; the timeout catches a run of its ~dt/1e-2
+    # substeps.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    for argv in (("simulate", "--system", "duffing", "--dt", "1e300", "--steps", "2"),
+                 ("compare", "--systems", "duffing", "--families", "sill", "--dims", "3",
+                  "--seeds", "0", "--epochs", "3", "--n-traj", "2", "--steps", "20",
+                  "--dt", "1e10")):
+        proc = subprocess.run([sys.executable, "-m", "augsill", *argv,
+                               "--out", str(tmp_path / argv[0])],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: dt ") and "Traceback" not in proc.stderr
+
+
+def test_impossible_sizes_exit_two(tmp_path, capsys):
+    # 10^15 rows is beyond the address space: the allocation fails at once,
+    # reported as one error line.
+    huge = str(10**15)
+    for argv in (("simulate", "--system", "vanderpol", "--steps", huge),
+                 ("closure", "--theorems", "loglog", "--configs", "1", "--points", huge),
+                 ("expectation", "--mc-samples", huge)):
+        capsys.readouterr()
+        assert run(*argv, "--out", str(tmp_path / argv[0])) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_failed_least_squares_exits_three(tmp_path, capsys):
+    # The degree-400 polynomial blow-up design overflows (numpy warns), and
+    # LAPACK's SVD does not converge on it: a numerical failure.
+    code = run("closure", "--theorems", "loglog", "--configs", "1", "--points", "500",
+               "--degrees", "400", "--mc-samples", "1000", "--out", str(tmp_path / "cl"))
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "numerical failure: least-squares solve failed" in err and "Traceback" not in err
+
+
+def test_expectation_of_a_huge_interval_exits_two(tmp_path, capsys):
+    # Past a ~ 9.5e153 the support 2a^2 overflows; the table used to hold nan.
+    for a in ("1e160", "1e300"):
+        capsys.readouterr()
+        assert run("expectation", "--a-values", a, "--out", str(tmp_path / a)) == 2, a
+        assert "support 2a^2" in capsys.readouterr().err
+
+
 def test_config_file_overlay(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[simulate]\nn-traj = 2\nsteps = 25\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from augsill.dictionaries import Kind
-from augsill.errors import ParameterDomainError
+from augsill.errors import IntegrationAccuracyError, ParameterDomainError
 from augsill.expectation import (
     SamplingSpec,
     _expectation_of,
@@ -106,6 +106,18 @@ def test_sampling_spec_validation():
         SamplingSpec(float("nan"))
     with pytest.raises(ParameterDomainError):
         SamplingSpec(1.0, mc_samples=10)
+    # The support [-2a^2, 2a^2] must be finite: 2a^2 overflows from a ~ 9.5e153.
+    for a in (1e154, 1e160, 1e300):
+        with pytest.raises(ParameterDomainError):
+            SamplingSpec(a)
+    assert expected_value(Kind.LOGISTIC, SamplingSpec(1e150)) == (0.5, 0.25)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_nan_quadrature_fails_closed():
+    # A nan error estimate is no proof of accuracy.
+    with pytest.raises(IntegrationAccuracyError):
+        _expectation_of(lambda z: float("nan"), SamplingSpec(1.0))
 
 
 def test_table_rows_and_csv(tmp_path):

@@ -15,6 +15,7 @@ from augsill.errors import (
     DomainError,
     EvaluationWindowError,
     IllConditionedWarning,
+    NumericalError,
 )
 from augsill.solver import (
     GRAM_COND_LIMIT,
@@ -204,6 +205,16 @@ def test_ridge_below_the_guard_keeps_the_stacked_svd_bits():
         w, rank = ridge_lstsq(a, b, ridge)
         ref, ref_rank = stacked_ridge_lstsq(a, b, ridge)
         assert w.tobytes() == ref.tobytes() and rank == ref_rank
+
+
+def test_failed_svd_is_a_numerical_error():
+    # lstsq's SVD does not converge on a design holding inf, at ridge 0 and on
+    # the stacked path a ridge > 0 takes when the Gram trace is not finite.
+    a = np.ones((5, 2))
+    a[0, 0] = np.inf
+    for ridge in (0.0, 1e-3):
+        with pytest.raises(NumericalError, match="SVD did not converge"):
+            ridge_lstsq(a, np.ones((5, 1)), ridge)
 
 
 def test_failed_cholesky_falls_back_to_the_stacked_svd(monkeypatch):

@@ -145,6 +145,10 @@ def test_integrate_validates_arguments():
         integrate(VDP, np.zeros(2), dt=0.1, steps=0)
     with pytest.raises(DomainError):
         integrate(VDP, np.zeros(3), dt=0.1, steps=5)
+    # A step of more than MAX_SUBSTEPS_PER_STEP substeps is refused at once.
+    for dt in (1e300, 1e10, 1.0001e4):
+        with pytest.raises(DomainError, match="dt "):
+            integrate(VDP, np.zeros(2), dt=dt, steps=5)
 
 
 def test_integrate_from_fixed_point():
