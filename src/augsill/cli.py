@@ -569,10 +569,8 @@ def main(argv=None):
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 1
-        except (DomainError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except MemoryError as exc:  # a size too large for this machine
+        # MemoryError: a size too large to allocate, such as --steps 10**15.
+        except (DomainError, OSError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except NumericalError as exc:

@@ -23,8 +23,8 @@ SGD alternates as EDMD with dictionary learning does. No command runs it;
 it stays while perfbench/tracing.py binds sgd_fit and TrainConfig.
 Minibatch gradient steps move the shapes, with one member-kernel call per
 minibatch on its inputs and targets stacked; every REFIT_K_EVERY epochs K is
-replaced by the closed-form solve. Each epoch
-lifts the distinct states once, for the refit and for the epoch loss.
+replaced by the closed-form solve. Each epoch lifts the distinct states
+once, for the refit and for the epoch loss.
 Shapes and minibatches are held dimension-major, (m, N) and (m, 2b), the
 layout of the kernel's sensitivities, with every RBF member after the
 logistic ones, the order the kernel requires.
