@@ -5,7 +5,8 @@ dictionary only approximately. This module quantifies that approximation:
 pairwise products of members against their steep-limit targets, Lie-derivative
 errors of whole dictionaries against staged linearizations, the closed-form
 bounds those gaps obey in expectation, and the polynomial counterexample that
-motivates bounded dictionaries in the first place.
+motivates bounded dictionaries in the first place. The limit of two logistics
+keeps one member's own factor per dimension: a product of factors in hand.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from .dictionaries import (
     _factors,
     _member_arrays,
     conjunctive_members,
-    limit_logistic_packed,
-    member_values_packed,
+    limit_keeps_first,
     rbf_branch_survives,
     stable_logistic,
     stable_rbf,
@@ -67,14 +67,11 @@ def _pair_errors_batch(c, a, rbf, pts, alpha_scale):
     """
     a = a * alpha_scale
     # One member per kernel call: batching the pair into one call is slower.
-    v_l, v_o = (member_values_packed(Family.AUGSILL, c[i:i + 1], a[i:i + 1],
-                                     rbf[i:i + 1], pts)[:, 0] for i in (0, 1))
+    f_l, f_o = (_factors(c[i:i + 1], a[i:i + 1], rbf[i:i + 1], pts)[0][..., 0] for i in (0, 1))
+    v_l, v_o = np.multiply.reduce(f_l, axis=0), np.multiply.reduce(f_o, axis=0)
     if not rbf[1]:
-        # Scaling both members by the same factor commutes with the limit
-        # parameters, so the target is the scaled limit member.
-        c_star, a_star = limit_logistic_packed(c[0], a[0], c[1], a[1])
-        target = member_values_packed(Family.SILL, c_star[None], a_star[None],
-                                      np.zeros(1, dtype=bool), pts)[:, 0]
+        take = limit_keeps_first(c[0], a[0], c[1], a[1])
+        target = np.multiply.reduce(np.where(take[:, None], f_l, f_o), axis=0)
     elif not rbf[0] and rbf_branch_survives(c[0], c[1]):
         target = v_o
     else:
@@ -391,18 +388,15 @@ def lie_closure_error(d: Dictionary, weights, sample_points):
 
     # The limit target of each product of member p and field member q is
     # own[r, p] * targets[r, p, q]. A logistic row owns 1 and holds the limit
-    # logistic of each logistic pair (one packed batch of n_log^2 members) and
-    # the RBF gated by the branch matrix. An RBF row owns the RBF itself, which
-    # is what survives its products with logistics, and holds that gate
-    # transposed; RBF-RBF products vanish.
-    c_log, a_log = c[:n_log], a[:n_log]
-    c_star, a_star = limit_logistic_packed(c_log[:, None], a_log[:, None],
-                                           c_log[None], a_log[None])
+    # logistic of each logistic pair (per dimension the factor of p or of q
+    # that the limit keeps) and the RBF gated by the branch matrix. An RBF row
+    # owns the RBF itself, which is what survives its products with logistics,
+    # and holds that gate transposed; RBF-RBF products vanish.
+    c_log, a_log, f_log = c[:n_log], a[:n_log], factors[..., :n_log]
+    take = limit_keeps_first(c_log[:, None], a_log[:, None], c_log[None], a_log[None])
     targets = np.zeros((len(pts), n, n))
-    targets[:, :n_log, :n_log] = member_values_packed(
-        Family.SILL, c_star.reshape(-1, d.m), a_star.reshape(-1, d.m),
-        np.zeros(n_log * n_log, dtype=bool), pts,
-    ).reshape(len(pts), n_log, n_log)
+    targets[:, :n_log, :n_log] = np.multiply.reduce(
+        np.where(np.moveaxis(take, -1, 0)[:, None], f_log[..., None], f_log[..., None, :]), axis=0)
     branch = rbf_branch_survives(c_log[:, None], c[None, n_log:])  # (n_log, n_rbf)
     targets[:, :n_log, n_log:] = vals[:, None, n_log:] * branch
     targets[:, n_log:, :n_log] = branch.T

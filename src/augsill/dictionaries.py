@@ -62,11 +62,10 @@ def stable_logistic(t):
 
 
 def stable_rbf(t):
-    """exp(-t)/(1+exp(-t))^2 for any finite t, to a few ulps and bitwise even
-    in t: the member kernel's RBF factor at center 0 and steepness 1."""
-    t = np.asarray(t, dtype=float)
-    f, _ = _factors(np.zeros((1, 1)), np.ones((1, 1)), [True], t.reshape(-1, 1))
-    return f.reshape(t.shape)[()]
+    """exp(-t)/(1+exp(-t))^2 as lam(u) (1 - lam(u)) at u = -|t|, where nothing
+    cancels: bitwise even in t, the kernel's RBF factor at center 0, steepness 1."""
+    lam = stable_logistic(-np.abs(np.asarray(t, dtype=float)))
+    return lam * (1.0 - lam)
 
 
 # The scalar function of each factor kind, at center 0 and steepness 1.
@@ -138,14 +137,17 @@ def eval_conjunctive(f, y):
     return float(member_values_packed(Family.AUGSILL, c, a, rbf, y[None, :])[0, 0])
 
 
-def limit_logistic_packed(c_l, a_l, c_j, a_j):
-    """Steep-limit (centers, steepness) of products of conjunctive logistics,
-    broadcast over packed arrays whose last axis is the dimension.
+def limit_keeps_first(c_l, a_l, c_j, a_j):
+    """Per dimension, whether the steep limit of a product of two conjunctive
+    logistics keeps the first member's own factor, broadcast over packed arrays
+    whose last axis is the dimension: the larger center wins; on a center tie
+    the larger steepness dominates the asymptotics and is kept."""
+    return (c_l > c_j) | ((c_l == c_j) & (a_l >= a_j))
 
-    Per dimension the larger center wins and carries its own steepness; on a
-    center tie the larger steepness dominates the asymptotics and is kept.
-    """
-    take_l = (c_l > c_j) | ((c_l == c_j) & (a_l >= a_j))
+
+def limit_logistic_packed(c_l, a_l, c_j, a_j):
+    """Steep-limit (centers, steepness) of products of conjunctive logistics."""
+    take_l = limit_keeps_first(c_l, a_l, c_j, a_j)
     return np.where(take_l, c_l, c_j), np.where(take_l, a_l, a_j)
 
 

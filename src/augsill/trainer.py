@@ -30,8 +30,9 @@ layout of the kernel's sensitivities, with every RBF member after the
 logistic ones, the order the kernel requires.
 
 Matching pursuit grows a dictionary from the [1, y] base one candidate per
-round. It ranks all candidates at once by a projection score, a lower bound
-on each candidate's refit residual, and solves directly only the candidates
+round. It ranks all candidates by a projection score, a lower bound on each
+candidate's refit residual, in one blocked pass that also deflates them by
+the last round's winner, and solves directly only the candidates
 whose bound can still beat the best direct residual, so it picks what
 refitting every candidate would. All three algorithms are deterministic
 under a fixed seed.
@@ -81,8 +82,8 @@ VARPRO_FTOL = 1e-6
 VARPRO_LOG_STEEPNESS_BOUND = 700.0
 
 # Matching pursuit: relative slack between projection bounds and direct-solve
-# residuals, and the candidate rows deflated per in-place block (bounds the
-# temporaries to (PURSUIT_BLOCK, rows) floats).
+# residuals, and the candidate rows deflated and scored per in-place block
+# (bounds the temporaries to (PURSUIT_BLOCK, rows) floats).
 PURSUIT_RTOL = 1e-9
 PURSUIT_BLOCK = 64
 
@@ -461,14 +462,6 @@ class PursuitPool:
                            steepness_levels=steepness_levels)
 
 
-def _deflate(rows, basis):
-    """Remove the span of basis's orthonormal columns from every row of the
-    (n, r) array rows, in place, PURSUIT_BLOCK rows at a time."""
-    for start in range(0, len(rows), PURSUIT_BLOCK):
-        block = rows[start : start + PURSUIT_BLOCK]
-        block -= (block @ basis) @ basis.T
-
-
 def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
     """Greedy dictionary growth from the [1, y] base.
 
@@ -523,13 +516,15 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
             Family.AUGSILL, c[j : j + 1], a[j : j + 1], rbf[j : j + 1], x
         )[:, 0]
 
-    # cand[j] holds candidate j's values, deflated against the design so far.
+    # cand[j] holds candidate j's values, deflated against the design so far:
+    # each round removes the basis columns the last round added (at first the
+    # whole base) from one PURSUIT_BLOCK of rows and scores it while in cache.
     cand = np.empty((pool.size, dataset.n_rows))
     for j in range(pool.size):
         cand[j] = values(j)
     design = np.hstack([np.ones((dataset.n_rows, 1)), x])
-    basis = np.linalg.qr(design)[0]
-    _deflate(cand, basis)
+    basis = added = np.linalg.qr(design)[0]
+    proj, norm2 = np.empty((pool.size, fixed_targets.shape[1])), np.empty(pool.size)
     floor = np.finfo(float).eps * float(np.sum(fixed_targets**2))
 
     chosen = []
@@ -537,8 +532,12 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
     for _ in range(n_members):
         resid = fixed_targets - basis @ (basis.T @ fixed_targets)
         total = float(np.sum(resid * resid))
-        proj = cand @ resid
-        norm2 = np.einsum("jr,jr->j", cand, cand)
+        for lo in range(0, pool.size, PURSUIT_BLOCK):
+            rows = slice(lo, lo + PURSUIT_BLOCK)
+            block = cand[rows]
+            block -= (block @ added) @ added.T
+            np.matmul(block, resid, out=proj[rows])
+            np.einsum("jr,jr->j", block, block, out=norm2[rows])
         bound = total - np.einsum("jk,jk->j", proj, proj) / np.where(norm2 > 0, norm2, np.inf)
         bound[chosen] = np.inf
         # Projection and direct solves round differently; the slack keeps
@@ -567,10 +566,8 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
         for _ in range(2):
             col -= basis @ (basis.T @ col)
         norm = np.linalg.norm(col)
-        if norm > 0:
-            u = (col / norm)[:, None]
-            _deflate(cand, u)
-            basis = np.hstack([basis, u])
+        added = (col / norm)[:, None] if norm > 0 else basis[:, :0]
+        basis = np.hstack([basis, added])
 
     keep = sorted(chosen, key=lambda i: rbf[i])  # stable: logistic members first
     family = Family.AUGSILL if rbf[keep].any() else Family.SILL
