@@ -460,7 +460,8 @@ def _factors(c, a, rbf, Y, weights=False):
     t = Yt[:, :, None] - cT[:, None, :]
     tail = t[..., n_log:]
     np.abs(tail, out=tail)
-    t *= np.where(rbf, -a.T, a.T)[:, None, :]  # -a |y - c| = -|t| on the RBF rows
+    with np.errstate(over="ignore"):  # lam(+-inf) is the saturated factor
+        t *= np.where(rbf, -a.T, a.T)[:, None, :]  # -a |y - c| = -|t| on the RBF rows
     f = stable_logistic(t)
     f_rbf = f[..., n_log:]
     lo = 0 if weights else n_log  # 1 - lam: every row's weight, or the RBF rows' rho

@@ -128,8 +128,15 @@ def ridge_lstsq(a, b, ridge):
 
 
 def adaptive_ridge(psi_in):
-    """The default ridge of solve_k: 1e-8 * sigma_max(psi_in)^2."""
-    return DEFAULT_RIDGE_FACTOR * np.linalg.norm(psi_in, 2) ** 2
+    """The default ridge of solve_k: 1e-8 * sigma_max(psi_in)^2. Lifted
+    inputs so large that it is not finite raise DataError."""
+    sigma = np.linalg.norm(psi_in, 2)
+    with np.errstate(over="ignore"):
+        ridge = DEFAULT_RIDGE_FACTOR * sigma**2
+    if not np.isfinite(ridge):
+        raise DataError(f"lifted inputs too large for the adaptive ridge: their largest singular "
+                        f"value {sigma:.3g} squares past the float range; rescale or give a ridge")
+    return ridge
 
 
 def solve_k(psi_in, psi_out, ridge=None):

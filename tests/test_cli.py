@@ -654,6 +654,24 @@ def test_diverging_fit_exits_three(tmp_path, capsys):
     assert "loss became non-finite" in err
 
 
+def test_huge_scale_fit_names_the_data(tmp_path, capsys):
+    # States near 1e155 square past the float range, so the adaptive ridge
+    # cannot exist: a data error naming the lifted inputs' scale, with no
+    # overflow warning and no word of a ridge the user never set.
+    data = tmp_path / "data"
+    assert run("simulate", "--system", "vanderpol", "--n-traj", "4", "--steps", "40",
+               "--out", str(data)) == 0
+    scale_states(data, 1e155)
+    capsys.readouterr()
+    for method in ("lstsq", "varpro"):
+        code = run("fit", "--data", str(data), "--family", "sill", "--n-members", "3",
+                   "--method", method, "--out", str(tmp_path / method))
+        err = capsys.readouterr().err
+        assert code == 2, (method, err)
+        assert err.startswith("error: lifted inputs too large for the adaptive ridge"), err
+        assert "value 1.71e+156" in err and "warning" not in err, err
+
+
 def test_huge_dt_exits_two_at_once(tmp_path):
     # A step needing more RK4 substeps than systems.MAX_SUBSTEPS_PER_STEP is
     # refused before any work; the timeout catches a run of its ~dt/1e-2

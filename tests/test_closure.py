@@ -32,6 +32,7 @@ from augsill.dictionaries import (
     eval_conjunctive,
     limit_logistic_packed,
     member_values_packed,
+    product_limit_logistic,
     rbf_branch_survives,
     stable_logistic,
 )
@@ -130,6 +131,25 @@ def test_product_error_takes_the_members_in_either_order():
             want = product_error(y, fl, fk, alpha_scale=scale)
             got = product_error(y, fk, fl, alpha_scale=scale)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (fk, scale)
+
+
+def test_product_error_limit_choice_at_ties():
+    # A center tie with different steepnesses keeps the steeper factor, and a
+    # dimension where both members share (c, a) keeps either one: the gap is
+    # the product against the limit member evaluated on its own, bit for bit,
+    # with the members in either order.
+    fl = conj(Kind.LOGISTIC, [0.0, 0.5], [1.0, 1.2])
+    y = np.array([0.8, 1.6])
+    for fj in (conj(Kind.LOGISTIC, [0.0, 1.0], [2.0, 0.9]),    # tie in c, steeper fj
+               conj(Kind.LOGISTIC, [0.0, -0.3], [1.0, 0.7])):  # identical (c, a)
+        for first, second in ((fl, fj), (fj, fl)):
+            for scale in (1.0, 2.0, 10.0, 100.0):
+                sl, so = (conj(Kind.LOGISTIC, f.centers, f.steepnesses * scale)
+                          for f in (first, second))
+                want = abs(eval_conjunctive(sl, y) * eval_conjunctive(so, y)
+                           - eval_conjunctive(product_limit_logistic(sl, so), y))
+                got = product_error(y, first, second, alpha_scale=scale)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (fj, scale)
 
 
 # -- rate fitting -----------------------------------------------------------------

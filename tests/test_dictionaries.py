@@ -212,6 +212,11 @@ def test_rbf_factor_is_accurate_and_even_far_out():
             == vals.tobytes()
     # The logistic head of the augsill pair keeps the stable logistic's bits.
     assert vals[:, 0].tobytes() == stable_logistic(t).tobytes()
+    # stable_rbf is the summedrbf kernel's factor bit for bit, here and far out.
+    t = np.concatenate([t, [0.0, -0.0, 5e-324, -5e-324, 745.0, -745.0, 1e308, -1e308]])
+    assert stable_rbf(t).tobytes() == member_values_packed(
+        Family.SUMMED_RBF, np.zeros((1, 1)), np.ones((1, 1)), np.array([True]), t[:, None]
+    )[:, 0].tobytes()
 
 
 # -- conjunctive functions ---------------------------------------------------

@@ -14,6 +14,7 @@ from augsill.dictionaries import (
 from augsill.errors import (
     DataError,
     DomainError,
+    IllConditionedWarning,
     ParameterDomainError,
     PoolError,
     TrainingDivergedError,
@@ -363,6 +364,18 @@ def test_varpro_static_data_keeps_round_off_residual():
     assert len(history) >= 1
     assert all(b <= a for a, b in zip(history, history[1:]))
     assert frobenius_residual(model, ds) / ds.n_rows < 1e-12
+
+
+def test_varpro_saturated_factor_does_not_warn():
+    # On data at one state the line search tries log-steepnesses up to the
+    # box bound, where a * (y - c) overflows to +-inf and the logistic
+    # saturates: the fit warns only that the ridge-0 lift is rank deficient.
+    x = np.zeros((20, 2))
+    ds = SnapshotDataset(Mode.DISCRETE_PAIRS, x, x, 0.1)
+    with pytest.warns(IllConditionedWarning):
+        model, history = varpro_fit(ds, Family.SILL, 3, seed=0, ridge=0.0)
+    assert len(history) == 1
+    assert np.all(np.isfinite(model.K)) and np.all(np.isfinite(model.dictionary.steepness))
 
 
 def test_varpro_rejects_bad_inputs():
