@@ -6,7 +6,7 @@ pairwise products of members against their steep-limit targets, Lie-derivative
 errors of whole dictionaries against staged linearizations, the closed-form
 bounds those gaps obey in expectation, and the polynomial counterexample that
 motivates bounded dictionaries in the first place. The limit of two logistics
-keeps one member's own factor per dimension: a product of factors in hand.
+keeps one member's own factor per dimension, so its target reuses those factors.
 """
 
 from __future__ import annotations
