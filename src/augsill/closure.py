@@ -489,7 +489,8 @@ def polynomial_explosion_demo(degree, y_values) -> list:
     {1, y, ..., y^degree}, the image of the top member is
     degree * y^(degree + 1), one degree beyond the span. Each requested y gets
     its own least-squares fit on [1, y], so the row reports how the
-    irreducible residual scales with the domain size.
+    irreducible residual scales with the domain size. A degree and y whose
+    design, target or residual overflows raise ParameterDomainError.
     """
     if not isinstance(degree, (int, np.integer)) or degree < 1:
         raise ParameterDomainError(f"degree must be an integer >= 1: {degree}")
@@ -499,10 +500,20 @@ def polynomial_explosion_demo(degree, y_values) -> list:
     rows = []
     for y_max in ys:
         grid = np.linspace(1.0, y_max, 1024)
-        design = np.vander(grid, degree + 1, increasing=True)
-        target = degree * grid ** (degree + 1)
-        coef, _ = ridge_lstsq(design, target, 0.0)
-        resid = target - design @ coef
+        # Powers past the float range are a bad (degree, y), refused before
+        # LAPACK sees an inf and without numpy's overflow warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            design = np.vander(grid, degree + 1, increasing=True)
+            target = degree * grid ** (degree + 1)
+            finite = np.isfinite(design).all() and np.isfinite(target).all()
+            if finite:
+                coef, _ = ridge_lstsq(design, target, 0.0)
+                resid = target - design @ coef
+                finite = np.isfinite(resid).all()
+        if not finite:
+            raise ParameterDomainError(
+                f"degree {degree} overflows the float range at y = {y_max:g}; "
+                "lower the degree or y")
         rows.append(ExplosionRow(y_max, float(abs(resid[-1])), float(np.abs(resid).max())))
     return rows
 

@@ -704,13 +704,34 @@ def test_impossible_sizes_exit_two(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_failed_least_squares_exits_three(tmp_path, capsys):
-    # The degree-400 polynomial blow-up design overflows (numpy warns), and
-    # LAPACK's SVD does not converge on it: a numerical failure.
-    code = run("closure", "--theorems", "loglog", "--configs", "1", "--points", "500",
-               "--degrees", "400", "--mc-samples", "1000", "--out", str(tmp_path / "cl"))
+    # A Legendre lift of states near 1e155 overflows (numpy warns), and at a
+    # given ridge 0 LAPACK's SVD does not converge on it: a numerical failure.
+    data = tmp_path / "data"
+    assert simulate_small(data) == 0
+    scale_states(data, 1e155)
+    code = run("fit", "--data", str(data), "--family", "legendre", "--n-members", "6",
+               "--method", "lstsq", "--ridge", "0", "--out", str(tmp_path / "fit"))
     err = capsys.readouterr().err
     assert code == 3, err
     assert "numerical failure: least-squares solve failed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option, value, named", [
+    ("--degrees", "120", "degree 120 overflows the float range at y = 512"),
+    ("--degrees", "112", "degree 112 overflows the float range at y = 512"),
+    ("--explosion-y", "32,64,128,256,1e200",
+     "degree 1 overflows the float range at y = 1e+200"),
+])
+def test_explosion_overflow_exits_two(tmp_path, capsys, option, value, named):
+    # Powers past the float range in the design (degree 120), the target
+    # (y = 1e200) or the design @ coef product (degree 112) are a bad
+    # (degree, y), named in one error line before any numpy warning or LAPACK
+    # failure.
+    code = run("closure", "--theorems", "loglog", "--configs", "1", "--points", "500",
+               "--mc-samples", "1000", option, value, "--out", str(tmp_path / "cl"))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.splitlines() == [f"error: {named}; lower the degree or y"]
 
 
 def test_expectation_of_a_huge_interval_exits_two(tmp_path, capsys):
