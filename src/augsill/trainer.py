@@ -553,14 +553,14 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
         for idx in np.argsort(bound, kind="stable")[: pool.size - len(chosen)]:
             if bound[idx] > best_res + slack:
                 break
-            trial[:, -1] = values(idx)
+            trial[:, -1] = col = values(idx)
             w, _ = ridge_lstsq(trial, fixed_targets, ridge)
             res = float(np.sum((fixed_targets - trial @ w) ** 2))
             if (res, idx) < (best_res, best_idx):
-                best_res, best_idx = res, int(idx)
+                best_res, best_idx, best_col = res, int(idx), col
         chosen.append(best_idx)
         trace.append(best_res)
-        col = values(best_idx)
+        col = best_col
         design = np.hstack([design, col[:, None]])
         # Two Gram-Schmidt passes keep the basis orthonormal to rounding.
         for _ in range(2):

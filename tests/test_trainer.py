@@ -35,7 +35,7 @@ from augsill.systems import (
     build_snapshot_dataset,
     simulate_ensemble,
 )
-from augsill import trainer
+from augsill import dictionaries, trainer
 from augsill.trainer import (
     LR_DECAY,
     REFIT_K_EVERY,
@@ -520,6 +520,28 @@ def _direct_pursuit(dataset, pool, n_members, ridge):
     family = Family.AUGSILL if rbf[keep].any() else Family.SILL
     d = Dictionary.from_packed(family, c[keep], a[keep], rbf[keep])
     return fit_k(dataset, d, ridge), trace, chosen
+
+
+def test_pursuit_keeps_the_verified_winner_column(monkeypatch):
+    # The member kernel runs once per candidate to fill the pool and once per
+    # direct solve; the winner's basis column is the one its solve used.
+    ds = vdp_dataset(n_traj=4)
+    pool = PursuitPool.for_data(ds.inputs, points_per_dim=4, steepness_levels=(1.0, 3.0))
+    calls = {"factors": 0, "solves": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dictionaries, "_factors", counted(dictionaries._factors, "factors"))
+    monkeypatch.setattr(trainer, "ridge_lstsq", counted(trainer.ridge_lstsq, "solves"))
+    model, _ = matching_pursuit_fit(ds, pool, 6)
+    in_pursuit, calls["factors"] = calls["factors"], 0
+    fit_k(ds, model.dictionary, 0.0)  # the final fit's own lift
+    assert calls["solves"] >= 6
+    assert in_pursuit == pool.size + calls["solves"] + calls["factors"]
 
 
 def test_pursuit_matches_direct_scoring():
