@@ -556,7 +556,34 @@ def _reject_foreign_fit_options(args, given):
                              f"--method {owner}, not --method {args.method}")
 
 
+# glibc's mallopt parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_heap_mapped():
+    """Set glibc's allocator to keep freed memory mapped, once per process.
+
+    glibc starts at a 128 KiB mmap threshold and raises it only to the largest
+    mmapped chunk the process has freed. The numpy temporaries of a member
+    evaluation (1-4 MB) keep it low, so by default each evaluation's working
+    set goes back to the OS on free and the next evaluation faults it in
+    again as fresh zeroed pages: about a quarter of the comparison grid's CPU
+    time. These values are the 64-bit ceiling of glibc's own rule, applied
+    from the start. Setting either one alone switches that rule off and
+    faults more, so both are set. Forked pool workers inherit the policy, and
+    no result depends on it. A C library without mallopt is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None):
+    _keep_heap_mapped()
     parser, sub_map = build_parser()
     with warnings.catch_warnings():
         # One line per warning: the message, not the file and source line.
