@@ -562,17 +562,15 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 @functools.cache
 def _keep_heap_mapped():
-    """Set glibc's allocator to keep freed memory mapped, once per process.
+    """Keep freed memory mapped, once per process; forked workers inherit it.
 
-    glibc starts at a 128 KiB mmap threshold and raises it only to the largest
-    mmapped chunk the process has freed. The numpy temporaries of a member
-    evaluation (1-4 MB) keep it low, so by default each evaluation's working
-    set goes back to the OS on free and the next evaluation faults it in
-    again as fresh zeroed pages: about a quarter of the comparison grid's CPU
-    time. These values are the 64-bit ceiling of glibc's own rule, applied
-    from the start. Setting either one alone switches that rule off and
-    faults more, so both are set. Forked pool workers inherit the policy, and
-    no result depends on it. A C library without mallopt is left as it is.
+    glibc raises its 128 KiB mmap threshold only to the largest mmapped chunk
+    freed so far, which the 1-4 MB numpy temporaries of a kernel call keep
+    low: each call's working set goes back to the OS and the next call faults
+    it in as fresh zeroed pages, about a quarter of the comparison grid's CPU
+    time. These values are the 64-bit ceiling of that rule, set from the
+    start; either one alone switches the rule off and faults more. No result
+    depends on them, and a C library without mallopt is left as it is.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -636,7 +636,7 @@ def test_import_leaves_scipy_stats_unloaded():
 def test_rerun_faults_in_no_fresh_pages(tmp_path):
     # cli.main keeps glibc's freed memory mapped, so a warm rerun of one
     # compare cell reuses the pages of the first run: 31,122 minor faults
-    # without the policy, about 20 with it.
+    # without the policy, 13-21 with it.
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     script = (
         "import resource, sys\n"
