@@ -635,8 +635,8 @@ def test_import_leaves_scipy_stats_unloaded():
                     reason="the C library has no mallopt")
 def test_rerun_faults_in_no_fresh_pages(tmp_path):
     # cli.main keeps glibc's freed memory mapped, so a warm rerun of one
-    # compare cell reuses the pages of the first run: 31,122 minor faults
-    # without the policy, 13-21 with it.
+    # compare cell reuses the pages of the first run: about 31,000 minor
+    # faults without the policy, 13-21 with it.
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     script = (
         "import resource, sys\n"
@@ -750,8 +750,8 @@ def test_failed_least_squares_exits_three(tmp_path, capsys):
 def test_explosion_overflow_exits_two(tmp_path, capsys, option, value, named):
     # Powers past the float range in the design (degree 120), the target
     # (y = 1e200) or the design @ coef product (degree 112) are a bad
-    # (degree, y), named in one error line before any numpy warning or LAPACK
-    # failure.
+    # (degree, y), named in one error line instead of numpy warnings and a
+    # LAPACK failure.
     code = run("closure", "--theorems", "loglog", "--configs", "1", "--points", "500",
                "--mc-samples", "1000", option, value, "--out", str(tmp_path / "cl"))
     err = capsys.readouterr().err
