@@ -31,11 +31,11 @@ logistic ones, the order the kernel requires.
 
 Matching pursuit grows a dictionary from the [1, y] base one candidate per
 round. It ranks all candidates by a projection score, a lower bound on each
-candidate's refit residual, in one blocked pass that also deflates them by
-the last round's winner, and solves directly only the candidates
-whose bound can still beat the best direct residual, so it picks what
-refitting every candidate would. All three algorithms are deterministic
-under a fixed seed.
+candidate's refit residual, read from a table of their products with the
+basis that one pass over the pool extends each round, and solves directly
+only the candidates whose bound can still beat the best direct residual, so
+it picks what refitting every candidate would. All three algorithms are
+deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -82,10 +82,8 @@ VARPRO_FTOL = 1e-6
 VARPRO_LOG_STEEPNESS_BOUND = 700.0
 
 # Matching pursuit: relative slack between projection bounds and direct-solve
-# residuals, and the candidate rows deflated and scored per in-place block
-# (bounds the temporaries to (PURSUIT_BLOCK, rows) floats).
+# residuals.
 PURSUIT_RTOL = 1e-9
-PURSUIT_BLOCK = 64
 
 
 @dataclass
@@ -476,18 +474,19 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
     with R the targets' residual against the current design and c_perp a
     candidate's values with that design projected out, ||R||^2 -
     ||R^T c_perp||^2 / ||c_perp||^2 is the unregularized least-squares
-    residual of the enlarged design. Ridge shrinkage and lstsq's rcond
-    truncation can only raise a residual above that, so the score is a lower
-    bound on the residual of the direct solve for every ridge >= 0. The
-    direct solve (ridge_lstsq on the enlarged design, the same call for
-    every ridge) is then run on candidates in order of increasing bound until
-    the next bound exceeds the best direct residual by more than a rounding
-    slack, and the smallest direct residual wins. A bound near the top of
-    the order can belong to a column lstsq truncates, or to one a large
-    ridge shrinks; the direct solve then scores it higher and the next
-    candidates get their turn. Winners, tie-breaking and the recorded
-    residuals are therefore those of solving every candidate directly, and
-    each trace entry is the winner's direct-solve residual.
+    residual of the enlarged design, a lower bound on the direct solve's at
+    every ridge >= 0 (ridge shrinkage and lstsq's rcond truncation only
+    raise it). The member kernel runs once per candidate; the scores come
+    from a table of the values' products with an orthonormal basis of the
+    design that one pass over the values extends each round (the Gram form
+    of Rebollo-Neira & Lowe 2002). The direct solve (ridge_lstsq on the
+    enlarged design, the same call for every ridge) runs on the candidates
+    too near the design's span to score reliably, then on the others in
+    order of increasing bound until the next bound exceeds the best direct
+    residual by more than a rounding slack; the smallest direct residual
+    wins. A bound near the top of the order can belong to a column lstsq
+    truncates, or one a large ridge shrinks, which its direct solve scores
+    higher. Winners, ties and residuals are those of solving every candidate.
 
     Returns (model, trace) with one residual per addition; the model is the
     full closed-form fit over the final dictionary, at the given ridge (None
@@ -510,41 +509,42 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
         # constant row has zero time derivative; state rows carry dy/dt
         fixed_targets = np.hstack([np.zeros((dataset.n_rows, 1)), dataset.targets])
 
-    def values(j):
-        # One candidate per kernel call keeps the temporaries at (rows, 1, m).
-        return member_values_packed(
-            Family.AUGSILL, c[j : j + 1], a[j : j + 1], rbf[j : j + 1], x
-        )[:, 0]
-
-    # cand[j] holds candidate j's values, deflated against the design so far:
-    # each round removes the basis columns the last round added (at first the
-    # whole base) from one PURSUIT_BLOCK of rows and scores it while in cache.
+    # cand[j] holds candidate j's values, written once and then only read.
+    # One candidate per kernel call keeps the temporaries at (rows, 1, m).
     cand = np.empty((pool.size, dataset.n_rows))
     for j in range(pool.size):
-        cand[j] = values(j)
+        cand[j] = member_values_packed(Family.AUGSILL, c[j : j + 1], a[j : j + 1],
+                                       rbf[j : j + 1], x)[:, 0]
     design = np.hstack([np.ones((dataset.n_rows, 1)), x])
     basis = added = np.linalg.qr(design)[0]
-    proj, norm2 = np.empty((pool.size, fixed_targets.shape[1])), np.empty(pool.size)
-    floor = np.finfo(float).eps * float(np.sum(fixed_targets**2))
+    r0 = fixed_targets - basis @ (basis.T @ fixed_targets)
+    cn2, cr0, total0 = np.einsum("jr,jr->j", cand, cand), cand @ r0, float(np.sum(r0 * r0))
+    cq = np.empty((pool.size, design.shape[1] + n_members))
+    eps = np.finfo(float).eps
+    floor = eps * float(np.sum(fixed_targets**2))
 
-    chosen = []
-    trace = []
+    chosen, trace = [], []
     for _ in range(n_members):
         resid = fixed_targets - basis @ (basis.T @ fixed_targets)
         total = float(np.sum(resid * resid))
-        for lo in range(0, pool.size, PURSUIT_BLOCK):
-            rows = slice(lo, lo + PURSUIT_BLOCK)
-            block = cand[rows]
-            block -= (block @ added) @ added.T
-            np.matmul(block, resid, out=proj[rows])
-            np.einsum("jr,jr->j", block, block, out=norm2[rows])
-        bound = total - np.einsum("jk,jk->j", proj, proj) / np.where(norm2 > 0, norm2, np.inf)
-        bound[chosen] = np.inf
-        # Projection and direct solves round differently; the slack keeps
-        # every candidate that may tie or beat the best direct residual. The
-        # eps-scale floor covers targets that [1, y] already fits, where every
-        # residual is rounding noise.
+        w = basis.shape[1]  # cq gains the basis columns the last round added
+        cq[:, w - added.shape[1] : w] = cand @ added
+        proj = cr0 - cq[:, :w] @ (basis.T @ r0)
+        perp2 = cn2 - np.einsum("jk,jk->j", cq[:, :w], cq[:, :w])
+        bound = total - np.einsum("jk,jk->j", proj, proj) / np.where(perp2 > 0, perp2, np.inf)
+        # Projection and direct solves round differently; the slack keeps every
+        # candidate that may tie or beat the best direct residual. The eps-scale
+        # floor covers targets [1, y] already fits: all residuals are noise.
         slack = PURSUIT_RTOL * total + floor
+        # Rounding guard, each dot product good to eps of the magnitudes it sums.
+        # At rho = perp2 / ||c||^2, perp2's error of (w + 1) eps ||c||^2 moves
+        # the gain (at most total) by (w + 1) eps total / rho, and proj's (eps
+        # ||c|| ||R0|| per term) by 4 eps sqrt(total0 total / rho). Candidates
+        # where either may reach a quarter of the slack are solved directly.
+        rho_min = (max(4 * (w + 1) * eps * total, 256 * eps**2 * total0 * total / slack) / slack
+                   if slack > 0 else 0.0)
+        bound[perp2 < rho_min * cn2] = -np.inf
+        bound[chosen] = np.inf
 
         best_res, best_idx = np.inf, pool.size
         trial = np.empty((dataset.n_rows, design.shape[1] + 1))
@@ -553,14 +553,14 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
         for idx in np.argsort(bound, kind="stable")[: pool.size - len(chosen)]:
             if bound[idx] > best_res + slack:
                 break
-            trial[:, -1] = col = values(idx)
-            w, _ = ridge_lstsq(trial, fixed_targets, ridge)
-            res = float(np.sum((fixed_targets - trial @ w) ** 2))
+            trial[:, -1] = cand[idx]
+            coef, _ = ridge_lstsq(trial, fixed_targets, ridge)
+            res = float(np.sum((fixed_targets - trial @ coef) ** 2))
             if (res, idx) < (best_res, best_idx):
-                best_res, best_idx, best_col = res, int(idx), col
+                best_res, best_idx = res, int(idx)
         chosen.append(best_idx)
         trace.append(best_res)
-        col = best_col
+        col = cand[best_idx].copy()  # Gram-Schmidt below works in place
         design = np.hstack([design, col[:, None]])
         # Two Gram-Schmidt passes keep the basis orthonormal to rounding.
         for _ in range(2):

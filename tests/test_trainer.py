@@ -523,8 +523,8 @@ def _direct_pursuit(dataset, pool, n_members, ridge):
 
 
 def test_pursuit_keeps_the_verified_winner_column(monkeypatch):
-    # The member kernel runs once per candidate to fill the pool and once per
-    # direct solve; the winner's basis column is the one its solve used.
+    # The member kernel runs once per candidate to fill the pool; the direct
+    # solves and the winner's basis column reuse those rows.
     ds = vdp_dataset(n_traj=4)
     pool = PursuitPool.for_data(ds.inputs, points_per_dim=4, steepness_levels=(1.0, 3.0))
     calls = {"factors": 0, "solves": 0}
@@ -541,7 +541,7 @@ def test_pursuit_keeps_the_verified_winner_column(monkeypatch):
     in_pursuit, calls["factors"] = calls["factors"], 0
     fit_k(ds, model.dictionary, 0.0)  # the final fit's own lift
     assert calls["solves"] >= 6
-    assert in_pursuit == pool.size + calls["solves"] + calls["factors"]
+    assert in_pursuit == pool.size + calls["factors"]
 
 
 def test_pursuit_matches_direct_scoring():
@@ -590,6 +590,42 @@ def test_pursuit_matches_direct_scoring():
     front = int(np.argmin(score))
     assert c[front, 0] == 5.0
     assert front != _direct_pursuit(edge, edge_pool, 1, 0.0)[2][0]
+
+
+def test_pursuit_solves_near_span_candidates_directly(monkeypatch):
+    # At steepness 1e-4 a logistic or RBF member is affine in y to about 1e-9
+    # of its size, so ||c||^2 - ||c^T Q||^2 cannot resolve what is left after
+    # the [1, y] base: the rounding guard sends each such candidate to the
+    # direct solve in every round, and the winners stay those of the
+    # per-candidate loop.
+    ds = vdp_dataset(n_traj=4)
+    pool = PursuitPool.for_data(ds.inputs, points_per_dim=3,
+                                steepness_levels=(1e-4, 1.0, 3.0))
+    c, a, rbf = pool.packed()
+    vals = member_values_packed(Family.AUGSILL, c, a, rbf, ds.inputs)
+    near = np.flatnonzero(a[:, 0] == 1e-4)
+    q = np.linalg.qr(np.hstack([np.ones((ds.n_rows, 1)), ds.inputs]))[0]
+    perp = vals[:, near] - q @ (q.T @ vals[:, near])
+    assert (np.sum(perp**2, axis=0) < 1e-15 * np.sum(vals[:, near] ** 2, axis=0)).all()
+
+    solved = []
+
+    def recorded(trial, targets, ridge):
+        solved.extend(np.flatnonzero((vals == trial[:, -1:]).all(axis=0)))
+        return ridge_lstsq(trial, targets, ridge)
+
+    monkeypatch.setattr(trainer, "ridge_lstsq", recorded)
+    for ridge in (0.0, 1e-3, 1.0):
+        solved.clear()
+        model, trace = matching_pursuit_fit(ds, pool, 6, ridge)
+        assert (np.bincount(solved, minlength=pool.size)[near] == 6).all()
+        ref, ref_trace, _ = _direct_pursuit(ds, pool, 6, ridge)
+        assert trace == ref_trace
+        assert model.K.tobytes() == ref.K.tobytes()
+        got, want = model.dictionary, ref.dictionary
+        assert np.array_equal(got.centers, want.centers)
+        assert np.array_equal(got.steepness, want.steepness)
+        assert np.array_equal(got.is_rbf, want.is_rbf)
 
 
 def test_pursuit_trace_monotone():
