@@ -256,7 +256,15 @@ def _cmd_evaluate(args):
 
 def _cmd_closure(args):
     theorems = THEOREM_NAMES if args.theorems == ("all",) else args.theorems
-    _emit_config(args)
+    # Every stage runs before anything is written, the blow-up demo first: a
+    # degree or y it refuses stops the command before the theorem sweeps.
+    exp_rows, rate_rows = [], []
+    for degree in args.degrees:
+        rows = polynomial_explosion_demo(degree, args.explosion_y)
+        exp_rows += [[str(degree), _r(r.y), _r(r.residual_at_y), _r(r.residual_sup)]
+                     for r in rows]
+        fit = explosion_growth(rows)
+        rate_rows.append([str(degree), _r(fit.slope), _r(fit.r_squared)])
     reports = theorem_suite(
         theorems,
         n_configs=args.configs,
@@ -265,21 +273,6 @@ def _cmd_closure(args):
         n_points=args.points,
         gap=args.gap,
     )
-    write_closure_csv(reports, os.path.join(args.out, "closure_report.csv"))
-    write_rate_csv(reports, os.path.join(args.out, "rate_fits.csv"))
-
-    exp_rows, rate_rows = [], []
-    for degree in args.degrees:
-        rows = polynomial_explosion_demo(degree, args.explosion_y)
-        exp_rows += [[str(degree), _r(r.y), _r(r.residual_at_y), _r(r.residual_sup)]
-                     for r in rows]
-        fit = explosion_growth(rows)
-        rate_rows.append([str(degree), _r(fit.slope), _r(fit.r_squared)])
-    write_csv(os.path.join(args.out, "explosion.csv"),
-              ["degree", "y", "residual_at_y", "residual_sup"], exp_rows)
-    write_csv(os.path.join(args.out, "explosion_rates.csv"),
-              ["degree", "exponent", "r_squared"], rate_rows)
-
     bc_rows = []
     for m in (1, 2, 3):
         c = expectation_bound_check(m, args.mc_samples, args.mc_seed)
@@ -290,6 +283,14 @@ def _cmd_closure(args):
             _r(c.mean_limit_product), _r(c.bound_limit),
             str(c.all_within).lower(),
         ])
+
+    _emit_config(args)
+    write_closure_csv(reports, os.path.join(args.out, "closure_report.csv"))
+    write_rate_csv(reports, os.path.join(args.out, "rate_fits.csv"))
+    write_csv(os.path.join(args.out, "explosion.csv"),
+              ["degree", "y", "residual_at_y", "residual_sup"], exp_rows)
+    write_csv(os.path.join(args.out, "explosion_rates.csv"),
+              ["degree", "exponent", "r_squared"], rate_rows)
     write_csv(
         os.path.join(args.out, "bound_check.csv"),
         ["m", "mean_logistic", "bound_logistic", "mean_rbf", "bound_rbf",
@@ -333,15 +334,18 @@ _BLAS_THREAD_SETTERS = (
 )
 
 
+@functools.cache
 def _one_blas_thread():
-    """Pool-worker initializer: run the bundled OpenBLAS on one thread.
+    """Run the bundled OpenBLAS on one thread, once per process.
 
-    Forked workers inherit the parent's BLAS thread count, so with as many
-    workers as cores every worker's idle BLAS threads spin against the other
-    workers; that doubled the wall time of the 2-worker comparison grid on 2
-    cores. The grid's matrices (at most 2000 x 23) gain nothing from BLAS
-    threads, and results are identical either way. A BLAS found elsewhere is
-    left as it is.
+    main calls it, and forked pool workers inherit the setting; as the
+    pool's initializer it also covers workers started afresh. Threaded BLAS
+    sums in another order, and L-BFGS amplifies the last-bit differences, so
+    a varpro fit on 2 threads wrote other bytes than the same fit in a pool
+    worker. With as many workers as cores, idle BLAS threads also spin
+    against the other workers: that doubled the wall time of the 2-worker
+    comparison grid on 2 cores. A BLAS outside numpy's and scipy's bundled
+    OpenBLAS is left as it is.
     """
     for pkg in (numpy, scipy):
         site = os.path.dirname(os.path.dirname(pkg.__file__))
@@ -582,6 +586,7 @@ def _keep_heap_mapped():
 
 def main(argv=None):
     _keep_heap_mapped()
+    _one_blas_thread()
     parser, sub_map = build_parser()
     with warnings.catch_warnings():
         # One line per warning: the message, not the file and source line.

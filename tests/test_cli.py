@@ -751,12 +751,15 @@ def test_explosion_overflow_exits_two(tmp_path, capsys, option, value, named):
     # Powers past the float range in the design (degree 120), the target
     # (y = 1e200) or the design @ coef product (degree 112) are a bad
     # (degree, y), named in one error line instead of numpy warnings and a
-    # LAPACK failure.
+    # LAPACK failure. The blow-up demo runs before the theorem sweeps, so a
+    # refused run leaves no CSV behind.
+    out = tmp_path / "cl"
     code = run("closure", "--theorems", "loglog", "--configs", "1", "--points", "500",
-               "--mc-samples", "1000", option, value, "--out", str(tmp_path / "cl"))
+               "--mc-samples", "1000", option, value, "--out", str(out))
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.splitlines() == [f"error: {named}; lower the degree or y"]
+    assert not list(out.glob("*.csv"))
 
 
 def test_expectation_of_a_huge_interval_exits_two(tmp_path, capsys):
@@ -912,3 +915,34 @@ def test_reruns_are_bitwise_identical(tmp_path):
     assert len(files_a) >= 7
     for rel in files_a:
         assert filecmp.cmp(files_a[rel], files_b[rel], shallow=False), rel
+
+
+def _augsill(tmp_path, *argv, threads):
+    """Run the augsill command in a fresh interpreter whose bundled OpenBLAS
+    starts with the given thread count."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": str(threads)}
+    proc = subprocess.run([sys.executable, "-m", "augsill", *argv], capture_output=True,
+                          text=True, timeout=300, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_compare_cell_bytes_do_not_depend_on_workers(tmp_path):
+    # One cell at the default sizes, trained in the calling process at
+    # --workers 1 and in a pool worker at --workers 2: every command runs BLAS
+    # on one thread, so the bytes match.
+    argv = ("compare", "--systems", "vanderpol", "--families", "sill", "--dims", "20",
+            "--seeds", "0")
+    for workers in ("1", "2"):
+        _augsill(tmp_path, *argv, "--workers", workers, "--out", f"w{workers}", threads=2)
+    assert ((tmp_path / "w1" / "summary.csv").read_bytes()
+            == (tmp_path / "w2" / "summary.csv").read_bytes())
+
+
+def test_varpro_fit_bytes_do_not_depend_on_blas_threads(tmp_path):
+    assert run("simulate", "--system", "vanderpol", "--out", str(tmp_path / "data")) == 0
+    for threads in (1, 2):
+        _augsill(tmp_path, "fit", "--data", "data", "--family", "sill", "--n-members", "20",
+                 "--method", "varpro", "--out", f"t{threads}", threads=threads)
+    for name in ("model.ini", "model.k.csv", "training_log.csv"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
