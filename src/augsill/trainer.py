@@ -509,8 +509,9 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
         # constant row has zero time derivative; state rows carry dy/dt
         fixed_targets = np.hstack([np.zeros((dataset.n_rows, 1)), dataset.targets])
 
-    # cand[j] holds candidate j's values, written once and then only read.
-    # One candidate per kernel call keeps the temporaries at (rows, 1, m).
+    # cand[j] holds candidate j's values, written once and then only read; one
+    # candidate per kernel call keeps the temporaries at (rows, 1, m). Products
+    # with the base's residual r0, not the targets, keep proj's rounding small.
     cand = np.empty((pool.size, dataset.n_rows))
     for j in range(pool.size):
         cand[j] = member_values_packed(Family.AUGSILL, c[j : j + 1], a[j : j + 1],
@@ -536,11 +537,10 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
         # candidate that may tie or beat the best direct residual. The eps-scale
         # floor covers targets [1, y] already fits: all residuals are noise.
         slack = PURSUIT_RTOL * total + floor
-        # Rounding guard, each dot product good to eps of the magnitudes it sums.
-        # At rho = perp2 / ||c||^2, perp2's error of (w + 1) eps ||c||^2 moves
-        # the gain (at most total) by (w + 1) eps total / rho, and proj's (eps
-        # ||c|| ||R0|| per term) by 4 eps sqrt(total0 total / rho). Candidates
-        # where either may reach a quarter of the slack are solved directly.
+        # Rounding guard, each dot product good to eps of what it sums. At rho =
+        # perp2 / ||c||^2, perp2's error moves the gain (at most total) by up to
+        # (w + 1) eps total / rho, and proj's (eps ||c|| ||r0|| a term) by 4 eps
+        # sqrt(total0 total / rho); where either may pass slack / 4, solve directly.
         rho_min = (max(4 * (w + 1) * eps * total, 256 * eps**2 * total0 * total / slack) / slack
                    if slack > 0 else 0.0)
         bound[perp2 < rho_min * cn2] = -np.inf
