@@ -5,24 +5,22 @@ lifting measurements through a dictionary of conjunctive logistic and RBF
 members (plus polynomial baselines), and ships the numerical studies that
 justify the dictionary choice: steep-limit product sweeps, Lie-derivative
 closure gaps, expectation bounds, and a dictionary-comparison benchmark.
+A logistic/RBF dictionary is its packed geometry: (N, m) centers and
+steepness arrays and an (N,) RBF mask, given to ``Dictionary.from_packed``
+and evaluated by ``member_values_packed``.
 """
 
 from .dictionaries import (
-    ConjunctiveFunction,
     Dictionary,
     Family,
     Kind,
-    ScalarBasisParams,
-    eval_conjunctive,
-    eval_scalar_basis,
-    h_function,
     lift,
     lift_jacobian,
-    load_dictionary,
+    member_values_packed,
     param_gradients,
     polynomial_multi_indices,
-    product_limit_logistic,
-    save_dictionary,
+    stable_logistic,
+    stable_rbf,
 )
 from .errors import (
     DataError,
@@ -57,7 +55,6 @@ from .solver import (
     fit_k,
     load_model,
     n_step_error,
-    predict_n_steps,
     save_model,
 )
 from .trainer import (
@@ -78,7 +75,6 @@ from .closure import (
     explosion_growth,
     lie_closure_error,
     polynomial_explosion_demo,
-    product_error,
     sample_theorem_config,
     theorem_suite,
 )

@@ -20,13 +20,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dictionaries import (
-    ConjunctiveFunction,
     Dictionary,
     Family,
     Kind,
     _factors,
-    _member_arrays,
-    conjunctive_members,
     limit_keeps_first,
     rbf_branch_survives,
     stable_logistic,
@@ -45,9 +42,7 @@ from .systems import write_csv
 
 # Below this floor a measured error is treated as underflow, not signal.
 RATE_FLOOR = 1e-30
-# Product theorems exclude evaluation exactly on a center; this is the radius.
-PRODUCT_GAP_MIN = 1e-9
-# Lie-derivative fixtures keep a visibly larger guard band around centers.
+# Lie-derivative gaps need sample points this far from every center coordinate.
 CLOSURE_GAP_MIN = 1e-3
 
 DEFAULT_ALPHA_SCALES = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
@@ -63,7 +58,8 @@ def _pair_errors_batch(c, a, rbf, pts, alpha_scale):
     rule of a logistic and an RBF, zero for two RBFs.
 
     Callers must have verified the center-avoidance hypothesis already; this
-    core assumes it and vectorizes freely.
+    core assumes it and vectorizes freely. ``alpha_scale`` multiplies every
+    steepness, so sweeping it traces the convergence toward the limit.
     """
     a = a * alpha_scale
     # One member per kernel call: batching the pair into one call is slower.
@@ -77,33 +73,6 @@ def _pair_errors_batch(c, a, rbf, pts, alpha_scale):
     else:
         target = 0.0
     return np.abs(v_l * v_o - target)
-
-
-def product_error(y, theta_l, theta_other, alpha_scale=1.0):
-    """Gap between a pairwise member product and its steep-limit target.
-
-    The members' kinds pick the target: the limit logistic for two logistics,
-    the branch function (the RBF itself, or zero) for a logistic and an RBF,
-    and zero for two RBFs. The product commutes, so the members may come in
-    either order. ``alpha_scale`` multiplies every stored steepness before
-    evaluation, so sweeping it traces the convergence toward the limit.
-    """
-    if theta_l.kind == Kind.RBF:
-        theta_l, theta_other = theta_other, theta_l
-    if not np.isfinite(alpha_scale) or alpha_scale <= 0:
-        raise ParameterDomainError(f"alpha_scale must be finite and > 0: {alpha_scale}")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (theta_l.m,):
-        raise DimensionMismatchError(f"expected y of shape ({theta_l.m},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ParameterDomainError("y must be finite")
-    c, a, rbf = _member_arrays(Family.AUGSILL, theta_l.m, (theta_l, theta_other))
-    if np.min(np.abs(y - c)) < PRODUCT_GAP_MIN:
-        raise HypothesisViolationError(
-            "evaluation point sits on a member center, which the limit "
-            "statements exclude"
-        )
-    return float(_pair_errors_batch(c, a, rbf, y[None, :], alpha_scale)[0])
 
 
 class RateFit(NamedTuple):
@@ -145,11 +114,16 @@ THEOREM_NAMES = ("loglog", "logrbf_overlap", "logrbf_disjoint", "rbfrbf")
 
 @dataclass(frozen=True)
 class TheoremConfig:
+    """One member pair of a limit statement, packed as _pair_errors_batch
+    takes it: read-only (2, m) ``centers`` and ``steepness`` and a (2,)
+    ``is_rbf`` mask, logistic row first (both rows RBF in rbfrbf)."""
+
     theorem: str
     m: int
     config_id: int
-    theta_l: ConjunctiveFunction
-    theta_other: ConjunctiveFunction
+    centers: np.ndarray
+    steepness: np.ndarray
+    is_rbf: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -197,8 +171,11 @@ def sample_theorem_config(theorem, config_id, seed=0, gap=0.2) -> TheoremConfig:
         mu_o = mu_l + rng.choice((-1.0, 1.0), size=m) * sep
     a_l = rng.uniform(0.8, 1.25, size=m)
     a_o = rng.uniform(0.8, 1.25, size=m)
-    # theta_l is an RBF only in rbfrbf; theta_other is logistic only in loglog.
-    pair = conjunctive_members([mu_l, mu_o], [a_l, a_o], [theorem == "rbfrbf", theorem != "loglog"])
+    # Row 0 is an RBF only in rbfrbf; row 1 is logistic only in loglog.
+    pair = (np.array([mu_l, mu_o]), np.array([a_l, a_o]),
+            np.array([theorem == "rbfrbf", theorem != "loglog"]))
+    for x in pair:
+        x.setflags(write=False)
     return TheoremConfig(theorem, m, config_id, *pair)
 
 
@@ -252,7 +229,7 @@ def sweep_config(cfg: TheoremConfig, alpha_scales=DEFAULT_ALPHA_SCALES,
     scales = np.asarray(alpha_scales, dtype=float)
     if not np.all(np.isfinite(scales) & (scales > 0)):
         raise ParameterDomainError(f"alpha scales must be finite and > 0, got {alpha_scales}")
-    c, a, rbf = _member_arrays(Family.AUGSILL, cfg.m, (cfg.theta_l, cfg.theta_other))
+    c, a, rbf = cfg.centers, cfg.steepness, cfg.is_rbf
     pts = _filter_near_centers(_halton_points(cfg.m, n_points), c, gap)
     if pts.shape[0] < 100:
         raise DataError("center guard bands left too few sample points")

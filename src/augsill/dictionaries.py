@@ -13,13 +13,19 @@ where the g_j are the family's nonlinear members. Five families are supported:
   multi-indices of total degree >= 2 (constant and linear terms already live in
   the base rows).
 
+A logistic/RBF member is its geometry and nothing else: one row of packed
+(N, m) ``centers`` and ``steepness`` arrays and one entry of an (N,) ``is_rbf``
+mask. ``Dictionary.from_packed`` builds a dictionary from them, and one kernel
+(``member_values_packed``, ``member_sensitivities_packed``) evaluates the
+members and their sensitivities from the same arrays. Model files store them
+through ``dictionary_to_ini`` / ``dictionary_from_ini``.
+
 All gradients are closed form; there is no autodiff anywhere in the package.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -34,8 +40,6 @@ from .errors import (
     ParameterDomainError,
     UnsupportedFamilyError,
     ini_field,
-    parse_ini,
-    read_ini,
 )
 
 
@@ -72,71 +76,6 @@ def stable_rbf(t):
 _SCALAR_FORMS = {Kind.LOGISTIC: stable_logistic, Kind.RBF: stable_rbf}
 
 
-@dataclass(frozen=True)
-class ScalarBasisParams:
-    """Center and steepness of one scalar logistic or RBF factor."""
-
-    center: float
-    steepness: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.center):
-            raise ParameterDomainError(f"center must be finite, got {self.center}")
-        if not np.isfinite(self.steepness) or self.steepness <= 0:
-            raise ParameterDomainError(
-                f"steepness must be finite and > 0, got {self.steepness}"
-            )
-
-
-@dataclass(frozen=True)
-class ConjunctiveFunction:
-    """Product over dimensions of scalar logistic or RBF factors."""
-
-    kind: Kind
-    params: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", tuple(self.params))
-        if not self.params:
-            raise ParameterDomainError("conjunctive function needs >= 1 factor")
-        for p in self.params:
-            if not isinstance(p, ScalarBasisParams):
-                raise ParameterDomainError("params must be ScalarBasisParams")
-
-    @property
-    def m(self):
-        return len(self.params)
-
-    @property
-    def centers(self):
-        return np.array([p.center for p in self.params])
-
-    @property
-    def steepnesses(self):
-        return np.array([p.steepness for p in self.params])
-
-
-def eval_scalar_basis(kind, y_i, p):
-    """Evaluate one scalar factor. Logistic lands in (0,1), RBF in (0, 1/4]."""
-    if not np.isfinite(y_i):
-        raise ParameterDomainError(f"input must be finite, got {y_i}")
-    try:
-        form = _SCALAR_FORMS[Kind(kind)]
-    except ValueError:
-        raise ParameterDomainError(f"unknown kind {kind!r}") from None
-    return float(form(p.steepness * (y_i - p.center)))
-
-
-def eval_conjunctive(f, y):
-    """Product of f's scalar factors along each coordinate of y."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (f.m,):
-        raise DimensionMismatchError(f"expected y of shape ({f.m},), got {y.shape}")
-    c, a, rbf = _member_arrays(Family.AUGSILL, f.m, (f,))
-    # Any conjunctive family selects the product form; rbf picks the factor.
-    return float(member_values_packed(Family.AUGSILL, c, a, rbf, y[None, :])[0, 0])
-
-
 def limit_keeps_first(c_l, a_l, c_j, a_j):
     """Per dimension, whether the steep limit of a product of two conjunctive
     logistics keeps the first member's own factor, broadcast over packed arrays
@@ -156,40 +95,6 @@ def rbf_branch_survives(c_log, c_rbf):
     centers (last axis the dimension): True where the RBF survives, i.e. its
     center is at or above the logistic's in some dimension; else the limit is 0."""
     return np.any(c_rbf >= c_log, axis=-1)
-
-
-def product_limit_logistic(theta_l, theta_j):
-    """Steep-limit member of a product of two conjunctive logistics
-    (limit_logistic_packed on one pair)."""
-    if theta_l.kind != Kind.LOGISTIC or theta_j.kind != Kind.LOGISTIC:
-        raise ParameterDomainError("both members must be logistic")
-    if theta_l.m != theta_j.m:
-        raise DimensionMismatchError("dimension mismatch between members")
-    c, a = limit_logistic_packed(theta_l.centers, theta_l.steepnesses,
-                                 theta_j.centers, theta_j.steepnesses)
-    return conjunctive_members(c[None], a[None], [False])[0]
-
-
-def h_function(y, theta_l, theta_k):
-    """Steep-limit of the product of a conjunctive logistic and a conjunctive RBF.
-
-    Returns P(y; theta_k) when the RBF center is >= the logistic center in at
-    least one coordinate, and 0 when it is strictly below in every coordinate.
-    """
-    if theta_l.kind != Kind.LOGISTIC:
-        raise ParameterDomainError("theta_l must be logistic")
-    if theta_k.kind != Kind.RBF:
-        raise ParameterDomainError("theta_k must be rbf")
-    if theta_l.m != theta_k.m:
-        raise DimensionMismatchError("dimension mismatch between members")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (theta_l.m,):
-        raise DimensionMismatchError(
-            f"expected y of shape ({theta_l.m},), got {y.shape}"
-        )
-    if rbf_branch_survives(theta_l.centers, theta_k.centers):
-        return eval_conjunctive(theta_k, y)
-    return 0.0
 
 
 def polynomial_multi_indices(m, count):
@@ -216,55 +121,32 @@ def _compositions(total, m):
             yield (first,) + rest
 
 
-def conjunctive_members(centers, steepness, is_rbf):
-    """ConjunctiveFunction views of packed rows: one member per row of the
-    (N, m) center and steepness arrays, RBF where is_rbf, else logistic."""
-    rows = zip(np.asarray(centers).tolist(), np.asarray(steepness).tolist(), is_rbf)
-    return tuple(ConjunctiveFunction(Kind.RBF if r else Kind.LOGISTIC,
-                                     tuple(map(ScalarBasisParams, c, a)))
-                 for c, a, r in rows)
-
-
-def _member_arrays(family, m, members):
-    """(centers, steepness, is_rbf) of sill/augsill ConjunctiveFunction
-    members or summedrbf ScalarBasisParams tuples."""
-    if family == Family.SUMMED_RBF:
-        if any(len(ps) != m or not all(isinstance(p, ScalarBasisParams) for p in ps)
-               for ps in members):
-            raise ParameterDomainError(f"each summedrbf member needs {m} ScalarBasisParams")
-        members = [ConjunctiveFunction(Kind.RBF, ps) for ps in members]
-    for f in members:
-        if not isinstance(f, ConjunctiveFunction):
-            raise ParameterDomainError("members must be ConjunctiveFunction")
-        if f.m != m:
-            raise DimensionMismatchError(f"member dimension {f.m} != dictionary m {m}")
-    return (np.reshape([f.centers for f in members], (-1, m)),
-            np.reshape([f.steepnesses for f in members], (-1, m)),
-            np.array([f.kind == Kind.RBF for f in members], dtype=bool))
-
-
 class Dictionary:
     """A lifting dictionary: family tag, measurement dimension m, members.
 
-    Sill, augsill and summedrbf store their N members as read-only arrays,
-    ``centers`` and ``steepness`` (N, m) and ``is_rbf`` (N,), logistic rows
-    first; ``members`` builds ConjunctiveFunction views (summedrbf: tuples of
-    ScalarBasisParams) on demand. Polynomial families store their multi-indices
-    as one read-only (N, m) integer degree table, which ``members`` reads back
-    as tuples, and no arrays (None). Instances are immutable.
+    Sill, augsill and summedrbf, built by ``from_packed``, store their N
+    members as read-only arrays, ``centers`` and ``steepness`` (N, m) and
+    ``is_rbf`` (N,), logistic rows first: member j multiplies (summedrbf:
+    adds) over dimensions i the logistic or RBF factor of
+    steepness[j, i] * (y_i - centers[j, i]). Polynomial families, built by
+    the constructor, store their multi-indices as one read-only (N, m)
+    integer table ``degrees``. The arrays a family does not use are None.
+    Instances are immutable.
     """
 
-    def __init__(self, family, m, members):
+    def __init__(self, family, m, degrees):
+        """Polynomial dictionary over multi-indices of length m and total
+        degree >= 2."""
         self.family = Family(family)
-        self.m = m
+        if self.family not in POLYNOMIAL_FAMILIES:
+            raise UnsupportedFamilyError(
+                f"{self.family.value} members are packed arrays; use Dictionary.from_packed")
         if m < 1:
             raise ParameterDomainError(f"m must be >= 1, got {m}")
-        members = tuple(members)
-        if self.family not in POLYNOMIAL_FAMILIES:
-            self._store(*_member_arrays(self.family, m, members))
-            return
+        self.m = m
         self.centers = self.steepness = self.is_rbf = None
-        for idx in members:
+        degrees = tuple(degrees)
+        for idx in degrees:
             if len(idx) != m:
                 raise DimensionMismatchError(f"multi-index {idx} has length != m = {m}")
             if any(not isinstance(k, numbers.Real) or not float(k).is_integer() or k < 0
@@ -274,9 +156,9 @@ class Dictionary:
                 raise ParameterDomainError(
                     f"multi-index {idx} duplicates the constant/linear rows"
                 )
-        self._degrees = np.array([[int(k) for k in idx] for idx in members],
-                                 dtype=np.int64).reshape(-1, m)
-        self._degrees.setflags(write=False)
+        self.degrees = np.array([[int(k) for k in idx] for idx in degrees],
+                                dtype=np.int64).reshape(-1, m)
+        self.degrees.setflags(write=False)
 
     @staticmethod
     def from_packed(family, centers, steepness, is_rbf):
@@ -286,11 +168,6 @@ class Dictionary:
         d.family = Family(family)
         if d.family in POLYNOMIAL_FAMILIES:
             raise UnsupportedFamilyError("polynomial families have no centers")
-        d._store(centers, steepness, is_rbf)
-        d.m = d.centers.shape[1]
-        return d
-
-    def _store(self, centers, steepness, is_rbf):
         c = np.array(centers, dtype=float, order="C")
         a = np.array(steepness, dtype=float, order="C")
         rbf = np.array(is_rbf, dtype=bool)
@@ -302,40 +179,17 @@ class Dictionary:
         good = np.isfinite(a) & (a > 0)
         if not np.all(good):
             raise ParameterDomainError(f"steepness must be finite and > 0, got {a[~good][0]}")
-        if self.family == Family.SUMMED_RBF and not np.all(rbf):
+        if d.family == Family.SUMMED_RBF and not np.all(rbf):
             raise ParameterDomainError("summedrbf members are all RBF")
-        if self.family == Family.SILL and np.any(rbf):
+        if d.family == Family.SILL and np.any(rbf):
             raise ParameterDomainError("sill members must all be logistic")
         if np.any(rbf[:-1] > rbf[1:]):
             raise ParameterDomainError("augsill members must list all logistic members first")
         for x in (c, a, rbf):
             x.setflags(write=False)
-        self.centers, self.steepness, self.is_rbf = c, a, rbf
-
-    @property
-    def members(self):
-        """Multi-indices (polynomial families) or member views of the rows."""
-        if self.is_rbf is None:
-            return tuple(map(tuple, self._degrees.tolist()))
-        views = conjunctive_members(self.centers, self.steepness, self.is_rbf)
-        return tuple(f.params for f in views) if self.family == Family.SUMMED_RBF else views
-
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def sill(members, m=None):
-        m = m if m is not None else members[0].m
-        return Dictionary(Family.SILL, m, tuple(members))
-
-    @staticmethod
-    def augsill(members, m=None):
-        m = m if m is not None else members[0].m
-        return Dictionary(Family.AUGSILL, m, tuple(members))
-
-    @staticmethod
-    def summed_rbf(members, m=None):
-        m = m if m is not None else len(members[0])
-        return Dictionary(Family.SUMMED_RBF, m, tuple(tuple(ps) for ps in members))
+        d.centers, d.steepness, d.is_rbf = c, a, rbf
+        d.m, d.degrees = c.shape[1], None
+        return d
 
     @staticmethod
     def legendre(m, n_members):
@@ -348,13 +202,13 @@ class Dictionary:
     @staticmethod
     def linear(m):
         """The trivial [1, y] dictionary (no nonlinear members)."""
-        return Dictionary(Family.SILL, m, ())
+        return Dictionary.from_packed(Family.SILL, np.zeros((0, m)), np.zeros((0, m)), ())
 
     # -- sizes ----------------------------------------------------------------
 
     @property
     def n_members(self):
-        return len(self._degrees if self.is_rbf is None else self.is_rbf)
+        return len(self.is_rbf if self.degrees is None else self.degrees)
 
     @property
     def n_logistic(self):
@@ -369,11 +223,12 @@ class Dictionary:
         return 1 + self.m + self.n_members
 
     def with_scaled_steepness(self, factor):
-        """Copy of this dictionary with every steepness multiplied by factor."""
+        """This dictionary with every steepness multiplied by factor: a copy,
+        or the polynomial dictionary itself, which has none."""
         if factor <= 0 or not np.isfinite(factor):
             raise ParameterDomainError(f"factor must be finite and > 0: {factor}")
         if self.family in POLYNOMIAL_FAMILIES:
-            return Dictionary(self.family, self.m, self.members)
+            return self
         return Dictionary.from_packed(self.family, self.centers, self.steepness * factor,
                                       self.is_rbf)
 
@@ -426,15 +281,22 @@ def _poly_1d(family, x, max_deg):
 def _poly_members(d, Y, jacobian=False):
     """Polynomial member values (r, N), or with jacobian their state-Jacobians
     (r, N, m): each factor is one gather of the 1-D ladders by the degree
-    table, multiplied over dimensions left to right."""
-    vals, ders = _poly_1d(d.family, Y, int(d._degrees.max(initial=0)))
-    dims, deg = np.arange(d.m)[:, None], d._degrees.T
-    fac = vals[:, dims, deg]  # (r, m, N)
-    if not jacobian:
-        return np.multiply.reduce(fac, axis=1)
-    dfac = ders[:, dims, deg]
-    return np.stack([dfac[:, i] * np.multiply.reduce(np.delete(fac, i, axis=1), axis=1)
-                     for i in range(d.m)], axis=-1)
+    table, multiplied over dimensions left to right. States whose lift leaves
+    the float range raise DataError, without numpy's overflow warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, ders = _poly_1d(d.family, Y, int(d.degrees.max(initial=0)))
+        dims, deg = np.arange(d.m)[:, None], d.degrees.T
+        fac = vals[:, dims, deg]  # (r, m, N)
+        if not jacobian:
+            out = np.multiply.reduce(fac, axis=1)
+        else:
+            dfac = ders[:, dims, deg]
+            out = np.stack([dfac[:, i] * np.multiply.reduce(np.delete(fac, i, axis=1), axis=1)
+                            for i in range(d.m)], axis=-1)
+    if not np.all(np.isfinite(out)):
+        raise DataError(f"the {d.family.value} lift of the data overflows the float range: "
+                        f"states reach |y| = {np.abs(Y).max():.3g}; rescale the data")
+    return out
 
 
 def member_values_packed(family, c, a, rbf, Y):
@@ -626,7 +488,7 @@ def dictionary_to_ini(d):
     for j in range(d.n_members):
         sec = f"member {j}"
         if d.family in POLYNOMIAL_FAMILIES:
-            cp[sec] = {"degrees": " ".join(map(str, d._degrees[j].tolist()))}
+            cp[sec] = {"degrees": " ".join(map(str, d.degrees[j].tolist()))}
         else:
             cp[sec] = {
                 "kind": (Kind.RBF if d.is_rbf[j] else Kind.LOGISTIC).value,
@@ -636,17 +498,10 @@ def dictionary_to_ini(d):
     return cp
 
 
-def dictionary_to_text(d):
-    """Serialize to INI-style text, round-trip exact via shortest repr."""
-    buf = io.StringIO()
-    dictionary_to_ini(d).write(buf)
-    return buf.getvalue()
-
-
 def dictionary_from_ini(cp, source):
     """Dictionary from a parsed dictionary_to_ini INI; a missing or malformed
-    field raises DataError naming source, the file or text it came from, and
-    the field."""
+    field raises DataError naming source, the file it came from, and the
+    field."""
 
     def field(section, key, parse):
         return ini_field(cp, section, key, parse, source)
@@ -681,17 +536,3 @@ def dictionary_from_ini(cp, source):
             or d.n_rbf != field("dictionary", "n_rbf", int)):
         raise ParameterDomainError("member kinds disagree with declared counts")
     return d
-
-
-def dictionary_from_text(text):
-    """Inverse of dictionary_to_text."""
-    return dictionary_from_ini(parse_ini(text, "dictionary text"), "dictionary text")
-
-
-def save_dictionary(d, path):
-    with open(path, "w") as fh:
-        fh.write(dictionary_to_text(d))
-
-
-def load_dictionary(path):
-    return dictionary_from_ini(read_ini(path), path)

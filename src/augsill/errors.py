@@ -81,17 +81,6 @@ class IllConditionedWarning(UserWarning):
     """Lifted data matrix is rank deficient or badly conditioned."""
 
 
-def parse_ini(text, source):
-    """ConfigParser over INI text; text that does not parse as INI raises
-    DataError naming source, the file or text it came from."""
-    cp = configparser.ConfigParser()
-    try:
-        cp.read_string(text, str(source))
-    except configparser.Error as exc:
-        raise DataError(f"{source}: not a valid INI file: {exc}") from None
-    return cp
-
-
 def read_text(path, newline=None):
     """The contents of one UTF-8 text file, newlines handled as open() does;
     bytes that are not UTF-8 raise DataError naming the file."""
@@ -103,8 +92,14 @@ def read_text(path, newline=None):
 
 
 def read_ini(path):
-    """parse_ini over the contents of one UTF-8 file."""
-    return parse_ini(read_text(path), path)
+    """ConfigParser over one UTF-8 file; text that does not parse as INI
+    raises DataError naming the file."""
+    cp = configparser.ConfigParser()
+    try:
+        cp.read_string(read_text(path), str(path))
+    except configparser.Error as exc:
+        raise DataError(f"{path}: not a valid INI file: {exc}") from None
+    return cp
 
 
 def read_csv(path):

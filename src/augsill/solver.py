@@ -24,7 +24,6 @@ from .dictionaries import (
     Dictionary,
     dictionary_from_ini,
     dictionary_to_ini,
-    lift,
     lift_jacobian_many,
     lift_many,
 )
@@ -190,24 +189,6 @@ def dmd_baseline(dataset):
     k[1:, 1:] = at.T
     return KoopmanModel(dictionary=Dictionary.linear(m), K=k,
                         mode=Mode.DISCRETE_PAIRS, dt=dataset.dt)
-
-
-def predict_n_steps(model, y0, n):
-    """Roll the lifted state forward n steps and project each to measurements.
-
-    Pure linear rollout: z_{k+1} = K_step z_k from z_0 = psi(y0); the lift is
-    never re-applied between steps. Returns an (n+1, m) array whose row 0 is y0.
-    """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    z = lift(model.dictionary, np.asarray(y0, dtype=float))
-    k_step = model.step_matrix()
-    out = np.empty((n + 1, model.dictionary.m))
-    out[0] = z[model.projection]
-    for i in range(n):
-        z = k_step @ z
-        out[i + 1] = z[model.projection]
-    return out
 
 
 def n_step_error(model, eval_trajectories, n):

@@ -23,18 +23,16 @@ from augsill.closure import (
     theorem_suite,
 )
 from augsill.dictionaries import (
-    ConjunctiveFunction,
     Dictionary,
     Family,
     Kind,
-    ScalarBasisParams,
-    eval_conjunctive,
-    eval_scalar_basis,
     lift,
     lift_jacobian,
+    member_values_packed,
     param_gradients,
     polynomial_multi_indices,
     stable_logistic,
+    stable_rbf,
 )
 from augsill.expectation import (
     SamplingSpec,
@@ -58,29 +56,19 @@ FD_REL = 1e-5
 SYSTEM_NAMES = ("vanderpol", "duffing", "predatorprey", "toggleswitch")
 
 
-def conj(kind, centers, steeps):
-    return ConjunctiveFunction(
-        kind, tuple(ScalarBasisParams(c, s) for c, s in zip(centers, steeps))
-    )
+def member_value(kind, centers, steeps, y):
+    """Value at the point y of one conjunctive member of the given kind."""
+    return float(member_values_packed(Family.AUGSILL, centers[None], steeps[None],
+                                      np.array([kind == Kind.RBF]), y[None])[0, 0])
 
 
 def random_dictionary(family, m, n, rng):
     centers = rng.uniform(-1.5, 1.5, (n, m))
     steeps = rng.uniform(0.5, 3.0, (n, m))
-    if family == Family.SUMMED_RBF:
-        members = [
-            tuple(ScalarBasisParams(c, s) for c, s in zip(crow, srow))
-            for crow, srow in zip(centers, steeps)
-        ]
-        return Dictionary.summed_rbf(members)
     if family in (Family.LEGENDRE, Family.HERMITE):
         return Dictionary(family, m, polynomial_multi_indices(m, n))
-    n_log = (n + 1) // 2 if family == Family.AUGSILL else n
-    members = [
-        conj(Kind.LOGISTIC if j < n_log else Kind.RBF, centers[j], steeps[j])
-        for j in range(n)
-    ]
-    return Dictionary(family, m, tuple(members))
+    n_log = {Family.SILL: n, Family.AUGSILL: (n + 1) // 2, Family.SUMMED_RBF: 0}[family]
+    return Dictionary.from_packed(family, centers, steeps, np.arange(n) >= n_log)
 
 
 def rel_close(analytic, numeric, rel=FD_REL, floor=1e-9):
@@ -108,21 +96,10 @@ def test_criterion_01_gradient_correctness():
             if not has_params:
                 continue
             g = param_gradients(d, y)
-            rows = [f if family == Family.SUMMED_RBF else f.params
-                    for f in d.members]
-            centers = np.array([[p.center for p in row] for row in rows])
-            steeps = np.array([[p.steepness for p in row] for row in rows])
+            centers, steeps = d.centers, d.steepness
 
             def rebuild(c, s):
-                if family == Family.SUMMED_RBF:
-                    ms = [tuple(ScalarBasisParams(ci, si) for ci, si in zip(cr, sr))
-                          for cr, sr in zip(c, s)]
-                    return Dictionary.summed_rbf(ms, m)
-                ms = [ConjunctiveFunction(d.members[j].kind,
-                                          tuple(ScalarBasisParams(ci, si)
-                                                for ci, si in zip(c[j], s[j])))
-                      for j in range(n)]
-                return Dictionary(family, m, tuple(ms))
+                return Dictionary.from_packed(family, c, s, d.is_rbf)
 
             # one random coordinate per point keeps the loop under budget
             j = int(rng.integers(n))
@@ -145,15 +122,15 @@ def test_criterion_02_rbf_identity_and_maxima():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         y = rng.uniform(-5, 5)
-        p = ScalarBasisParams(rng.uniform(-2, 2), rng.uniform(0.1, 10))
-        lam = eval_scalar_basis(Kind.LOGISTIC, y, p)
-        rho = eval_scalar_basis(Kind.RBF, y, p)
+        center, steep = rng.uniform(-2, 2), rng.uniform(0.1, 10)
+        lam = float(stable_logistic(steep * (y - center)))
+        rho = float(stable_rbf(steep * (y - center)))
         assert abs(rho - (lam - lam * lam)) < 1e-12
     for m in (1, 2, 3):
         center = rng.uniform(-1, 1, m)
         steep = rng.uniform(0.5, 5, m)
-        assert eval_conjunctive(conj(Kind.LOGISTIC, center, steep), center) == 0.5**m
-        assert eval_conjunctive(conj(Kind.RBF, center, steep), center) == 0.25**m
+        assert member_value(Kind.LOGISTIC, center, steep, center) == 0.5**m
+        assert member_value(Kind.RBF, center, steep, center) == 0.25**m
     print("criterion 2 PASS: scalar identity to 1e-12, conjunctive peaks exact")
 
 
@@ -310,10 +287,10 @@ def test_criterion_09_matching_pursuit():
                        center_grids=(np.array([-1.0, 0.0, 1.0]),),
                        steepness_levels=(1.0, 5.0))
     model, trace = matching_pursuit_fit(ds, pool, 1)
-    member = model.dictionary.members[0]
-    assert member.kind == Kind.LOGISTIC
-    assert member.params[0].center == 0.0
-    assert member.params[0].steepness == 5.0
+    d = model.dictionary
+    assert not d.is_rbf[0]
+    assert d.centers[0, 0] == 0.0
+    assert d.steepness[0, 0] == 5.0
     assert trace[0] < 1e-20
     print("criterion 9 PASS: pursuit traces monotone, planted member recovered")
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from augsill import cli
@@ -727,18 +728,48 @@ def test_impossible_sizes_exit_two(tmp_path, capsys):
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
 
 
-@pytest.mark.filterwarnings("default::RuntimeWarning")
-def test_failed_least_squares_exits_three(tmp_path, capsys):
-    # A Legendre lift of states near 1e155 overflows (numpy warns), and at a
-    # given ridge 0 LAPACK's SVD does not converge on it: a numerical failure.
+def test_failed_least_squares_exits_three(tmp_path, capsys, monkeypatch):
+    # An SVD that does not converge in LAPACK is a numerical failure.
     data = tmp_path / "data"
     assert simulate_small(data) == 0
-    scale_states(data, 1e155)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
     code = run("fit", "--data", str(data), "--family", "legendre", "--n-members", "6",
                "--method", "lstsq", "--ridge", "0", "--out", str(tmp_path / "fit"))
     err = capsys.readouterr().err
     assert code == 3, err
     assert "numerical failure: least-squares solve failed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("family", ["legendre", "hermite"])
+@pytest.mark.parametrize("command", [("fit", "--ridge", "0"), ("fit", "--ridge", "1"), ("fit",),
+                                     ("evaluate",)],
+                         ids=["fit-ridge-0", "fit-ridge-1", "fit-adaptive-ridge", "evaluate"])
+def test_polynomial_lift_overflow_exits_two(tmp_path, capfd, family, command):
+    # States near 1e155 square past the float range: the polynomial lift is a
+    # data error, named in one line, before numpy warns or LAPACK sees an inf.
+    data, big = tmp_path / "data", tmp_path / "big"
+    assert simulate_small(data) == 0 and simulate_small(big) == 0
+    scale_states(big, 1e155)
+    if command[0] == "fit":
+        argv = ["fit", "--data", str(big), "--family", family, "--n-members", "6",
+                "--method", "lstsq", *command[1:]]
+    else:
+        assert run("fit", "--data", str(data), "--family", family, "--n-members", "6",
+                   "--method", "lstsq", "--out", str(tmp_path / "model")) == 0
+        argv = ["evaluate", "--model", str(tmp_path / "model" / "model.ini"),
+                "--data", str(big)]
+    capfd.readouterr()
+    code = run(*argv, "--out", str(tmp_path / "out"))
+    out, err = capfd.readouterr()
+    assert code == 2, err
+    assert err.splitlines() == [f"error: the {family} lift of the data overflows the float "
+                                "range: states reach |y| = 2.01e+155; rescale the data"], err
+    assert "warning:" not in out + err and "DLASCL" not in out + err
+    assert not (tmp_path / "out" / "report.csv").exists()
 
 
 @pytest.mark.parametrize("option, value, named", [

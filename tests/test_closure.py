@@ -13,9 +13,9 @@ from augsill.closure import (
     error_bound,
     expectation_bound_check,
     explosion_growth,
+    _pair_errors_batch,
     lie_closure_error,
     polynomial_explosion_demo,
-    product_error,
     sample_theorem_config,
     sweep_config,
     theorem_suite,
@@ -23,22 +23,17 @@ from augsill.closure import (
     write_rate_csv,
 )
 from augsill.dictionaries import (
-    ConjunctiveFunction,
     Dictionary,
     Family,
     Kind,
-    ScalarBasisParams,
     _factors,
-    eval_conjunctive,
     limit_logistic_packed,
     member_values_packed,
-    product_limit_logistic,
     rbf_branch_survives,
     stable_logistic,
 )
 from augsill.errors import (
     DataError,
-    DimensionMismatchError,
     DomainError,
     HypothesisViolationError,
     ParameterDomainError,
@@ -46,91 +41,85 @@ from augsill.errors import (
     UnsupportedFamilyError,
 )
 
+LOG, RBF = False, True
 
-def conj(kind, centers, steeps):
-    return ConjunctiveFunction(
-        kind, tuple(ScalarBasisParams(c, s) for c, s in zip(centers, steeps))
-    )
+
+def pair_error(y, first, second, alpha_scale=1.0):
+    """_pair_errors_batch at the one point y for the pair of (is_rbf,
+    centers, steepness) members, packed in the order given."""
+    rbf, c, a = zip(first, second)
+    return float(_pair_errors_batch(np.array(c, dtype=float), np.array(a, dtype=float),
+                                    np.array(rbf), np.array([y], dtype=float), alpha_scale)[0])
+
+
+def value(member, y, scale=1.0):
+    """One (is_rbf, centers, steepness) member at the point y, its
+    steepness multiplied by scale."""
+    rbf, c, a = member
+    return float(member_values_packed(Family.AUGSILL, np.array([c], dtype=float),
+                                      np.array([a], dtype=float) * scale, np.array([rbf]),
+                                      np.array([y], dtype=float))[0, 0])
 
 
 # -- pairwise product limits ---------------------------------------------------
 
 
 def test_loglog_error_vanishes_at_high_steepness():
-    fl = conj(Kind.LOGISTIC, [0.0], [1.0])
-    fj = conj(Kind.LOGISTIC, [1.0], [1.0])
-    err = product_error(np.array([2.0]), fl, fj, alpha_scale=100.0)
+    fl = (LOG, [0.0], [1.0])
+    fj = (LOG, [1.0], [1.0])
+    err = pair_error([2.0], fl, fj, alpha_scale=100.0)
     assert err < 1e-8
 
 
 def test_rbfrbf_error_vanishes():
-    fl = conj(Kind.RBF, [0.0, 0.0], [1.0, 1.0])
-    fk = conj(Kind.RBF, [1.0, 1.0], [1.0, 1.0])
-    err = product_error(np.array([0.5, 0.5]), fl, fk,
-                        alpha_scale=50.0)
+    fl = (RBF, [0.0, 0.0], [1.0, 1.0])
+    fk = (RBF, [1.0, 1.0], [1.0, 1.0])
+    err = pair_error([0.5, 0.5], fl, fk,
+                     alpha_scale=50.0)
     assert err < 1e-4
 
 
 def test_logrbf_disjoint_branch_is_plain_product():
     # rbf center strictly below the logistic center in every dimension: the
     # limit target is zero, so the reported gap is the raw product
-    fl = conj(Kind.LOGISTIC, [1.0, 1.0], [1.2, 0.9])
-    fk = conj(Kind.RBF, [0.0, 0.0], [1.0, 1.1])
+    fl = (LOG, [1.0, 1.0], [1.2, 0.9])
+    fk = (RBF, [0.0, 0.0], [1.0, 1.1])
     for scale in (1.0, 3.0, 10.0):
         y = np.array([0.4, -0.3])
-        got = product_error(y, fl, fk, alpha_scale=scale)
-        sl = fl if scale == 1.0 else conj(Kind.LOGISTIC, [1.0, 1.0],
-                                          [1.2 * scale, 0.9 * scale])
-        sk = fk if scale == 1.0 else conj(Kind.RBF, [0.0, 0.0],
-                                          [1.0 * scale, 1.1 * scale])
-        want = eval_conjunctive(sl, y) * eval_conjunctive(sk, y)
+        got = pair_error(y, fl, fk, alpha_scale=scale)
+        want = value(fl, y, scale) * value(fk, y, scale)
         assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_logrbf_overlap_branch_converges():
-    fl = conj(Kind.LOGISTIC, [0.0, 0.5], [1.0, 1.0])
-    fk = conj(Kind.RBF, [1.0, -0.5], [1.0, 1.0])  # above in dim 0
-    err = product_error(np.array([2.0, 1.5]), fl, fk,
-                        alpha_scale=100.0)
+    fl = (LOG, [0.0, 0.5], [1.0, 1.0])
+    fk = (RBF, [1.0, -0.5], [1.0, 1.0])  # above in dim 0
+    err = pair_error([2.0, 1.5], fl, fk,
+                     alpha_scale=100.0)
     assert err < 1e-6
 
 
 def test_product_error_decreases_along_sweep():
-    fl = conj(Kind.LOGISTIC, [0.0], [1.0])
-    fj = conj(Kind.LOGISTIC, [0.7], [1.0])
+    fl = (LOG, [0.0], [1.0])
+    fj = (LOG, [0.7], [1.0])
     y = np.array([1.4])
-    errs = [product_error(y, fl, fj, alpha_scale=s)
+    errs = [pair_error(y, fl, fj, alpha_scale=s)
             for s in (5.0, 10.0, 20.0, 50.0, 100.0)]
     assert all(b <= a for a, b in zip(errs, errs[1:]))
 
 
-def test_product_error_rejects_center_hits():
-    fl = conj(Kind.LOGISTIC, [0.0], [1.0])
-    fj = conj(Kind.LOGISTIC, [1.0], [1.0])
-    with pytest.raises(HypothesisViolationError):
-        product_error(np.array([1.0 + 1e-12]), fl, fj)
-
-
-def test_product_error_validates_dimensions_and_scale():
-    fl = conj(Kind.LOGISTIC, [0.0], [1.0])
-    fk = conj(Kind.RBF, [1.0], [1.0])
-    with pytest.raises(DimensionMismatchError):
-        product_error(np.array([2.0]), fl, conj(Kind.RBF, [1.0, 1.0], [1.0, 1.0]))
-    with pytest.raises(ParameterDomainError):
-        product_error(np.array([2.0]), fl, fk, alpha_scale=0.0)
-
-
 def test_product_error_takes_the_members_in_either_order():
-    # The kinds pick the target and the product commutes, so swapping the
-    # logistic and the RBF leaves every bit of the gap alone.
-    fl = conj(Kind.LOGISTIC, [0.0, 0.5], [1.0, 1.2])
+    # Two members of one kind may come in either row order: the product
+    # commutes, and so does the target (the limit logistic, or zero), which
+    # leaves every bit of the gap alone.
     y = np.array([2.0, 1.5])
-    for fk in (conj(Kind.RBF, [1.0, -0.5], [1.0, 0.9]),   # overlap: the RBF survives
-               conj(Kind.RBF, [-1.0, -0.5], [1.0, 0.9])):  # disjoint: the limit is 0
-        for scale in (1.0, 10.0):
-            want = product_error(y, fl, fk, alpha_scale=scale)
-            got = product_error(y, fk, fl, alpha_scale=scale)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (fk, scale)
+    for kind in (LOG, RBF):
+        fl = (kind, [0.0, 0.5], [1.0, 1.2])
+        for fk in ((kind, [1.0, -0.5], [1.0, 0.9]), (kind, [-1.0, -0.5], [1.0, 0.9])):
+            for scale in (1.0, 10.0):
+                want = pair_error(y, fl, fk, alpha_scale=scale)
+                got = pair_error(y, fk, fl, alpha_scale=scale)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (fk, scale)
 
 
 def test_product_error_limit_choice_at_ties():
@@ -138,17 +127,18 @@ def test_product_error_limit_choice_at_ties():
     # dimension where both members share (c, a) keeps either one: the gap is
     # the product against the limit member evaluated on its own, bit for bit,
     # with the members in either order.
-    fl = conj(Kind.LOGISTIC, [0.0, 0.5], [1.0, 1.2])
+    fl = (LOG, [0.0, 0.5], [1.0, 1.2])
     y = np.array([0.8, 1.6])
-    for fj in (conj(Kind.LOGISTIC, [0.0, 1.0], [2.0, 0.9]),    # tie in c, steeper fj
-               conj(Kind.LOGISTIC, [0.0, -0.3], [1.0, 0.7])):  # identical (c, a)
+    for fj in ((LOG, [0.0, 1.0], [2.0, 0.9]),    # tie in c, steeper fj
+               (LOG, [0.0, -0.3], [1.0, 0.7])):  # identical (c, a)
         for first, second in ((fl, fj), (fj, fl)):
             for scale in (1.0, 2.0, 10.0, 100.0):
-                sl, so = (conj(Kind.LOGISTIC, f.centers, f.steepnesses * scale)
-                          for f in (first, second))
-                want = abs(eval_conjunctive(sl, y) * eval_conjunctive(so, y)
-                           - eval_conjunctive(product_limit_logistic(sl, so), y))
-                got = product_error(y, first, second, alpha_scale=scale)
+                (_, c_l, a_l), (_, c_o, a_o) = first, second
+                a_l, a_o = np.array(a_l) * scale, np.array(a_o) * scale
+                star = (LOG, *limit_logistic_packed(np.array(c_l), a_l, np.array(c_o), a_o))
+                want = abs(value((LOG, c_l, a_l), y) * value((LOG, c_o, a_o), y)
+                           - value(star, y))
+                got = pair_error(y, first, second, alpha_scale=scale)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), (fj, scale)
 
 
@@ -185,12 +175,12 @@ def test_rate_fit_floor_handles_underflow():
 
 
 def test_theorem1_sweep_rate():
-    fl = conj(Kind.LOGISTIC, [0.0], [1.0])
-    fj = conj(Kind.LOGISTIC, [1.0], [1.0])
+    fl = (LOG, [0.0], [1.0])
+    fj = (LOG, [1.0], [1.0])
     y = np.array([2.0])
     # past scale ~16 the gap underflows to exactly zero, so fit below that
     alphas = np.arange(1.0, 15.0)
-    errs = [product_error(y, fl, fj, alpha_scale=s) for s in alphas]
+    errs = [pair_error(y, fl, fj, alpha_scale=s) for s in alphas]
     fit = convergence_rate(alphas, errs)
     assert fit.slope < -0.5
     assert fit.r_squared > 0.99
@@ -204,25 +194,33 @@ def test_sample_config_geometry():
         for cid in range(6):
             cfg = sample_theorem_config(theorem, cid, seed=0, gap=0.2)
             assert cfg.m == cid % 3 + 1
-            dl = cfg.theta_other.centers - cfg.theta_l.centers
+            assert cfg.centers.shape == cfg.steepness.shape == (2, cfg.m)
+            for x in (cfg.centers, cfg.steepness, cfg.is_rbf):
+                assert not x.flags.writeable
+            dl = cfg.centers[1] - cfg.centers[0]
+            # The mask order _pair_errors_batch needs: a logistic row first.
             if theorem == "loglog":
-                assert cfg.theta_l.kind == cfg.theta_other.kind == Kind.LOGISTIC
+                assert cfg.is_rbf.tolist() == [False, False]
                 assert np.all(dl >= 0.2)
             elif theorem == "logrbf_overlap":
+                assert cfg.is_rbf.tolist() == [False, True]
                 assert dl[0] >= 0.2
                 assert np.all(dl[1:] <= -0.2)
             elif theorem == "logrbf_disjoint":
+                assert cfg.is_rbf.tolist() == [False, True]
                 assert np.all(dl <= -0.2)
             else:
-                assert cfg.theta_l.kind == cfg.theta_other.kind == Kind.RBF
+                assert cfg.is_rbf.tolist() == [True, True]
                 assert np.all(np.abs(dl) >= 0.2)
 
 
 def test_sample_config_deterministic():
     a = sample_theorem_config("loglog", 3, seed=9)
     b = sample_theorem_config("loglog", 3, seed=9)
-    assert a.theta_l == b.theta_l
-    assert a.theta_other == b.theta_other
+    for field in ("centers", "steepness", "is_rbf"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert (a.theorem, a.m, a.config_id) == (b.theorem, b.m, b.config_id)
     with pytest.raises(ParameterDomainError):
         sample_theorem_config("nosuch", 0)
 
@@ -309,7 +307,7 @@ def test_closure_csv_shapes(tmp_path):
 
 
 def test_lie_closure_zero_weights():
-    d = Dictionary.sill([conj(Kind.LOGISTIC, [0.0, 0.0], [1.0, 1.0])])
+    d = Dictionary.from_packed(Family.SILL, [[0.0, 0.0]], [[1.0, 1.0]], [False])
     stats = lie_closure_error(d, np.zeros((2, 1)), np.array([[1.0, 1.0]]))
     s = stats[0]
     assert s.sup_exact_vs_limit == 0.0
@@ -322,7 +320,7 @@ def test_lie_closure_single_member_closed_forms():
     # one scalar logistic driving itself: every stage has a pencil-and-paper
     # value. lam below is the member's own activation at the sample point.
     alpha = 1.7
-    d = Dictionary.sill([conj(Kind.LOGISTIC, [0.3], [alpha])])
+    d = Dictionary.from_packed(Family.SILL, [[0.3]], [[alpha]], [False])
     w = np.ones((1, 1))
     for y in (-0.9, 0.8, 2.1):
         lam = float(stable_logistic(alpha * (y - 0.3)))
@@ -341,15 +339,11 @@ def test_lie_closure_single_member_closed_forms():
 def _augsill_fixture():
     """Seed-0 mixed dictionary with a random field and guarded sample set."""
     rng = np.random.default_rng(0)
-    members = [
-        conj(Kind.LOGISTIC, rng.uniform(-1, 1, 2), [1.0, 1.0]),
-        conj(Kind.LOGISTIC, rng.uniform(-1, 1, 2), [1.1, 1.1]),
-        conj(Kind.RBF, rng.uniform(-1, 1, 2), [0.9, 0.9]),
-    ]
-    d = Dictionary.augsill(members)
+    centers = rng.uniform(-1, 1, (3, 2))
+    d = Dictionary.from_packed(Family.AUGSILL, centers, [[1.0, 1.0], [1.1, 1.1], [0.9, 0.9]],
+                               [False, False, True])
     w = rng.normal(0, 1, (2, 3))
     pts = rng.uniform(-2, 2, (800, 2))
-    centers = np.array([f.centers for f in members])
     keep = np.all(np.abs(pts[:, None, :] - centers[None]) > 0.2, axis=(1, 2))
     return d, w, pts[keep]
 
@@ -439,7 +433,7 @@ def test_lie_closure_limit_gap_vanishes_at_scale_100():
 def test_lie_closure_input_validation():
     d, w, pts = _augsill_fixture()
     with pytest.raises(HypothesisViolationError):
-        bad = np.vstack([pts, d.members[0].centers[None, :]])
+        bad = np.vstack([pts, d.centers[:1]])
         lie_closure_error(d, w, bad)
     poly = Dictionary.legendre(2, 3)
     with pytest.raises(UnsupportedFamilyError):
@@ -490,14 +484,12 @@ def test_bounds_dominate_monte_carlo_logistic_rows():
     # the stats of the centered member are compared against the bound rows
     rng = np.random.default_rng(7)
     pts = rng.uniform(-2, 2, (20000, 2))
-    A = conj(Kind.LOGISTIC, [1.8, 1.8], [1.0, 1.0])
-    B = conj(Kind.LOGISTIC, [0.0, 0.0], [1.0, 1.0])
-    d = Dictionary.sill([A, B])
-    centers = np.array([A.centers, B.centers])
-    keep = np.all(np.abs(pts[:, None, :] - centers[None]) > 1e-2, axis=(1, 2))
+    d = Dictionary.from_packed(Family.SILL, [[1.8, 1.8], [0.0, 0.0]], np.ones((2, 2)),
+                               [False, False])
+    keep = np.all(np.abs(pts[:, None, :] - d.centers[None]) > 1e-2, axis=(1, 2))
     w = np.array([[1.0, 0.0], [1.0, 0.0]])
     stats = lie_closure_error(d, w, pts[keep])[1]
-    nu = np.abs(B.steepnesses[:, None] * w)
+    nu = np.abs(d.steepness[1][:, None] * w)
     params = ErrorBoundParams(2, 2, 0, nu)
     assert stats.mean_limit_vs_linear < error_bound(params, BoundRow.LOGISTIC_LIMIT)
     assert stats.mean_exact_vs_products < error_bound(
@@ -508,14 +500,12 @@ def test_bounds_dominate_monte_carlo_logistic_rows():
 def test_bounds_dominate_monte_carlo_rbf_rows():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-2, 2, (20000, 2))
-    J = conj(Kind.LOGISTIC, [-1.0, -1.0], [1.0, 1.0])
-    R = conj(Kind.RBF, [0.0, 0.0], [4.0, 4.0])
-    d = Dictionary.augsill([J, R])
-    centers = np.array([J.centers, R.centers])
-    keep = np.all(np.abs(pts[:, None, :] - centers[None]) > 1e-2, axis=(1, 2))
+    d = Dictionary.from_packed(Family.AUGSILL, [[-1.0, -1.0], [0.0, 0.0]],
+                               [[1.0, 1.0], [4.0, 4.0]], [False, True])
+    keep = np.all(np.abs(pts[:, None, :] - d.centers[None]) > 1e-2, axis=(1, 2))
     w = np.array([[1.0, 0.0], [1.0, 0.0]])
     stats = lie_closure_error(d, w, pts[keep])[1]
-    nu = np.abs(R.steepnesses[:, None] * w)
+    nu = np.abs(d.steepness[1][:, None] * w)
     params = ErrorBoundParams(2, 1, 1, nu)
     assert stats.mean_limit_vs_linear < error_bound(params, BoundRow.RBF_LIMIT)
     assert stats.mean_exact_vs_products < error_bound(params, BoundRow.RBF_PRODUCTS)

@@ -4,32 +4,22 @@ import numpy as np
 import pytest
 
 from augsill.dictionaries import (
-    ConjunctiveFunction,
     _poly_1d,
     Dictionary,
     Family,
-    Kind,
-    ScalarBasisParams,
-    conjunctive_members,
-    dictionary_from_text,
-    dictionary_to_text,
-    eval_conjunctive,
-    eval_scalar_basis,
-    h_function,
+    dictionary_to_ini,
     lift,
     lift_jacobian,
     lift_jacobian_many,
     lift_many,
+    limit_keeps_first,
     limit_logistic_packed,
-    load_dictionary,
     member_sensitivities_packed,
     member_values_packed,
     param_gradients,
     param_gradients_many,
     polynomial_multi_indices,
-    product_limit_logistic,
     rbf_branch_survives,
-    save_dictionary,
     stable_logistic,
     stable_rbf,
 )
@@ -40,30 +30,35 @@ from augsill.errors import (
 )
 
 
-def conj(kind, centers, steeps):
-    return ConjunctiveFunction(
-        kind, tuple(ScalarBasisParams(c, s) for c, s in zip(centers, steeps))
-    )
+def member_value(rbf, centers, steeps, y):
+    """Value at the point y of one conjunctive member, logistic or (rbf) RBF,
+    through the packed kernel."""
+    return float(member_values_packed(Family.AUGSILL, np.array([centers], dtype=float),
+                                      np.array([steeps], dtype=float), np.array([rbf]),
+                                      np.array([y], dtype=float))[0, 0])
+
+
+def packed(family, centers, steeps):
+    """Logistic/RBF dictionary over (n, m) rows, the family's mask: sill all
+    logistic, augsill the first (n + 1) // 2 rows logistic, summedrbf all RBF."""
+    n = len(centers)
+    n_log = {Family.SILL: n, Family.AUGSILL: (n + 1) // 2, Family.SUMMED_RBF: 0}[family]
+    return Dictionary.from_packed(family, centers, steeps, np.arange(n) >= n_log)
 
 
 def random_dictionary(family, m, n, rng):
     """Seeded dictionary with centers in [-1.5, 1.5], steepness in [0.5, 3]."""
     centers = rng.uniform(-1.5, 1.5, (n, m))
     steeps = rng.uniform(0.5, 3.0, (n, m))
-    if family == Family.SUMMED_RBF:
-        members = [
-            tuple(ScalarBasisParams(c, s) for c, s in zip(crow, srow))
-            for crow, srow in zip(centers, steeps)
-        ]
-        return Dictionary.summed_rbf(members)
     if family in (Family.LEGENDRE, Family.HERMITE):
         return Dictionary(family, m, polynomial_multi_indices(m, n))
-    n_log = (n + 1) // 2 if family == Family.AUGSILL else n
-    members = [
-        conj(Kind.LOGISTIC if j < n_log else Kind.RBF, centers[j], steeps[j])
-        for j in range(n)
-    ]
-    return Dictionary(family, m, tuple(members))
+    return packed(family, centers, steeps)
+
+
+def ini_sections(d):
+    """The model-file sections dictionary_to_ini writes for d."""
+    cp = dictionary_to_ini(d)
+    return {sec: dict(cp[sec]) for sec in cp.sections()}
 
 
 # -- scalar bases ------------------------------------------------------------
@@ -71,47 +66,33 @@ def random_dictionary(family, m, n, rng):
 
 def test_logistic_at_center_is_half():
     for alpha in (0.1, 1.0, 7.3, 120.0):
-        p = ScalarBasisParams(0.4, alpha)
-        assert eval_scalar_basis(Kind.LOGISTIC, 0.4, p) == 0.5
+        assert stable_logistic(alpha * (0.4 - 0.4)) == 0.5
 
 
 def test_rbf_at_center_is_quarter():
     for alpha in (0.1, 1.0, 7.3, 120.0):
-        p = ScalarBasisParams(-1.2, alpha)
-        assert eval_scalar_basis(Kind.RBF, -1.2, p) == 0.25
+        assert stable_rbf(alpha * (-1.2 - -1.2)) == 0.25
 
 
 def test_logistic_known_value():
     # 1/(1+e^-2) evaluated independently to full precision
-    p = ScalarBasisParams(0.0, 2.0)
-    got = eval_scalar_basis(Kind.LOGISTIC, 1.0, p)
+    got = stable_logistic(2.0 * (1.0 - 0.0))
     assert abs(got - 0.8807970779778823) < 1e-15
 
 
 def test_scalar_basis_overflow_safe():
-    p = ScalarBasisParams(0.0, 1e6)
-    assert eval_scalar_basis(Kind.LOGISTIC, 1.0, p) == 1.0
-    assert eval_scalar_basis(Kind.LOGISTIC, -1.0, p) == 0.0
-    assert eval_scalar_basis(Kind.RBF, 1.0, p) == 0.0
-    lo = eval_scalar_basis(Kind.RBF, -1.0, p)
+    assert stable_logistic(1e6 * 1.0) == 1.0
+    assert stable_logistic(1e6 * -1.0) == 0.0
+    assert stable_rbf(1e6 * 1.0) == 0.0
+    lo = stable_rbf(1e6 * -1.0)
     assert lo == 0.0
 
 
 def test_scalar_basis_rejects_bad_input():
-    p = ScalarBasisParams(0.0, 1.0)
-    with pytest.raises(ParameterDomainError):
-        eval_scalar_basis(Kind.LOGISTIC, float("nan"), p)
-    with pytest.raises(ParameterDomainError):
-        ScalarBasisParams(0.0, 0.0)
-    with pytest.raises(ParameterDomainError):
-        ScalarBasisParams(0.0, -2.0)
-    with pytest.raises(ParameterDomainError):
-        ScalarBasisParams(float("inf"), 1.0)
-    # the array constructor rejects the same parameters
-    with pytest.raises(ParameterDomainError):
-        Dictionary.from_packed(Family.SILL, [[float("nan")]], [[1.0]], [False])
-    with pytest.raises(ParameterDomainError):
-        Dictionary.from_packed(Family.SILL, [[0.0]], [[0.0]], [False])
+    for c, a in ((float("nan"), 1.0), (0.0, 0.0), (0.0, -2.0), (float("inf"), 1.0),
+                 (0.0, float("inf"))):
+        with pytest.raises(ParameterDomainError):
+            Dictionary.from_packed(Family.SILL, [[c]], [[a]], [False])
 
 
 def test_rbf_identity_against_logistic():
@@ -223,32 +204,28 @@ def test_rbf_factor_is_accurate_and_even_far_out():
 
 
 def test_conjunctive_center_values():
-    f3 = conj(Kind.LOGISTIC, [0.1, -0.4, 2.0], [1, 2, 3])
-    assert eval_conjunctive(f3, np.array([0.1, -0.4, 2.0])) == 0.125
-    f2 = conj(Kind.RBF, [1.0, -1.0], [5, 5])
-    assert eval_conjunctive(f2, np.array([1.0, -1.0])) == 0.0625
+    assert member_value(False, [0.1, -0.4, 2.0], [1, 2, 3], [0.1, -0.4, 2.0]) == 0.125
+    assert member_value(True, [1.0, -1.0], [5, 5], [1.0, -1.0]) == 0.0625
 
 
 def test_conjunctive_rbf_identity_pointwise():
     rng = np.random.default_rng(3)
-    f = conj(Kind.RBF, rng.uniform(-1, 1, 4), rng.uniform(0.5, 4, 4))
+    c, a = rng.uniform(-1, 1, 4), rng.uniform(0.5, 4, 4)
     y = rng.uniform(-2, 2, 4)
-    per_dim = [
-        eval_scalar_basis(Kind.LOGISTIC, y[i], f.params[i]) for i in range(4)
-    ]
+    per_dim = [float(stable_logistic(a[i] * (y[i] - c[i]))) for i in range(4)]
     expect = np.prod([lam - lam**2 for lam in per_dim])
-    assert abs(eval_conjunctive(f, y) - expect) < 1e-15
+    assert abs(member_value(True, c, a, y) - expect) < 1e-15
 
 
 def test_conjunctive_ranges():
     rng = np.random.default_rng(5)
     for _ in range(200):
         m = rng.integers(1, 4)
-        fl = conj(Kind.LOGISTIC, rng.uniform(-1, 1, m), rng.uniform(0.2, 5, m))
-        fr = conj(Kind.RBF, rng.uniform(-1, 1, m), rng.uniform(0.2, 5, m))
+        cl, al = rng.uniform(-1, 1, m), rng.uniform(0.2, 5, m)
+        cr, ar = rng.uniform(-1, 1, m), rng.uniform(0.2, 5, m)
         y = rng.uniform(-3, 3, m)
-        vl = eval_conjunctive(fl, y)
-        vr = eval_conjunctive(fr, y)
+        vl = member_value(False, cl, al, y)
+        vr = member_value(True, cr, ar, y)
         assert 0.0 < vl < 1.0
         assert 0.0 < vr <= 0.25**m + 1e-15
 
@@ -256,18 +233,23 @@ def test_conjunctive_ranges():
 def test_conjunctive_maximum_at_center_grid():
     # grid search over a 41^m lattice: no point beats the center value
     for m in (1, 2):
-        f = conj(Kind.RBF, [0.3] * m, [1.7] * m)
         axes = [np.linspace(-2, 2, 41)] * m
         grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, m)
-        vals = [eval_conjunctive(f, y) for y in grid]
+        vals = [member_value(True, [0.3] * m, [1.7] * m, y) for y in grid]
         assert max(vals) <= 0.25**m
-        assert abs(eval_conjunctive(f, np.full(m, 0.3)) - 0.25**m) < 1e-15
+        assert abs(member_value(True, [0.3] * m, [1.7] * m, np.full(m, 0.3)) - 0.25**m) < 1e-15
 
 
 def test_conjunctive_dimension_mismatch():
-    f = conj(Kind.LOGISTIC, [0.0, 0.0], [1.0, 1.0])
+    d = Dictionary.from_packed(Family.SILL, [[0.0, 0.0]], [[1.0, 1.0]], [False])
     with pytest.raises(DimensionMismatchError):
-        eval_conjunctive(f, np.zeros(3))
+        lift(d, np.zeros(3))
+    # Rows of centers and steepness, and the mask, must agree in shape.
+    for c, a, rbf in (([[0.0, 0.0]], [[1.0, 1.0, 1.0]], [False]),
+                      ([[0.0, 0.0]], [[1.0, 1.0]], [False, False]),
+                      ([0.0, 0.0], [1.0, 1.0], [False])):
+        with pytest.raises(DimensionMismatchError):
+            Dictionary.from_packed(Family.SILL, c, a, rbf)
 
 
 def test_assumption_order_property():
@@ -278,50 +260,41 @@ def test_assumption_order_property():
         steeps = rng.uniform(0.5, 3, m)
         mu_l = rng.uniform(-1, 1, m)
         mu_j = mu_l + rng.uniform(0, 1, m)  # mu_l <= mu_j elementwise
-        fl = conj(Kind.LOGISTIC, mu_l, steeps)
-        fj = conj(Kind.LOGISTIC, mu_j, steeps)
         for y in rng.uniform(-3, 3, (10, m)):
-            assert eval_conjunctive(fl, y) >= eval_conjunctive(fj, y)
+            assert member_value(False, mu_l, steeps, y) >= member_value(False, mu_j, steeps, y)
 
 
 # -- steep-limit surrogates ---------------------------------------------------
 
 
 def test_product_limit_takes_elementwise_max_center():
-    fl = conj(Kind.LOGISTIC, [0.0, 2.0], [1.0, 1.0])
-    fj = conj(Kind.LOGISTIC, [1.0, -1.0], [3.0, 3.0])
-    star = product_limit_logistic(fl, fj)
-    assert star.centers.tolist() == [1.0, 2.0]
-    assert star.steepnesses.tolist() == [3.0, 1.0]
+    c, a = limit_logistic_packed(np.array([0.0, 2.0]), np.array([1.0, 1.0]),
+                                 np.array([1.0, -1.0]), np.array([3.0, 3.0]))
+    assert c.tolist() == [1.0, 2.0]
+    assert a.tolist() == [3.0, 1.0]
 
 
 def test_product_limit_tie_keeps_steeper():
-    fl = conj(Kind.LOGISTIC, [0.5], [1.0])
-    fj = conj(Kind.LOGISTIC, [0.5], [4.0])
-    assert product_limit_logistic(fl, fj).steepnesses[0] == 4.0
-    assert product_limit_logistic(fj, fl).steepnesses[0] == 4.0
+    c_l, a_l, c_j, a_j = np.array([0.5]), np.array([1.0]), np.array([0.5]), np.array([4.0])
+    assert limit_logistic_packed(c_l, a_l, c_j, a_j)[1][0] == 4.0
+    assert limit_logistic_packed(c_j, a_j, c_l, a_l)[1][0] == 4.0
 
 
-def test_product_limit_rejects_rbf():
-    fl = conj(Kind.LOGISTIC, [0.0], [1.0])
-    fr = conj(Kind.RBF, [0.0], [1.0])
-    with pytest.raises(ParameterDomainError):
-        product_limit_logistic(fl, fr)
+def h_value(c_log, c_rbf, a_rbf, y):
+    """The steep limit of a logistic-RBF product at y: the RBF's value where
+    its branch survives, else 0."""
+    return member_value(True, c_rbf, a_rbf, y) if rbf_branch_survives(c_log, c_rbf) else 0.0
 
 
 def test_h_function_branches():
-    log00 = conj(Kind.LOGISTIC, [0.0, 0.0], [1.0, 1.0])
-    rbf11 = conj(Kind.RBF, [1.0, 1.0], [1.0, 1.0])
+    ones = [1.0, 1.0]
     # rbf center above in both dims: value of the rbf itself
-    assert h_function(np.array([1.0, 1.0]), log00, rbf11) == 0.0625
+    assert h_value(np.array([0.0, 0.0]), np.array(ones), ones, [1.0, 1.0]) == 0.0625
     # rbf strictly below in every dim: zero
-    log11 = conj(Kind.LOGISTIC, [1.0, 1.0], [1.0, 1.0])
-    rbf00 = conj(Kind.RBF, [0.0, 0.0], [1.0, 1.0])
-    assert h_function(np.array([5.0, -3.0]), log11, rbf00) == 0.0
+    assert h_value(np.array(ones), np.array([0.0, 0.0]), ones, [5.0, -3.0]) == 0.0
     # mixed: one coordinate above suffices
-    log02 = conj(Kind.LOGISTIC, [0.0, 2.0], [1.0, 1.0])
     y = np.array([0.7, 0.2])
-    assert h_function(y, log02, rbf11) == eval_conjunctive(rbf11, y)
+    assert h_value(np.array([0.0, 2.0]), np.array(ones), ones, y) == member_value(True, ones, ones, y)
 
 
 def test_packed_limit_rules_match_member_forms():
@@ -329,48 +302,31 @@ def test_packed_limit_rules_match_member_forms():
     rng = np.random.default_rng(4)
     c = rng.integers(-2, 3, (8, 3)) / 2.0
     a = rng.choice([0.5, 1.0, 2.0], size=c.shape)
-    members = conjunctive_members(c, a, [False] * 8)
     # Every ordered pair at once, broadcast the way lie_closure_error does.
     c_star, a_star = limit_logistic_packed(c[:, None], a[:, None], c[None], a[None])
+    take = limit_keeps_first(c[:, None], a[:, None], c[None], a[None])
     ties = 0
-    for i, fl in enumerate(members):
-        for j, fj in enumerate(members):
+    for i in range(8):
+        for j in range(8):
             # Per dimension: the larger center wins, a tie keeps the steeper.
-            want = tuple(pl if (pl.center, pl.steepness) >= (pj.center, pj.steepness) else pj
-                         for pl, pj in zip(fl.params, fj.params))
-            star = product_limit_logistic(fl, fj)
-            assert star.params == want
-            assert c_star[i, j].tolist() == star.centers.tolist()
-            assert a_star[i, j].tolist() == star.steepnesses.tolist()
-            ties += i != j and bool(np.any(fl.centers == fj.centers))
+            want = [pl if pl >= pj else pj
+                    for pl, pj in zip(zip(c[i], a[i]), zip(c[j], a[j]))]
+            assert list(zip(c_star[i, j].tolist(), a_star[i, j].tolist())) == want
+            assert take[i, j].tolist() == [pl >= pj for pl, pj in
+                                           zip(zip(c[i], a[i]), zip(c[j], a[j]))]
+            ties += i != j and bool(np.any(c[i] == c[j]))
     assert ties > 0
-    # The branch rule against h_function, on the points and members of
-    # test_h_function_branches and every cross pairing of them.
-    cases = [
-        (conj(Kind.LOGISTIC, [0.0, 0.0], [1.0, 1.0]), conj(Kind.RBF, [1.0, 1.0], [1.0, 1.0]),
-         np.array([1.0, 1.0])),
-        (conj(Kind.LOGISTIC, [1.0, 1.0], [1.0, 1.0]), conj(Kind.RBF, [0.0, 0.0], [1.0, 1.0]),
-         np.array([5.0, -3.0])),
-        (conj(Kind.LOGISTIC, [0.0, 2.0], [1.0, 1.0]), conj(Kind.RBF, [1.0, 1.0], [1.0, 1.0]),
-         np.array([0.7, 0.2])),
-    ]
-    c_log = np.array([fl.centers for fl, _, _ in cases])
-    c_rbf = np.array([fk.centers for _, fk, _ in cases])
+    # The branch rule, on the points and members of test_h_function_branches
+    # and every cross pairing of them: the RBF survives where its center is
+    # at or above the logistic's in some dimension.
+    c_log = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 2.0]])
+    c_rbf = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
     survives = rbf_branch_survives(c_log[:, None], c_rbf[None])
     assert survives.diagonal().tolist() == [True, False, True]
-    for i, (fl, _, y) in enumerate(cases):
-        for k, (_, fk, _) in enumerate(cases):
-            assert rbf_branch_survives(fl.centers, fk.centers) == survives[i, k]
-            assert survives[i, k] == (h_function(y, fl, fk) != 0.0)
-
-
-def test_h_function_validates_kinds():
-    log = conj(Kind.LOGISTIC, [0.0], [1.0])
-    rbf = conj(Kind.RBF, [0.0], [1.0])
-    with pytest.raises(ParameterDomainError):
-        h_function(np.array([1.0]), rbf, rbf)
-    with pytest.raises(ParameterDomainError):
-        h_function(np.array([1.0]), log, log)
+    for i in range(3):
+        for k in range(3):
+            assert rbf_branch_survives(c_log[i], c_rbf[k]) == survives[i, k]
+            assert survives[i, k] == any(r >= g for g, r in zip(c_log[i], c_rbf[k]))
 
 
 # -- lifting -------------------------------------------------------------------
@@ -382,16 +338,14 @@ def test_lift_no_members():
 
 
 def test_lift_augsill_center_values():
-    d = Dictionary.augsill(
-        [conj(Kind.LOGISTIC, [0.0], [1.0]), conj(Kind.RBF, [0.0], [1.0])]
-    )
+    d = Dictionary.from_packed(Family.AUGSILL, [[0.0], [0.0]], [[1.0], [1.0]], [False, True])
     np.testing.assert_allclose(lift(d, np.zeros(1)), [1.0, 0.0, 0.5, 0.25])
 
 
 def test_lift_hermite_values():
     # physicists' Hermite: H2(x) = 4x^2 - 2, H3(x) = 8x^3 - 12x
     d = Dictionary.hermite(1, 2)
-    assert d.members == ((2,), (3,))
+    assert d.degrees.tolist() == [[2], [3]]
     got = lift(d, np.array([0.5]))
     np.testing.assert_allclose(got, [1.0, 0.5, -1.0, -5.0], atol=1e-14)
 
@@ -406,11 +360,12 @@ def test_lift_legendre_values():
 def per_member_polynomials(d, Y):
     """Reference for polynomial dictionaries: member values (r, N) and
     state-Jacobians (r, N, m), gathered and multiplied one member at a time."""
-    vals, ders = _poly_1d(d.family, Y, max(max(idx) for idx in d.members))
+    degrees = d.degrees.tolist()
+    vals, ders = _poly_1d(d.family, Y, max(max(idx) for idx in degrees))
     dims = np.arange(d.m)
-    V = np.stack([vals[:, dims, np.array(idx)].prod(axis=1) for idx in d.members], axis=1)
+    V = np.stack([vals[:, dims, np.array(idx)].prod(axis=1) for idx in degrees], axis=1)
     J = np.zeros((len(Y), d.n_members, d.m))
-    for j, idx in enumerate(d.members):
+    for j, idx in enumerate(degrees):
         fac = vals[:, dims, np.array(idx)]  # (r, m)
         dfac = ders[:, dims, np.array(idx)]
         for i in range(d.m):
@@ -435,12 +390,12 @@ def test_polynomial_members_match_per_member_reference(family):
 def test_integral_float_degrees_lift_like_ints(family):
     d = Dictionary(family, 2, [(2.0, 0.0), (1, 1.0), (0, 3)])
     ref = Dictionary(family, 2, [(2, 0), (1, 1), (0, 3)])
-    assert d.members == ref.members
-    assert all(type(k) is int for idx in d.members for k in idx)
+    assert d.degrees.tolist() == ref.degrees.tolist() == [[2, 0], [1, 1], [0, 3]]
+    assert d.degrees.dtype == ref.degrees.dtype == np.int64
     Y = np.random.default_rng(53).uniform(-1, 1, (6, 2))
     assert lift_many(d, Y).tobytes() == lift_many(ref, Y).tobytes()
     assert lift_jacobian_many(d, Y).tobytes() == lift_jacobian_many(ref, Y).tobytes()
-    assert dictionary_to_text(d) == dictionary_to_text(ref)
+    assert ini_sections(d) == ini_sections(ref)
     one = Dictionary(family, 1, [(2.0,)])
     assert lift(one, np.array([0.5])).tobytes() == lift(
         Dictionary(family, 1, [(2,)]), np.array([0.5])).tobytes()
@@ -472,7 +427,7 @@ def test_lift_rejects_wrong_shape():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_lift_rejects_non_finite_points(bad):
-    d = Dictionary.sill([conj(Kind.LOGISTIC, [0.0, 0.5], [1.0, 2.0])])
+    d = Dictionary.from_packed(Family.SILL, [[0.0, 0.5]], [[1.0, 2.0]], [False])
     y = np.zeros((3, 2))
     y[1, 0] = bad
     with pytest.raises(ParameterDomainError):
@@ -502,7 +457,7 @@ def rel_close(analytic, numeric, rel=1e-5, floor=1e-8):
 
 def test_jacobian_known_value():
     # single scalar logistic at its center: slope a*(1-lam)*lam = 0.25
-    d = Dictionary.sill([conj(Kind.LOGISTIC, [0.0], [1.0])])
+    d = Dictionary.from_packed(Family.SILL, [[0.0]], [[1.0]], [False])
     J = lift_jacobian(d, np.zeros(1))
     assert J[0, 0] == 0.0
     assert J[1, 0] == 1.0
@@ -532,13 +487,13 @@ def test_jacobian_batch_matches_single():
 
 def test_param_gradients_known_value():
     # d(lam)/dmu = -a*lam*(1-lam) at y=1, mu=0, a=1
-    d = Dictionary.sill([conj(Kind.LOGISTIC, [0.0], [1.0])])
+    d = Dictionary.from_packed(Family.SILL, [[0.0]], [[1.0]], [False])
     g = param_gradients(d, np.ones(1))
     assert abs(g.d_center[0, 0] - (-0.19661193324148185)) < 1e-15
 
 
 def test_param_gradient_zero_at_center():
-    d = Dictionary.sill([conj(Kind.LOGISTIC, [0.7], [2.0])])
+    d = Dictionary.from_packed(Family.SILL, [[0.7]], [[2.0]], [False])
     g = param_gradients(d, np.array([0.7]))
     assert g.d_steepness[0, 0] == 0.0
 
@@ -554,32 +509,18 @@ def test_param_gradients_match_finite_differences():
             steeps = rng.uniform(0.5, 3, (n, m))
             y = rng.uniform(-1.5, 1.5, m)
 
-            def build(c, s):
-                if family == Family.SUMMED_RBF:
-                    ms = [
-                        tuple(ScalarBasisParams(ci, si) for ci, si in zip(cr, sr))
-                        for cr, sr in zip(c, s)
-                    ]
-                    return Dictionary.summed_rbf(ms, m)
-                n_log = (n + 1) // 2 if family == Family.AUGSILL else n
-                ms = [
-                    conj(Kind.LOGISTIC if j < n_log else Kind.RBF, c[j], s[j])
-                    for j in range(n)
-                ]
-                return Dictionary(family, m, tuple(ms))
-
-            g = param_gradients(build(centers, steeps), y)
+            g = param_gradients(packed(family, centers, steeps), y)
             for j in range(n):
                 for i in range(m):
                     dc = np.zeros((n, m))
                     dc[j, i] = h
                     num_c = (
-                        lift(build(centers + dc, steeps), y)[1 + m + j]
-                        - lift(build(centers - dc, steeps), y)[1 + m + j]
+                        lift(packed(family, centers + dc, steeps), y)[1 + m + j]
+                        - lift(packed(family, centers - dc, steeps), y)[1 + m + j]
                     ) / (2 * h)
                     num_s = (
-                        lift(build(centers, steeps + dc), y)[1 + m + j]
-                        - lift(build(centers, steeps - dc), y)[1 + m + j]
+                        lift(packed(family, centers, steeps + dc), y)[1 + m + j]
+                        - lift(packed(family, centers, steeps - dc), y)[1 + m + j]
                     ) / (2 * h)
                     for got, want in ((g.d_center[j, i], num_c),
                                       (g.d_steepness[j, i], num_s)):
@@ -618,11 +559,8 @@ def test_multi_indices_skip_low_degrees():
 
 
 def test_augsill_requires_logistic_block_first():
-    log = conj(Kind.LOGISTIC, [0.0], [1.0])
-    rbf = conj(Kind.RBF, [0.0], [1.0])
-    Dictionary.augsill([log, rbf])  # fine
-    with pytest.raises(ParameterDomainError):
-        Dictionary.augsill([rbf, log])
+    Dictionary.from_packed(Family.AUGSILL, np.zeros((2, 1)), np.ones((2, 1)),
+                           [False, True])  # fine
     with pytest.raises(ParameterDomainError):
         Dictionary.from_packed(Family.AUGSILL, np.zeros((2, 1)), np.ones((2, 1)),
                                [True, False])
@@ -630,77 +568,65 @@ def test_augsill_requires_logistic_block_first():
 
 def test_sill_rejects_rbf_members():
     with pytest.raises(ParameterDomainError):
-        Dictionary.sill([conj(Kind.RBF, [0.0], [1.0])])
-    with pytest.raises(ParameterDomainError):
         Dictionary.from_packed(Family.SILL, np.zeros((1, 1)), np.ones((1, 1)), [True])
+    with pytest.raises(ParameterDomainError):
+        Dictionary.from_packed(Family.SUMMED_RBF, np.zeros((1, 1)), np.ones((1, 1)), [False])
+    # The constructor builds polynomial dictionaries only, and from_packed
+    # builds none.
+    with pytest.raises(UnsupportedFamilyError):
+        Dictionary(Family.SILL, 1, [])
+    with pytest.raises(UnsupportedFamilyError):
+        Dictionary.from_packed(Family.LEGENDRE, np.zeros((1, 1)), np.ones((1, 1)), [False])
 
 
 @pytest.mark.parametrize("family", [Family.SILL, Family.AUGSILL, Family.SUMMED_RBF])
 def test_array_constructor_matches_members(family):
-    # random_dictionary draws these same arrays and builds member objects
+    # Each member is its own row: the dictionary's lift holds, bit for bit,
+    # the value of every row evaluated on its own.
     rng = np.random.default_rng(43)
     centers = rng.uniform(-1.5, 1.5, (5, 2))
     steeps = rng.uniform(0.5, 3.0, (5, 2))
     n_log = {Family.SILL: 5, Family.AUGSILL: 3, Family.SUMMED_RBF: 0}[family]
     is_rbf = np.arange(5) >= n_log
-    by_members = random_dictionary(family, 2, 5, np.random.default_rng(43))
     d = Dictionary.from_packed(family, centers, steeps, is_rbf)
-    assert d.members == by_members.members
+    assert (d.n_logistic, d.n_rbf) == (n_log, 5 - n_log)
     Y = rng.uniform(-2, 2, (7, 2))
-    assert lift_many(d, Y).tobytes() == lift_many(by_members, Y).tobytes()
-    assert dictionary_to_text(d) == dictionary_to_text(by_members)
+    rows = [member_values_packed(family, centers[j:j + 1], steeps[j:j + 1], is_rbf[j:j + 1], Y)
+            for j in range(5)]
+    assert lift_many(d, Y)[:, 3:].tobytes() == np.hstack(rows).tobytes()
     # The constructor copies: training updates its arrays in place after
     # handing a dictionary to a callback.
+    kept = [x.copy() for x in (centers, steeps, is_rbf)]
     centers += 1.0
     steeps *= 2.0
     is_rbf[:] = True
-    assert d.members == by_members.members
-    for stored in (d.centers, d.steepness, d.is_rbf):
+    for stored, want in zip((d.centers, d.steepness, d.is_rbf), kept):
+        assert stored.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
             stored[0] = stored[1]
 
 
 def test_dictionary_counts():
-    d = Dictionary.augsill(
-        [
-            conj(Kind.LOGISTIC, [0.0, 0.0], [1, 1]),
-            conj(Kind.LOGISTIC, [1.0, 1.0], [1, 1]),
-            conj(Kind.RBF, [0.5, 0.5], [2, 2]),
-        ]
-    )
+    d = Dictionary.from_packed(Family.AUGSILL, [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]],
+                               [[1, 1], [1, 1], [2, 2]], [False, False, True])
     assert (d.n_logistic, d.n_rbf, d.n_members, d.lifted_dim) == (2, 1, 3, 6)
+    for poly in (Dictionary.legendre(2, 4), Dictionary.linear(2)):
+        assert (poly.n_logistic, poly.n_rbf) == (0, 0)
+    assert (Dictionary.linear(2).n_members, Dictionary.linear(2).lifted_dim) == (0, 3)
 
 
 def test_scaled_steepness_copy():
-    d = Dictionary.sill([conj(Kind.LOGISTIC, [0.0, 1.0], [1.0, 2.0])])
+    d = Dictionary.from_packed(Family.SILL, [[0.0, 1.0]], [[1.0, 2.0]], [False])
     d2 = d.with_scaled_steepness(10.0)
-    assert d2.members[0].steepnesses.tolist() == [10.0, 20.0]
-    assert d.members[0].steepnesses.tolist() == [1.0, 2.0]
+    assert d2.steepness.tolist() == [[10.0, 20.0]]
+    assert d.steepness.tolist() == [[1.0, 2.0]]
+    assert d2.centers.tolist() == d.centers.tolist()
     with pytest.raises(ParameterDomainError):
         d.with_scaled_steepness(0.0)
-
-
-# -- serialization ----------------------------------------------------------------
-
-
-def test_roundtrip_exact_all_families(tmp_path):
-    rng = np.random.default_rng(41)
-    for family in Family:
-        d = random_dictionary(family, 2, 4, rng)
-        text = dictionary_to_text(d)
-        d2 = dictionary_from_text(text)
-        assert d2.family == d.family and d2.m == d.m
-        assert d2.members == d.members
-        p = tmp_path / f"{family.value}.ini"
-        save_dictionary(d, p)
-        d3 = load_dictionary(p)
-        assert d3.members == d.members
-        y = rng.uniform(-1, 1, 2)
-        np.testing.assert_array_equal(lift(d, y), lift(d3, y))
-
-
-def test_roundtrip_preserves_awkward_floats():
-    d = Dictionary.sill([conj(Kind.LOGISTIC, [0.1 + 0.2], [1.0 / 3.0])])
-    d2 = dictionary_from_text(dictionary_to_text(d))
-    assert d2.members[0].params[0].center == 0.1 + 0.2
-    assert d2.members[0].params[0].steepness == 1.0 / 3.0
+    # A polynomial dictionary has no steepness, and instances are immutable.
+    poly = Dictionary.legendre(2, 3)
+    assert poly.with_scaled_steepness(10.0) is poly
+    with pytest.raises(ParameterDomainError):
+        poly.with_scaled_steepness(np.inf)
+    with pytest.raises(ValueError):
+        poly.degrees[0, 0] = 5

@@ -4,12 +4,7 @@ from scipy.linalg import LinAlgError, expm
 
 from augsill import solver
 
-from augsill.dictionaries import (
-    ConjunctiveFunction,
-    Dictionary,
-    Kind,
-    ScalarBasisParams,
-)
+from augsill.dictionaries import Dictionary, Family
 from augsill.errors import (
     DataError,
     DomainError,
@@ -26,7 +21,6 @@ from augsill.solver import (
     frobenius_residual,
     load_model,
     n_step_error,
-    predict_n_steps,
     ridge_lstsq,
     save_model,
 )
@@ -51,14 +45,8 @@ def linear_pairs(A, dt, n=200, seed=0, scale=1.0):
 
 
 def small_dictionary(m=2):
-    members = [
-        ConjunctiveFunction(
-            Kind.LOGISTIC,
-            tuple(ScalarBasisParams(c, 1.5) for c in center),
-        )
-        for center in ([0.0] * m, [0.5] * m)
-    ]
-    return Dictionary.sill(members)
+    return Dictionary.from_packed(Family.SILL, [[0.0] * m, [0.5] * m], np.full((2, m), 1.5),
+                                  [False, False])
 
 
 # -- fitting -------------------------------------------------------------------
@@ -258,40 +246,20 @@ def test_dmd_needs_discrete_mode():
 # -- prediction ---------------------------------------------------------------------
 
 
-def test_predict_zero_steps():
-    A = np.array([[-1.0]])
-    model = fit_k(linear_pairs(A, 0.1, n=50), Dictionary.linear(1), ridge=0.0)
-    out = predict_n_steps(model, np.array([0.7]), 0)
-    np.testing.assert_array_equal(out, [[0.7]])
-    with pytest.raises(DomainError):
-        predict_n_steps(model, np.array([0.7]), -1)
-
-
-def test_predict_scalar_decay():
-    A = np.array([[-1.0]])
-    model = fit_k(linear_pairs(A, 0.1, n=50), Dictionary.linear(1), ridge=0.0)
-    out = predict_n_steps(model, np.array([1.0]), 5)
-    assert abs(out[-1, 0] - np.exp(-0.5)) < 1e-5
-
-
-def test_predict_static_model_constant():
-    x = np.random.default_rng(6).uniform(-1, 1, (40, 2))
-    ds = SnapshotDataset(Mode.DISCRETE_PAIRS, x, x, 0.1)
-    model = fit_k(ds, small_dictionary(), ridge=0.0)
-    out = predict_n_steps(model, np.array([0.2, -0.4]), 4)
-    np.testing.assert_allclose(out, np.tile([0.2, -0.4], (5, 1)), atol=1e-8)
-
-
 def test_n_step_error_exact_linear():
-    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    dt = 0.05
-    model = fit_k(linear_pairs(A, dt), Dictionary.linear(2), ridge=0.0)
+    # Pure lifted rollout of fits to exact linear pairs: a rotation and a
+    # scalar decay over [1, y], and static data over logistic members.
     rng = np.random.default_rng(7)
-    x0 = rng.uniform(-1, 1, 2)
-    steps = 30
-    states = np.stack([expm(A * dt * k) @ x0 for k in range(steps + 1)])
-    tr = Trajectory(dt=dt, states=states, system=SystemSpec.default("vanderpol"))
-    assert n_step_error(model, [tr], 5) < 1e-6
+    cases = ((np.array([[0.0, 1.0], [-1.0, 0.0]]), Dictionary.linear(2), 0.05),
+             (np.array([[-1.0]]), Dictionary.linear(1), 0.1),
+             (np.zeros((2, 2)), small_dictionary(), 0.1))
+    for A, d, dt in cases:
+        model = fit_k(linear_pairs(A, dt), d, ridge=0.0)
+        x0 = rng.uniform(-1, 1, len(A))
+        steps = 30
+        states = np.stack([expm(A * dt * k) @ x0 for k in range(steps + 1)])
+        tr = Trajectory(dt=dt, states=states, system=SystemSpec.default("vanderpol"))
+        assert n_step_error(model, [tr], 5) < 1e-6, A
 
 
 def test_n_step_error_identity_on_constant():
@@ -327,20 +295,44 @@ def test_n_step_error_deterministic():
 
 
 def test_model_roundtrip(tmp_path):
+    # Every family, the zero-member [1, y] dictionary of dmd_baseline, and
+    # the awkward floats 0.1 + 0.2 and 1/3 come back bit for bit.
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     ds = linear_pairs(A, dt=0.05, n=80)
-    model = fit_k(ds, small_dictionary(), ridge=1e-10)
-    path = tmp_path / "model.ini"
-    save_model(model, path)
-    assert (tmp_path / "model.k.csv").exists()
-    back = load_model(path)
-    np.testing.assert_array_equal(back.K, model.K)
-    assert back.mode == model.mode and back.dt == model.dt
-    assert back.dictionary.members == model.dictionary.members
-    y0 = np.array([0.3, 0.1])
-    np.testing.assert_array_equal(
-        predict_n_steps(back, y0, 4), predict_n_steps(model, y0, 4)
-    )
+    rng = np.random.default_rng(41)
+    c, a = rng.uniform(-1.5, 1.5, (4, 2)), rng.uniform(0.5, 3.0, (4, 2))
+    awkward = [[0.1 + 0.2, 1.0 / 3.0], [1.0 / 3.0, 0.1 + 0.2]]
+    dictionaries = {
+        "sill": small_dictionary(),
+        "augsill": Dictionary.from_packed(Family.AUGSILL, c, a, [False, False, True, True]),
+        "summedrbf": Dictionary.from_packed(Family.SUMMED_RBF, c, a, [True] * 4),
+        "legendre": Dictionary.legendre(2, 4),
+        "hermite": Dictionary.hermite(2, 4),
+        "awkward": Dictionary.from_packed(Family.AUGSILL, awkward, awkward, [False, True]),
+    }
+    models = {name: fit_k(ds, d, ridge=1e-10) for name, d in dictionaries.items()}
+    models["linear"] = dmd_baseline(ds)
+    states = np.stack([expm(A * 0.05 * k) @ np.array([0.3, 0.1]) for k in range(9)])
+    tr = Trajectory(dt=0.05, states=states, system=SystemSpec.default("vanderpol"))
+    for name, model in models.items():
+        path = tmp_path / f"{name}.ini"
+        save_model(model, path)
+        assert (tmp_path / f"{name}.k.csv").exists()
+        back = load_model(path)
+        assert back.K.tobytes() == model.K.tobytes(), name
+        assert back.mode == model.mode and back.dt == model.dt
+        got, want = back.dictionary, model.dictionary
+        assert (got.family, got.m, got.n_members) == (want.family, want.m, want.n_members)
+        for field in ("centers", "steepness", "is_rbf", "degrees"):
+            x, y = getattr(got, field), getattr(want, field)
+            if y is None:
+                assert x is None, (name, field)
+            else:
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), \
+                    (name, field)
+        assert n_step_error(back, [tr], 4) == n_step_error(model, [tr], 4), name
+    assert models["linear"].dictionary.n_members == 0
+    assert load_model(tmp_path / "awkward.ini").dictionary.centers[0].tolist() == awkward[0]
 
 
 def test_model_validates_k_shape():

@@ -6,7 +6,6 @@ from augsill.dictionaries import (
     Family,
     Kind,
     assemble_lift,
-    conjunctive_members,
     member_sensitivities_packed,
     member_values_packed,
     stable_logistic,
@@ -65,6 +64,13 @@ def static_dataset(n=40, m=2, seed=1):
 # -- sgd --------------------------------------------------------------------------
 
 
+def same_members(d, e):
+    """Whether two logistic/RBF dictionaries hold equal members."""
+    return d.family == e.family and all(
+        np.array_equal(x, y) for x, y in zip((d.centers, d.steepness, d.is_rbf),
+                                             (e.centers, e.steepness, e.is_rbf)))
+
+
 def test_train_config_validation():
     with pytest.raises(ParameterDomainError):
         TrainConfig(epochs=0)
@@ -87,7 +93,7 @@ def test_sgd_deterministic():
     m2, h2 = sgd_fit(ds, Family.AUGSILL, 4, cfg)
     assert h1 == h2
     np.testing.assert_array_equal(m1.K, m2.K)
-    assert m1.dictionary.members == m2.dictionary.members
+    assert same_members(m1.dictionary, m2.dictionary)
 
 
 def test_sgd_loss_decreases_on_all_systems():
@@ -107,22 +113,20 @@ def test_sgd_tiny_lr_matches_initial_dictionary():
     cfg = TrainConfig(epochs=1, seed=6, learning_rate=1e-30)
     model, _ = sgd_fit(ds, Family.AUGSILL, 5, cfg)
     d0 = initial_dictionary(ds, Family.AUGSILL, 5, seed=6)
-    assert model.dictionary.members == d0.members
+    assert same_members(model.dictionary, d0)
 
 
 def test_initial_dictionary_layout():
     ds = vdp_dataset()
     d = initial_dictionary(ds, Family.AUGSILL, 5, seed=0)
     assert d.n_logistic == 3 and d.n_rbf == 2
-    kinds = [f.kind for f in d.members]
-    assert kinds == [Kind.LOGISTIC] * 3 + [Kind.RBF] * 2
+    assert d.is_rbf.tolist() == [False] * 3 + [True] * 2
     lo = ds.inputs.min(axis=0)
     hi = ds.inputs.max(axis=0)
-    for f in d.members:
-        assert np.all(f.centers >= lo) and np.all(f.centers <= hi)
-        assert np.all(f.steepnesses >= 0.5) and np.all(f.steepnesses <= 3.0)
+    assert np.all(d.centers >= lo) and np.all(d.centers <= hi)
+    assert np.all(d.steepness >= 0.5) and np.all(d.steepness <= 3.0)
     dp = initial_dictionary(ds, Family.LEGENDRE, 4)
-    assert dp.members == ((0, 2), (1, 1), (2, 0), (0, 3))
+    assert dp.degrees.tolist() == [[0, 2], [1, 1], [2, 0], [0, 3]]
 
 
 def test_sgd_rejects_polynomial_families():
@@ -432,12 +436,12 @@ def test_pool_size_and_order():
                        center_grids=(np.array([-1.0, 0.0, 1.0]),),
                        steepness_levels=(1.0, 5.0))
     assert pool.size == 12
-    cands = conjunctive_members(*pool.packed())
-    assert len(cands) == 12
-    assert cands[0].kind == Kind.LOGISTIC and cands[6].kind == Kind.RBF
+    c, a, rbf = pool.packed()
+    assert c.shape == a.shape == (12, 1) and rbf.shape == (12,)
+    assert not rbf[0] and rbf[6]
     # kind-major, then lattice point, then steepness
-    assert cands[3].params[0].center == 0.0
-    assert cands[3].params[0].steepness == 5.0
+    assert c[3, 0] == 0.0
+    assert a[3, 0] == 5.0
 
 
 def test_pool_for_data_spans_range():
@@ -481,10 +485,10 @@ def test_pursuit_recovers_planted_member():
                        center_grids=(np.array([-1.0, 0.0, 1.0]),),
                        steepness_levels=(1.0, 5.0))
     model, trace = matching_pursuit_fit(ds, pool, 1)
-    member = model.dictionary.members[0]
-    assert member.kind == Kind.LOGISTIC
-    assert member.params[0].center == 0.0
-    assert member.params[0].steepness == 5.0
+    d = model.dictionary
+    assert not d.is_rbf[0]
+    assert d.centers[0, 0] == 0.0
+    assert d.steepness[0, 0] == 5.0
     assert trace[0] < 1e-20
 
 
@@ -648,8 +652,7 @@ def test_pursuit_kind_split_into_family():
     model, _ = matching_pursuit_fit(ds, pool, 4)
     d = model.dictionary
     assert d.family in (Family.SILL, Family.AUGSILL)
-    kinds = [f.kind for f in d.members]
-    assert kinds == sorted(kinds, key=lambda k: 0 if k == Kind.LOGISTIC else 1)
+    assert d.is_rbf.tolist() == sorted(d.is_rbf.tolist())
 
 
 def test_pursuit_errors():
