@@ -7,6 +7,7 @@ from augsill.dictionaries import (
     _poly_1d,
     Dictionary,
     Family,
+    dictionary_from_ini,
     dictionary_to_ini,
     lift,
     lift_jacobian,
@@ -27,6 +28,7 @@ from augsill.errors import (
     DimensionMismatchError,
     ParameterDomainError,
     UnsupportedFamilyError,
+    read_ini,
 )
 
 
@@ -630,3 +632,37 @@ def test_scaled_steepness_copy():
         poly.with_scaled_steepness(np.inf)
     with pytest.raises(ValueError):
         poly.degrees[0, 0] = 5
+
+
+# -- dictionary text ---------------------------------------------------------
+
+
+def ini_roundtrip(d, path):
+    """d written as the model file's dictionary sections and read back."""
+    with open(path, "w") as fh:
+        dictionary_to_ini(d).write(fh)
+    return dictionary_from_ini(read_ini(path), path)
+
+
+def test_roundtrip_exact_all_families(tmp_path):
+    rng = np.random.default_rng(41)
+    for family in Family:
+        d = random_dictionary(family, 2, 4, rng)
+        d2 = ini_roundtrip(d, tmp_path / f"{family.value}.ini")
+        assert (d2.family, d2.m, d2.n_members) == (d.family, d.m, d.n_members)
+        for field in ("centers", "steepness", "is_rbf", "degrees"):
+            x, y = getattr(d2, field), getattr(d, field)
+            if y is None:
+                assert x is None, (family, field)
+            else:
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), \
+                    (family, field)
+        y = rng.uniform(-1, 1, 2)
+        np.testing.assert_array_equal(lift(d, y), lift(d2, y))
+
+
+def test_roundtrip_preserves_awkward_floats(tmp_path):
+    d = Dictionary.from_packed(Family.SILL, [[0.1 + 0.2]], [[1.0 / 3.0]], [False])
+    d2 = ini_roundtrip(d, tmp_path / "awkward.ini")
+    assert d2.centers[0, 0] == 0.1 + 0.2
+    assert d2.steepness[0, 0] == 1.0 / 3.0
