@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     DataError,
@@ -61,8 +60,20 @@ TRAINABLE_FAMILIES = (Family.SILL, Family.AUGSILL, Family.SUMMED_RBF)
 
 
 def stable_logistic(t):
-    """1/(1+exp(-t)) evaluated without overflow for any finite t."""
-    return expit(np.asarray(t, dtype=float))
+    """1/(1+exp(-t)) by numpy's ufuncs, in one float buffer and warning-free.
+
+    -t goes into a new buffer, and np.exp, += 1 and np.reciprocal run in
+    place on it. exp(-t) overflows to inf below t = -709.78, where the result
+    is exactly 0.0; it is exactly 1.0 from t = 37 and 0.5 at +-0, and NaN
+    stays NaN. A Python float or 0-d input returns np.float64. The bits
+    follow numpy's SIMD dispatch of exp, and do not depend on the input's
+    memory layout."""
+    t = np.asarray(t, dtype=float)
+    out = np.negative(t, out=np.empty_like(t))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)[()]
 
 
 def stable_rbf(t):

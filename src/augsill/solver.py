@@ -138,21 +138,36 @@ def adaptive_ridge(psi_in):
     return ridge
 
 
+def check_squares(*arrays):
+    """Raise DataError unless the squares of the arrays' entries sum within
+    the float range, which every fit and error norm needs: data too large to
+    square is named in one line before numpy warns of an overflow."""
+    with np.errstate(over="ignore"):
+        total = sum(np.vdot(a, a) for a in arrays)
+    if not np.isfinite(total):
+        peak = max(float(np.abs(a).max()) for a in arrays)
+        raise DataError(f"the data's squares overflow the float range: values reach "
+                        f"{peak:.3g}; rescale the data")
+
+
 def solve_k(psi_in, psi_out, ridge=None):
     """Least-squares K with psi_out ~ psi_in @ K.T, from lifted rows.
 
     ridge=None uses the adaptive default 1e-8 * sigma_max(psi_in)^2; pass 0.0
     for an unregularized solve (min-norm on rank-deficient data, with a
-    warning). Returns K C-contiguous, the layout KoopmanModel stores.
+    warning). Lifted rows whose squares overflow the float range raise
+    DataError (check_squares), after the adaptive ridge's own check. Returns
+    K C-contiguous, the layout KoopmanModel stores.
     """
     r, n = psi_in.shape
+    if ridge is None:
+        ridge = adaptive_ridge(psi_in)
+    check_squares(psi_in, psi_out)
     if r < n:
         warnings.warn(
             f"only {r} rows for a {n}-dimensional lift; fit is underdetermined",
             IllConditionedWarning, stacklevel=3,
         )
-    if ridge is None:
-        ridge = adaptive_ridge(psi_in)
     kt, rank = ridge_lstsq(psi_in, psi_out, ridge)
     if ridge == 0 and rank < n:
         warnings.warn(
@@ -197,7 +212,8 @@ def n_step_error(model, eval_trajectories, n):
     For every trajectory and every start index t with t+n in range, predicts
     x_{t+n} from x_t by pure lifted rollout and scores
     ||x_hat - x||_2 / (||x||_2 + 1e-8); returns the mean in fixed
-    (trajectory, start-index) order.
+    (trajectory, start-index) order. States whose lift or targets square past
+    the float range raise DataError (check_squares).
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -212,6 +228,7 @@ def n_step_error(model, eval_trajectories, n):
     x0 = np.vstack(starts)
     xt = np.vstack(targets)
     z = lift_many(model.dictionary, x0)
+    check_squares(z, xt)
     k_step = model.step_matrix()
     for _ in range(n):
         z = z @ k_step.T

@@ -66,7 +66,7 @@ from .errors import (
     TrainingDivergedError,
     UnsupportedFamilyError,
 )
-from .solver import KoopmanModel, adaptive_ridge, fit_k, ridge_lstsq, solve_k
+from .solver import KoopmanModel, adaptive_ridge, check_squares, fit_k, ridge_lstsq, solve_k
 from .systems import Mode
 
 # Per-epoch learning-rate factor and the epoch cadence of the closed-form K
@@ -497,6 +497,7 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
     if ridge is None:
         ridge = 0.0
     dataset.check_finite()
+    check_squares(dataset.inputs, dataset.targets)
     c, a, rbf = pool.packed()
     if pool.size < n_members:
         raise PoolError(f"pool of {pool.size} cannot supply {n_members} members")

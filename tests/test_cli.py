@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from augsill import cli
+from augsill import cli, trainer
 from augsill.cli import main
 from augsill.dictionaries import Family
 from augsill.errors import IllConditionedWarning
@@ -664,13 +664,14 @@ def test_missing_data_dir_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("default::RuntimeWarning")
-def test_diverging_fit_exits_three(tmp_path, capsys):
-    # States near 1e155, whose squares overflow (numpy warns as it goes): at a
-    # fixed ridge the first loss of the training is not finite, a numerical
-    # failure. (The adaptive ridge would be inf, a domain error.)
+def test_diverging_fit_exits_three(tmp_path, capsys, monkeypatch):
+    # A K solve that blows up (numpy warns as it goes): the first loss of the
+    # training is not finite, a numerical failure. Data whose squares overflow
+    # never get this far: they are a data error (exit 2) at every ridge.
     data = tmp_path / "data"
     assert simulate_small(data) == 0
-    scale_states(data, 1e155)
+    solve_k = trainer.solve_k
+    monkeypatch.setattr(trainer, "solve_k", lambda *args: solve_k(*args) * 1e300)
     code = run("fit", "--data", str(data), "--family", "summedrbf", "--n-members", "3",
                "--method", "varpro", "--ridge", "1", "--epochs", "25",
                "--out", str(tmp_path / "fit"))
@@ -770,6 +771,39 @@ def test_polynomial_lift_overflow_exits_two(tmp_path, capfd, family, command):
                                 "range: states reach |y| = 2.01e+155; rescale the data"], err
     assert "warning:" not in out + err and "DLASCL" not in out + err
     assert not (tmp_path / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("family, command", [
+    pytest.param(family, command, id="-".join((family, *command)))
+    for family in ("sill", "augsill", "summedrbf")
+    for command in (("lstsq", "0"), ("lstsq", "1"), ("pursuit", "0"), ("pursuit", "1"),
+                    ("varpro", "0"), ("varpro", "1"), ("evaluate",))
+    if (family, command[0]) != ("summedrbf", "pursuit")  # a usage error: sill/augsill only
+])
+def test_huge_scale_bounded_lift_exits_two(tmp_path, capfd, family, command):
+    # Logistic/RBF members stay bounded on states near 1e155, but the y columns
+    # square past the float range in every fit at a given ridge and in the
+    # error norms: one error line naming the data, before numpy warns.
+    data, big = tmp_path / "data", tmp_path / "big"
+    assert simulate_small(data) == 0 and simulate_small(big) == 0
+    scale_states(big, 1e155)
+    if command[0] == "evaluate":
+        assert run("fit", "--data", str(data), "--family", family, "--n-members", "6",
+                   "--method", "lstsq", "--out", str(tmp_path / "model")) == 0
+        argv = ["evaluate", "--model", str(tmp_path / "model" / "model.ini"),
+                "--data", str(big)]
+    else:
+        method, ridge = command
+        argv = ["fit", "--data", str(big), "--family", family, "--n-members", "6",
+                "--method", method, "--ridge", ridge]
+    capfd.readouterr()
+    code = run(*argv, "--out", str(tmp_path / "out"))
+    out, err = capfd.readouterr()
+    assert code == 2, err
+    assert err.splitlines() == ["error: the data's squares overflow the float range: "
+                                "values reach 2.01e+155; rescale the data"], err
+    assert "warning:" not in out + err
+    assert not any((tmp_path / "out").glob("*.csv"))
 
 
 @pytest.mark.parametrize("option, value, named", [

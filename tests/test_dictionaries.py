@@ -127,12 +127,46 @@ def test_logistic_matches_masked_reference():
         warnings.simplefilter("error")
         got = stable_logistic(t)
         ref = masked_logistic(t)
-    # Below t = -708 the exact value is subnormal: the reference keeps it and
-    # expit returns 0.0, so that region compares absolutely.
+    # Below t = -708 the exact value is subnormal: the reference keeps it,
+    # and stable_logistic returns 0.0 once exp(-t) overflows below t = -709.78,
+    # so that region compares absolutely.
     np.testing.assert_allclose(got, ref, rtol=5e-16, atol=np.finfo(float).tiny)
     ends = np.array([0.0, 800.0, -800.0])
     for f in (stable_logistic, masked_logistic):
         assert f(ends).tolist() == [0.5, 1.0, 0.0]
+
+
+def test_logistic_edges_are_exact_and_warning_free():
+    # exp(-t) overflows to inf below t = -709.78 (result 0.0) and rounds
+    # 1 + exp(-t) to 1 from t = 37 (result 1.0), with no warning at any t
+    # (underflow to a subnormal stays silent, numpy's default).
+    edges = [0.0, 709.78, 745.0, 1e308, np.inf]
+    t = np.array(edges + [-e for e in edges] + [-709.79, -800.0, 37.0, 40.0, np.nan])
+    with warnings.catch_warnings(), np.errstate(over="warn", divide="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        got = stable_logistic(t)
+        scalars = [stable_logistic(float(v)) for v in t]
+    assert got[[0, 5]].tolist() == [0.5, 0.5]
+    assert np.all(got[1:5] == 1.0) and np.all(got[[12, 13]] == 1.0)
+    assert np.all(got[[7, 8, 9, 10, 11]] == 0.0)
+    assert 0.0 < got[6] < np.finfo(float).tiny  # -709.78: exp(709.78) is finite
+    assert np.isnan(got[14])
+    assert all(type(v) is np.float64 for v in scalars)
+    assert type(stable_logistic(np.asarray(1.5))) is np.float64
+    assert np.array(scalars).tobytes() == got.tobytes()
+
+
+def test_logistic_bits_do_not_depend_on_layout():
+    # The kernel's reruns are bitwise equal only if a value's bits depend on
+    # the value alone: a contiguous array, strided, offset and reversed views,
+    # a Fortran-ordered copy and one call per scalar all give the same bits.
+    t = np.random.default_rng(5).uniform(-750.0, 750.0, 10_001)
+    full = stable_logistic(t)
+    for view, expected in ((t[::3], full[::3]), (t[1:], full[1:]), (t[::-1], full[::-1]),
+                           (np.asfortranarray(t.reshape(73, 137)), full.reshape(73, 137))):
+        assert stable_logistic(view).tobytes() == np.ascontiguousarray(expected).tobytes()
+    one_by_one = np.array([stable_logistic(float(v)) for v in t[:2000]])
+    assert one_by_one.tobytes() == full[:2000].tobytes()
 
 
 def test_conjunctive_kernel_matches_select_and_reduce():
