@@ -30,12 +30,15 @@ layout of the kernel's sensitivities, with every RBF member after the
 logistic ones, the order the kernel requires.
 
 Matching pursuit grows a dictionary from the [1, y] base one candidate per
-round. It ranks all candidates by a projection score, a lower bound on each
-candidate's refit residual, read from a table of their products with the
-basis that one pass over the pool extends each round, and solves directly
-only the candidates whose bound can still beat the best direct residual, so
-it picks what refitting every candidate would. All three algorithms are
-deterministic under a fixed seed.
+round. Every candidate of its lattice pool is a product over dimensions of
+factor rows, one member-kernel call per dimension, and nothing of pool size
+x rows is stored. It ranks all candidates by a projection score, a lower
+bound on each candidate's refit residual, read from a table of their
+products with the basis that the factor rows extend each round, one small
+GEMM per (kind, level) block, and solves directly only the candidates whose
+bound can still beat the best direct residual, so it picks what refitting
+every candidate would. All three algorithms are deterministic under a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -418,7 +421,7 @@ class PursuitPool:
 
     def __post_init__(self):
         self.kinds = tuple(Kind(k) for k in self.kinds)
-        self.center_grids = tuple(np.asarray(g, dtype=float) for g in self.center_grids)
+        self.center_grids = tuple(np.asarray(g, dtype=float).ravel() for g in self.center_grids)
         self.steepness_levels = tuple(float(s) for s in self.steepness_levels)
         if not self.kinds or not self.steepness_levels:
             raise PoolError("pool needs at least one kind and one steepness level")
@@ -426,6 +429,8 @@ class PursuitPool:
             raise PoolError("steepness levels must be finite and positive")
         if not self.center_grids or any(g.size == 0 for g in self.center_grids):
             raise PoolError("empty center lattice")
+        if not all(np.isfinite(g).all() for g in self.center_grids):
+            raise PoolError("center lattice points must be finite")
 
     @property
     def size(self):
@@ -460,6 +465,77 @@ class PursuitPool:
                            steepness_levels=steepness_levels)
 
 
+class _PoolFactors:
+    """A pool's candidates on the data rows x, held as per-dimension factor
+    rows: candidate (kind, lattice point p, level) is the product over the
+    dimensions i of row (kind, level, p_i) of table i.
+
+    Table i, (kinds, levels, grid points, rows), is one member-kernel call on
+    coordinate i alone, its logistic rows before the RBF ones as the kernel
+    requires, whatever order pool.kinds gives. No pool.size x rows array is
+    formed: the products the scoring reads are taken one (kind, level) block
+    at a time, from the prefix products over all dimensions but the last.
+    """
+
+    def __init__(self, pool, x):
+        kinds = sorted(set(pool.kinds), key=lambda k: k == Kind.RBF)  # logistic first
+        self.table_kind = [kinds.index(k) for k in pool.kinds]
+        self.grid_shape = tuple(g.size for g in pool.center_grids)
+        levels = np.asarray(pool.steepness_levels)
+        self.shape = (len(pool.kinds), math.prod(self.grid_shape), len(levels))
+        self.tables = []
+        for i, g in enumerate(pool.center_grids):
+            shape = (len(kinds), len(levels), g.size)
+            kind, level, point = np.indices(shape).reshape(3, -1)
+            rbf = np.array([k == Kind.RBF for k in kinds])[kind]
+            vals = member_values_packed(Family.AUGSILL, g[point, None], levels[level, None],
+                                        rbf, x[:, i : i + 1])
+            self.tables.append(np.ascontiguousarray(vals.T).reshape(shape + (len(x),)))
+
+    def _blocks(self):
+        """(kind index, level index, prefix, last) per (kind, level) block:
+        the prefix products of the factor rows over all dimensions but the
+        last, (lattice points of those, rows) in C order, and the last
+        dimension's factor rows, (grid points, rows)."""
+        for k, t in enumerate(self.table_kind):
+            for s in range(self.shape[2]):
+                rows = [table[t, s] for table in self.tables]
+                prefix = rows[0] if len(rows) > 1 else np.ones((1, rows[0].shape[1]))
+                for f in rows[1:-1]:
+                    prefix = (prefix[:, None] * f[None]).reshape(-1, f.shape[1])
+                yield k, s, prefix, rows[-1]
+
+    def products(self, v):
+        """(pool.size, k) products of every candidate with the k columns of
+        v (rows, k), one GEMM per block."""
+        out = np.empty(self.shape + (v.shape[1],))
+        for k, s, prefix, last in self._blocks():
+            # rows (prefix point, column of v); the lattice index runs the
+            # last dimension fastest, so the product's axes are reordered
+            pv = (prefix[:, None] * v.T[None]).reshape(-1, v.shape[0])
+            out[k, :, s] = (pv @ last.T).reshape(len(prefix), v.shape[1], len(last)) \
+                .transpose(0, 2, 1).reshape(-1, v.shape[1])
+        return out.reshape(-1, v.shape[1])
+
+    def squared_norms(self):
+        """(pool.size,) squared norms of the candidates."""
+        out = np.empty(self.shape)
+        for k, s, prefix, last in self._blocks():
+            out[k, :, s] = ((prefix * prefix) @ (last * last).T).ravel()
+        return out.ravel()
+
+    def column(self, j):
+        """Candidate j's values as a new array: the left-to-right product of
+        its factor rows, the bits of the member kernel on candidate j."""
+        k, p, s = np.unravel_index(j, self.shape)
+        t = self.table_kind[k]
+        point = np.unravel_index(p, self.grid_shape)
+        col = self.tables[0][t, s, point[0]].copy()
+        for table, q in zip(self.tables[1:], point[1:]):
+            col *= table[t, s, q]
+        return col
+
+
 def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
     """Greedy dictionary growth from the [1, y] base.
 
@@ -476,17 +552,22 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
     ||R^T c_perp||^2 / ||c_perp||^2 is the unregularized least-squares
     residual of the enlarged design, a lower bound on the direct solve's at
     every ridge >= 0 (ridge shrinkage and lstsq's rcond truncation only
-    raise it). The member kernel runs once per candidate; the scores come
-    from a table of the values' products with an orthonormal basis of the
-    design that one pass over the values extends each round (the Gram form
-    of Rebollo-Neira & Lowe 2002). The direct solve (ridge_lstsq on the
-    enlarged design, the same call for every ridge) runs on the candidates
-    too near the design's span to score reliably, then on the others in
-    order of increasing bound until the next bound exceeds the best direct
-    residual by more than a rounding slack; the smallest direct residual
-    wins. A bound near the top of the order can belong to a column lstsq
-    truncates, or one a large ridge shrinks, which its direct solve scores
-    higher. Winners, ties and residuals are those of solving every candidate.
+    raise it). The member kernel runs once per pool dimension, on that
+    coordinate alone, and gives the factor rows whose products are the
+    candidates (_PoolFactors). The scores read the candidates' squared
+    norms, their products with r0 and a table of their products with an
+    orthonormal basis of the design that gains each round's new basis
+    columns (the Gram form of Rebollo-Neira & Lowe 2002), all taken from the
+    factor rows one (kind, level) block at a time. The direct solve
+    (ridge_lstsq on the enlarged design, the same call for every ridge) runs
+    on the candidates too near the design's span to score reliably, then on
+    the others in order of increasing bound until the next bound exceeds the
+    best direct residual by more than a rounding slack; the smallest direct
+    residual wins. It sees each candidate's column as the left-to-right
+    product of its factor rows, the member kernel's bits. A bound near the
+    top of the order can belong to a column lstsq truncates, or one a large
+    ridge shrinks, which its direct solve scores higher. Winners, ties and
+    residuals are those of solving every candidate.
 
     Returns (model, trace) with one residual per addition; the model is the
     full closed-form fit over the final dictionary, at the given ridge (None
@@ -510,17 +591,13 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
         # constant row has zero time derivative; state rows carry dy/dt
         fixed_targets = np.hstack([np.zeros((dataset.n_rows, 1)), dataset.targets])
 
-    # cand[j] holds candidate j's values, written once and then only read; one
-    # candidate per kernel call keeps the temporaries at (rows, 1, m). Products
-    # with the base's residual r0, not the targets, keep proj's rounding small.
-    cand = np.empty((pool.size, dataset.n_rows))
-    for j in range(pool.size):
-        cand[j] = member_values_packed(Family.AUGSILL, c[j : j + 1], a[j : j + 1],
-                                       rbf[j : j + 1], x)[:, 0]
+    factors = _PoolFactors(pool, x)
     design = np.hstack([np.ones((dataset.n_rows, 1)), x])
     basis = added = np.linalg.qr(design)[0]
+    # Products with the base's residual r0, not the targets, keep proj's
+    # rounding small.
     r0 = fixed_targets - basis @ (basis.T @ fixed_targets)
-    cn2, cr0, total0 = np.einsum("jr,jr->j", cand, cand), cand @ r0, float(np.sum(r0 * r0))
+    cn2, cr0, total0 = factors.squared_norms(), factors.products(r0), float(np.sum(r0 * r0))
     cq = np.empty((pool.size, design.shape[1] + n_members))
     eps = np.finfo(float).eps
     floor = eps * float(np.sum(fixed_targets**2))
@@ -530,7 +607,7 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
         resid = fixed_targets - basis @ (basis.T @ fixed_targets)
         total = float(np.sum(resid * resid))
         w = basis.shape[1]  # cq gains the basis columns the last round added
-        cq[:, w - added.shape[1] : w] = cand @ added
+        cq[:, w - added.shape[1] : w] = factors.products(added)
         proj = cr0 - cq[:, :w] @ (basis.T @ r0)
         perp2 = cn2 - np.einsum("jk,jk->j", cq[:, :w], cq[:, :w])
         bound = total - np.einsum("jk,jk->j", proj, proj) / np.where(perp2 > 0, perp2, np.inf)
@@ -554,14 +631,14 @@ def matching_pursuit_fit(dataset, pool, n_members, ridge=0.0):
         for idx in np.argsort(bound, kind="stable")[: pool.size - len(chosen)]:
             if bound[idx] > best_res + slack:
                 break
-            trial[:, -1] = cand[idx]
+            trial[:, -1] = factors.column(idx)
             coef, _ = ridge_lstsq(trial, fixed_targets, ridge)
             res = float(np.sum((fixed_targets - trial @ coef) ** 2))
             if (res, idx) < (best_res, best_idx):
                 best_res, best_idx = res, int(idx)
         chosen.append(best_idx)
         trace.append(best_res)
-        col = cand[best_idx].copy()  # Gram-Schmidt below works in place
+        col = factors.column(best_idx)  # a fresh array: Gram-Schmidt works in place
         design = np.hstack([design, col[:, None]])
         # Two Gram-Schmidt passes keep the basis orthonormal to rounding.
         for _ in range(2):

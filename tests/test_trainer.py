@@ -40,6 +40,7 @@ from augsill.trainer import (
     REFIT_K_EVERY,
     PursuitPool,
     TrainConfig,
+    _PoolFactors,
     _VarproObjective,
     _init_shape_params,
     _shape_grads_packed,
@@ -475,6 +476,21 @@ def test_pool_validation():
                         steepness_levels=(1.0, level))
 
 
+def test_pool_rejects_non_finite_centers(capfd):
+    # A NaN center used to reach LAPACK (DLASCL's illegal-value message, then
+    # NumericalError), an infinite one Dictionary.from_packed after the fit.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(PoolError, match="finite"):
+            PursuitPool(kinds=(Kind.LOGISTIC,), center_grids=(np.array([bad, 0.0]),
+                                                              np.array([0.0])),
+                        steepness_levels=(1.0,))
+        with pytest.raises(PoolError, match="finite"):
+            PursuitPool(kinds=(Kind.RBF,), center_grids=(np.array([0.0]),
+                                                         np.array([1.0, bad, 2.0])),
+                        steepness_levels=(1.0,))
+    assert capfd.readouterr() == ("", "")
+
+
 def test_pursuit_recovers_planted_member():
     # scalar decay driven by one logistic; the pool contains it exactly
     rng = np.random.default_rng(21)
@@ -527,8 +543,9 @@ def _direct_pursuit(dataset, pool, n_members, ridge):
 
 
 def test_pursuit_keeps_the_verified_winner_column(monkeypatch):
-    # The member kernel runs once per candidate to fill the pool; the direct
-    # solves and the winner's basis column reuse those rows.
+    # The member kernel runs once per pool dimension, to fill the factor
+    # tables; the direct solves and the winner's basis column are formed from
+    # those rows, with no kernel call of their own.
     ds = vdp_dataset(n_traj=4)
     pool = PursuitPool.for_data(ds.inputs, points_per_dim=4, steepness_levels=(1.0, 3.0))
     calls = {"factors": 0, "solves": 0}
@@ -545,7 +562,65 @@ def test_pursuit_keeps_the_verified_winner_column(monkeypatch):
     in_pursuit, calls["factors"] = calls["factors"], 0
     fit_k(ds, model.dictionary, 0.0)  # the final fit's own lift
     assert calls["solves"] >= 6
-    assert in_pursuit == pool.size + calls["factors"]
+    assert in_pursuit == ds.m + calls["factors"]
+
+
+def test_pool_factors_match_the_member_kernel():
+    rng = np.random.default_rng(5)
+    pools = (
+        PursuitPool(kinds=(Kind.RBF, Kind.LOGISTIC), center_grids=(np.linspace(-1, 1, 5),),
+                    steepness_levels=(2.0, 0.5, 2.0)),
+        PursuitPool(kinds=(Kind.RBF, Kind.LOGISTIC),
+                    center_grids=(np.linspace(-1, 1, 3), np.array([-0.5, 0.25, 0.5, 1.5])),
+                    steepness_levels=(1.0, 7.0, 1.0)),
+        PursuitPool(kinds=(Kind.LOGISTIC, Kind.RBF),
+                    center_grids=(np.array([0.0, 1.0]), np.linspace(-1, 1, 3),
+                                  np.array([-0.75, 0.0, 0.3, 0.9])),
+                    steepness_levels=(3.0, 3.0)),
+        PursuitPool(kinds=(Kind.RBF,),
+                    center_grids=(np.array([0.5]), np.linspace(-1, 1, 2), np.array([0.0, 1.0])),
+                    steepness_levels=(1.5,)),
+    )
+    for pool in pools:
+        m = len(pool.center_grids)
+        x = rng.uniform(-1.5, 1.5, (37, m))
+        factors = _PoolFactors(pool, x)
+        c, a, rbf = pool.packed()
+        dense = np.empty((pool.size, len(x)))
+        for j in range(pool.size):
+            dense[j] = member_values_packed(Family.AUGSILL, c[j : j + 1], a[j : j + 1],
+                                            rbf[j : j + 1], x)[:, 0]
+            assert factors.column(j).tobytes() == dense[j].tobytes()
+        v = rng.standard_normal((len(x), 3))
+        scale = np.abs(dense) @ np.abs(v)  # what each product sums
+        assert (np.abs(factors.products(v) - dense @ v) <= 1e-13 * scale).all()
+        norms = np.einsum("jr,jr->j", dense, dense)
+        assert (np.abs(factors.squared_norms() - norms) <= 1e-13 * norms).all()
+
+    # a three-dimensional pool, every candidate with a twin, picks what the
+    # per-candidate loop picks
+    x = rng.uniform(-1.5, 1.5, (60, 3))
+    ds = SnapshotDataset(Mode.DISCRETE_PAIRS, x, np.tanh(2.0 * x) + 0.1 * x[:, ::-1], 0.1)
+    model, trace = matching_pursuit_fit(ds, pools[2], 4)
+    ref, ref_trace, _ = _direct_pursuit(ds, pools[2], 4, 0.0)
+    assert trace == ref_trace
+    assert model.K.tobytes() == ref.K.tobytes()
+
+
+def test_pursuit_never_forms_the_dense_candidate_table():
+    import tracemalloc
+
+    ds = vdp_dataset(n_traj=5, steps=200)
+    pool = PursuitPool.for_data(ds.inputs, points_per_dim=30)
+    dense_bytes = pool.size * ds.n_rows * 8
+    assert dense_bytes >= 40e6
+    tracemalloc.start()
+    try:
+        matching_pursuit_fit(ds, pool, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4
 
 
 def test_pursuit_matches_direct_scoring():
