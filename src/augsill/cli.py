@@ -43,7 +43,7 @@ from .errors import (
     positive_int,
     read_text,
 )
-from .expectation import expectation_table, write_expectation_csv
+from .expectation import MC_CHUNK, expectation_table, write_expectation_csv
 from .dictionaries import POLYNOMIAL_FAMILIES, TRAINABLE_FAMILIES, Family, Kind
 from .solver import (
     dmd_baseline,
@@ -459,13 +459,17 @@ def build_parser():
     p.add_argument("--degrees", parse=_list_of(positive_int), default=(1, 2, 3))
     p.add_argument("--explosion-y", parse=_list_of(float),
                    default=(32.0, 64.0, 128.0, 256.0, 512.0))
-    p.add_argument("--mc-samples", parse=positive_int, default=100_000)
+    p.add_argument("--mc-samples", parse=positive_int, default=100_000,
+                   help="Monte-Carlo samples of each bound check (m = 1, 2, 3), drawn "
+                        f"{MC_CHUNK:,} at a time; 24 bytes are kept per sample")
     p.add_argument("--mc-seed", parse=_seed, default=2)
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("expectation", help="scalar-member expectation table")
     p.add_argument("--a-values", parse=_list_of(positive_float), default=(0.5, 1.0, 2.0, 5.0))
-    p.add_argument("--mc-samples", parse=positive_int, default=100_000)
+    p.add_argument("--mc-samples", parse=positive_int, default=100_000,
+                   help=f"Monte-Carlo samples of each cross-check (>= 1000), drawn {MC_CHUNK:,} "
+                        "at a time; 8 bytes are kept per sample")
     p.add_argument("--seed", parse=_seed, default=0)
     p.set_defaults(func=_cmd_expectation)
 

@@ -37,6 +37,7 @@ from .errors import (
     RateFitError,
     UnsupportedFamilyError,
 )
+from .expectation import _uniform_chunks
 from .solver import ridge_lstsq
 from .systems import write_csv
 
@@ -534,6 +535,13 @@ def expectation_bound_check(m, n_samples=100_000, seed=2, a=2.0) -> BoundCheck:
     The limit product keeps the RBF only when its center sits at or below the
     logistic's in every dimension, the measure-2^-m event that the damping
     argument counts; the means are compared against 2^-m, 2^-2m, and 2^-3m.
+
+    The samples are the (n_samples, m) arrays y, mu_l, al_l, mu_k, al_k that
+    default_rng(seed) draws whole in that order, rows in order. They are drawn
+    MC_CHUNK rows at a time, array k from a PCG64(seed) stream advanced
+    k * n_samples * m draws (`expectation._uniform_chunks`), and reduced to
+    the three products; only those are kept per sample (24 bytes), so the
+    means reduce the same arrays as a one-shot draw, bit for bit.
     """
     if m < 1:
         raise ParameterDomainError(f"m must be >= 1: {m}")
@@ -541,17 +549,11 @@ def expectation_bound_check(m, n_samples=100_000, seed=2, a=2.0) -> BoundCheck:
         raise ParameterDomainError("n_samples must be >= 1")
     if not np.isfinite(a) or a <= 0:
         raise ParameterDomainError(f"a must be finite and > 0: {a}")
-    rng = np.random.default_rng(seed)
-    y = rng.uniform(-a, a, size=(n_samples, m))
-    mu_l = rng.uniform(-a, a, size=(n_samples, m))
-    al_l = rng.uniform(-a, a, size=(n_samples, m))
-    mu_k = rng.uniform(-a, a, size=(n_samples, m))
-    al_k = rng.uniform(-a, a, size=(n_samples, m))
-    lam = stable_logistic(al_l * (y - mu_l))
-    big_l = lam.prod(axis=1)
-    big_p = stable_rbf(al_k * (y - mu_k)).prod(axis=1)
-    survives = np.all(mu_k <= mu_l, axis=1)
-    big_h = np.where(survives, big_p, 0.0)
+    big_l, big_p, big_h = np.empty(n_samples), np.empty(n_samples), np.empty(n_samples)
+    for rows, (y, mu_l, al_l, mu_k, al_k) in _uniform_chunks(seed, a, 5, n_samples, m):
+        big_l[rows] = stable_logistic(al_l * (y - mu_l)).prod(axis=1)
+        big_p[rows] = stable_rbf(al_k * (y - mu_k)).prod(axis=1)
+        big_h[rows] = np.where(np.all(mu_k <= mu_l, axis=1), big_p[rows], 0.0)
     return BoundCheck(
         m=m,
         n_samples=n_samples,

@@ -23,6 +23,9 @@ from .systems import write_csv
 
 # Subinterval cap of each quad call; at a in [0.1, 1000] none needs more than 13.
 QUAD_LIMIT = 200
+# Rows of each Monte-Carlo draw, here and in closure's bound check: the
+# samples are drawn and reduced to their per-sample values this many at a time.
+MC_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -108,14 +111,33 @@ class MonteCarloResult(NamedTuple):
     stderr: float
 
 
+def _uniform_chunks(seed, a, n_arrays, n, m):
+    """Draw n_arrays uniform [-a, a] arrays of shape (n, m) in chunks of
+    MC_CHUNK rows: yields (rows, draws), a slice of the rows and those rows of
+    each array.
+
+    The values are those of default_rng(seed) drawing the whole arrays in
+    sequence, rows in order: array k begins k * n * m draws into the PCG64
+    stream, so its own generator starts there, by PCG64's jump-ahead."""
+    streams = [np.random.Generator(np.random.PCG64(seed).advance(k * n * m))
+               for k in range(n_arrays)]
+    for lo in range(0, n, MC_CHUNK):
+        hi = min(lo + MC_CHUNK, n)
+        yield slice(lo, hi), [g.uniform(-a, a, size=(hi - lo, m)) for g in streams]
+
+
 def monte_carlo_expectation(kind, spec: SamplingSpec) -> MonteCarloResult:
-    """Sample mean and standard error of the scalar member at X(Y - Z)."""
+    """Sample mean and standard error of the scalar member at X(Y - Z).
+
+    X, Y and Z are the whole arrays that default_rng(seed) draws in that
+    order, rows in order. They are drawn MC_CHUNK rows at a time, array k from
+    a PCG64(seed) stream advanced k * mc_samples draws (`_uniform_chunks`);
+    only the member's value is kept per sample (8 bytes), so its mean and
+    standard deviation reduce the same array as a one-shot draw, bit for bit."""
     form = _SCALAR_FORMS[Kind(kind)]
-    rng = np.random.default_rng(spec.seed)
-    x = rng.uniform(-spec.a, spec.a, size=spec.mc_samples)
-    y = rng.uniform(-spec.a, spec.a, size=spec.mc_samples)
-    z = rng.uniform(-spec.a, spec.a, size=spec.mc_samples)
-    vals = form(x * (y - z))
+    vals = np.empty(spec.mc_samples)
+    for rows, (x, y, z) in _uniform_chunks(spec.seed, spec.a, 3, spec.mc_samples, 1):
+        vals[rows] = form(x * (y - z))[:, 0]
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(spec.mc_samples))
     return MonteCarloResult(mean, stderr)

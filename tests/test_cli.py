@@ -718,10 +718,13 @@ def test_huge_dt_exits_two_at_once(tmp_path):
 
 def test_impossible_sizes_exit_two(tmp_path, capsys):
     # 10^15 rows is beyond the address space: the allocation fails at once,
-    # reported as one error line.
+    # reported as one error line. The Monte-Carlo checks allocate their
+    # per-sample arrays before they draw the first chunk, so they fail before
+    # drawing too.
     huge = str(10**15)
     for argv in (("simulate", "--system", "vanderpol", "--steps", huge),
                  ("closure", "--theorems", "loglog", "--configs", "1", "--points", huge),
+                 ("closure", "--theorems", "loglog", "--configs", "1", "--mc-samples", huge),
                  ("expectation", "--mc-samples", huge)):
         capsys.readouterr()
         assert run(*argv, "--out", str(tmp_path / argv[0])) == 2, argv

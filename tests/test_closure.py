@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from augsill.dictionaries import (
     member_values_packed,
     rbf_branch_survives,
     stable_logistic,
+    stable_rbf,
 )
 from augsill.errors import (
     DataError,
@@ -40,6 +42,7 @@ from augsill.errors import (
     RateFitError,
     UnsupportedFamilyError,
 )
+from augsill.expectation import MC_CHUNK
 
 LOG, RBF = False, True
 
@@ -551,6 +554,38 @@ def test_expectation_bound_check_frozen_means():
     assert chk.mean_logistic_product == pytest.approx(0.24903, abs=1e-4)
     assert chk.mean_rbf_product == pytest.approx(0.02961, abs=1e-4)
     assert chk.mean_limit_product == pytest.approx(0.007414, abs=1e-4)
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_expectation_bound_check_streams_the_one_shot_draws(m, seed):
+    # The chunks hold the rows of the five whole arrays that one
+    # default_rng(seed) draws in sequence, so every mean is bitwise the one of
+    # the one-shot draw, rebuilt here; a stream started at the wrong offset
+    # draws other samples.
+    for n in (1, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 100_000):
+        rng = np.random.default_rng(seed)
+        y, mu_l, al_l, mu_k, al_k = (rng.uniform(-2.0, 2.0, size=(n, m)) for _ in range(5))
+        big_p = stable_rbf(al_k * (y - mu_k)).prod(axis=1)
+        want = (stable_logistic(al_l * (y - mu_l)).prod(axis=1).mean(), big_p.mean(),
+                np.where(np.all(mu_k <= mu_l, axis=1), big_p, 0.0).mean())
+        chk = expectation_bound_check(m, n, seed)
+        got = (chk.mean_logistic_product, chk.mean_rbf_product, chk.mean_limit_product)
+        assert got == tuple(map(float, want)), (n, got, want)
+
+
+def test_expectation_bound_check_keeps_only_per_sample_products():
+    # Drawn whole, the five (100,000, 3) arrays and their temporaries peaked
+    # at 22.4 MB; streamed, the three per-sample products (2.4 MB) and one
+    # chunk's draws stay (4.4 MB).
+    expectation_bound_check(3, 1000)
+    tracemalloc.start()
+    try:
+        expectation_bound_check(3, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, peak
 
 
 def test_expectation_bound_check_validation():

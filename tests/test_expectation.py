@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from augsill.dictionaries import Kind
+from augsill.dictionaries import _SCALAR_FORMS, Kind
 from augsill.errors import IntegrationAccuracyError, ParameterDomainError
 from augsill.expectation import (
+    MC_CHUNK,
     SamplingSpec,
     _expectation_of,
     expectation_table,
@@ -95,6 +99,42 @@ def test_monte_carlo_deterministic():
     assert a.stderr == b.stderr
     c = monte_carlo_expectation(Kind.LOGISTIC, SamplingSpec(2.0, mc_samples=5000, seed=12))
     assert c.mean != a.mean
+
+
+def one_shot_monte_carlo(kind, spec):
+    """Reference for monte_carlo_expectation: x, y and z drawn whole from one
+    default_rng(seed), in that order."""
+    rng = np.random.default_rng(spec.seed)
+    x, y, z = (rng.uniform(-spec.a, spec.a, size=spec.mc_samples) for _ in range(3))
+    vals = _SCALAR_FORMS[kind](x * (y - z))
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(spec.mc_samples))
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("kind", [Kind.LOGISTIC, Kind.RBF])
+def test_monte_carlo_streams_the_one_shot_draws(kind, seed):
+    # Bitwise the one-shot mean and standard error on both sides of a chunk
+    # boundary (MC_CHUNK + 1 ends in a one-row chunk); 1,000 is the smallest
+    # sample count SamplingSpec takes.
+    for n in (1000, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 100_000):
+        spec = SamplingSpec(2.0, mc_samples=n, seed=seed)
+        assert tuple(monte_carlo_expectation(kind, spec)) == one_shot_monte_carlo(kind, spec), n
+
+
+def test_monte_carlo_keeps_only_per_sample_values():
+    # Drawn whole, x, y, z and the values peaked at 4.0-4.8 MB for 100,000
+    # samples. Streamed, the values and the standard deviation's temporary
+    # of the same size stay (1.6 MB), under the 2.4 MB of three sample arrays.
+    spec = SamplingSpec(2.0, mc_samples=100_000, seed=0)
+    for kind in (Kind.LOGISTIC, Kind.RBF):
+        monte_carlo_expectation(kind, SamplingSpec(2.0, mc_samples=1000))
+        tracemalloc.start()
+        try:
+            monte_carlo_expectation(kind, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * spec.mc_samples, (kind, peak)
 
 
 def test_sampling_spec_validation():
